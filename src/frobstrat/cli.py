@@ -2,9 +2,9 @@
 slope certificates, the strata table and polygon duality as reproducible
 batch commands.
 
-Exit codes: 0 when every check passes, 1 when a self-check reports FAIL,
-2 on a usage or parameter error.  Output is deterministic: identical inputs
-produce byte-identical output.
+Exit codes: 0 when every check passes, 1 when a self-check reports FAIL or
+an internal invariant breaks, 2 on a usage or parameter error.  Output is
+deterministic: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,20 +43,21 @@ from .strata import (
     dualize_polygon,
     moduli_dimension,
     quot_fiber_dimension,
-    quot_stratum_dimension,
     strata_table,
 )
 
 __all__ = ["main"]
 
+# stands in a command's table lines where its --verify verdicts go; without
+# it they follow the table
+_VERDICTS = object()
 
-def _fail(message):
+_COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
+
+
+def _fail(message, code):
     print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _print_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    return code
 
 
 def _fmt_frac(x):
@@ -68,41 +69,46 @@ def _fmt_vertices(poly):
     return " ".join(f"({r},{dg})" for r, dg in poly.vertices)
 
 
-def _note(message):
-    # verification notes go to stderr so the stdout payload keeps its schema
-    print(message, file=sys.stderr)
+def _render(args, passed, payload, lines, checks):
+    """Print a command's result as JSON or as a table with its --verify verdicts;
+    return 1 if ``passed`` is false or one of the named ``checks`` failed, else 0."""
+    verdicts = [f"verify: {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        # verdicts go to stderr so the stdout payload keeps its schema
+        for line in verdicts:
+            print(line, file=sys.stderr)
+    else:
+        at = lines.index(_VERDICTS) if _VERDICTS in lines else len(lines)
+        for line in lines[:at] + verdicts + lines[at + 1:]:
+            print(line)
+    return 0 if passed and all(ok for _, ok in checks) else 1
 
 
 def cmd_enumerate(args):
-    try:
-        params = CurveParams(args.p, args.g, args.r, args.d)
-        polys = enumerate_destabilized_polygons(params)
-    except ValueError as exc:
-        return _fail(exc)
+    params = CurveParams(args.p, args.g, args.r, args.d)
+    polys = enumerate_destabilized_polygons(params)
     in_regime = (args.p, args.g, args.r) == (3, 2, 3)
     labels = [name_polygon(P, params) if in_regime else None for P in polys]
 
-    status = 0
+    agrees = True
     if args.verify:
         oracle = bruteforce_destabilized_polygons(params)
-        ok = oracle == polys
-        _note(f"verify: brute-force box scan {'agrees' if ok else 'DISAGREES'} "
-              f"({len(oracle)} vs {len(polys)} polygons)")
-        if not ok:
-            status = 1
+        agrees = oracle == polys
+        # stderr in both formats, so the table and the JSON stay the same with --verify
+        print(f"verify: brute-force box scan {'agrees' if agrees else 'DISAGREES'} "
+              f"({len(oracle)} vs {len(polys)} polygons)", file=sys.stderr)
 
-    if args.format == "json":
-        _print_json([{"label": lab, "vertices": P.to_pairs()}
-                     for lab, P in zip(labels, polys)])
-        return status
-    print(f"destabilized pull-back polygons  p={args.p} g={args.g} r={args.r} d={args.d}")
-    print(f"found {len(polys)} polygon(s); endpoint (r, p*d) = ({args.r}, {args.p * args.d}); "
-          f"slope-gap bound {2 * args.g - 2}")
+    payload = [{"label": lab, "vertices": P.to_pairs()} for lab, P in zip(labels, polys)]
+    lines = [
+        f"destabilized pull-back polygons  p={args.p} g={args.g} r={args.r} d={args.d}",
+        f"found {len(polys)} polygon(s); endpoint (r, p*d) = ({args.r}, {args.p * args.d}); "
+        f"slope-gap bound {2 * args.g - 2}",
+    ]
     for lab, P in zip(labels, polys):
-        name = lab if lab is not None else "-"
         slope_str = ", ".join(_fmt_frac(s) for s in P.slopes())
-        print(f"  {name:<5} vertices {_fmt_vertices(P):<30} slopes {slope_str}")
-    return status
+        lines.append(f"  {lab or '-':<5} vertices {_fmt_vertices(P):<30} slopes {slope_str}")
+    return agrees, payload, lines, []
 
 
 def _power_of_three(q):
@@ -116,29 +122,25 @@ def _power_of_three(q):
 def cmd_localmodel(args):
     m = _power_of_three(args.q)
     if m is None:
-        return _fail(f"q must be a positive power of 3, got {args.q}")
-    try:
-        spec = ModelSpec(field_make(3, m), 3, args.M)
-    except ValueError as exc:
-        return _fail(exc)
+        raise ValueError(f"q must be a positive power of 3, got {args.q}")
+    spec = ModelSpec(field_make(3, m), 3, args.M)
 
-    points = projective_plane(spec.field)
     rows = []
     claims_ok = True
-    for pt in points:
+    for pt in projective_plane(spec.field):
         V = SubmoduleV(spec, pt)
         res = claim_results(V)
         claims_ok &= all(res.values())
-        rows.append((pt, classify_stratum(V), intersection_colength(V), res))
+        lab, col = classify_stratum(V), intersection_colength(V)
+        if _COLENGTH_LABEL[col] != lab:
+            raise RuntimeError(f"point {pt!r} has colength {col} but stratum label {lab}")
+        rows.append((pt, lab, col, res))
     census = stratum_census(spec)
 
-    status = 0 if claims_ok else 1
-    verify_lines = []
+    checks = []
     if args.verify:
         expected = {PSI2: args.q * args.q, PSI3: args.q, PSI4: 1}
-        census_ok = census == expected
-        verify_lines.append(f"verify: census matches q^2/q/1 decomposition: "
-                            f"{'PASS' if census_ok else 'FAIL'}")
+        checks.append(("census matches q^2/q/1 decomposition", census == expected))
         deeper = ModelSpec(spec.field, 3, args.M + 1)
         stable = True
         for pt, _, _, res in rows:
@@ -151,134 +153,94 @@ def cmd_localmodel(args):
             except RuntimeError:
                 stable = False
                 break
-        verify_lines.append(f"verify: claims and colengths stable at M={args.M + 1}: "
-                            f"{'PASS' if stable else 'FAIL'}")
-        if not (census_ok and stable):
-            status = 1
+        checks.append((f"claims and colengths stable at M={args.M + 1}", stable))
 
-    if args.format == "json":
-        payload = {
-            "q": args.q,
-            "M": args.M,
-            "census": census,
-            "claims_pass": claims_ok,
-            "points": [{"point": pt.to_lists(), "label": lab, "colength": col}
-                       for pt, lab, col, _ in rows],
-        }
-        _print_json(payload)
-        for line in verify_lines:
-            _note(line)
-        return status
-
-    print(f"local pull-back model over GF({args.q}), truncation M={args.M}")
-    print(f"census: {PSI2}={census[PSI2]} {PSI3}={census[PSI3]} {PSI4}={census[PSI4]} "
-          f"(total {sum(census.values())} = q^2+q+1)")
+    payload = {
+        "q": args.q,
+        "M": args.M,
+        "census": census,
+        "claims_pass": claims_ok,
+        "points": [{"point": pt.to_lists(), "label": lab, "colength": col}
+                   for pt, lab, col, _ in rows],
+    }
     bad = sum(1 for _, _, _, res in rows if not all(res.values()))
-    print(f"membership claims a-d: {'PASS' if claims_ok else 'FAIL'} "
-          f"on {len(rows) - bad}/{len(rows)} points")
-    for line in verify_lines:
-        print(line)
-    print("per-point classification:")
+    lines = [
+        f"local pull-back model over GF({args.q}), truncation M={args.M}",
+        f"census: {PSI2}={census[PSI2]} {PSI3}={census[PSI3]} {PSI4}={census[PSI4]} "
+        f"(total {sum(census.values())} = q^2+q+1)",
+        f"membership claims a-d: {'PASS' if claims_ok else 'FAIL'} "
+        f"on {len(rows) - bad}/{len(rows)} points",
+        _VERDICTS,
+        "per-point classification:",
+    ]
     for pt, lab, col, res in rows:
         flag = "" if all(res.values()) else "  CLAIM-FAIL " + \
             ",".join(k for k, v in res.items() if not v)
-        print(f"  {pt!r:<24} colength {col}  {lab}{flag}")
-    return status
+        lines.append(f"  {pt!r:<24} colength {col}  {lab}{flag}")
+    return claims_ok, payload, lines, checks
 
 
 def cmd_strata(args):
     table = strata_table(args.d)
-    status = 0
-    verify_lines = []
+    checks = []
     if args.verify:
-        ok = True
         # parameter-space dims re-derived from fiber + dim(curve) + dim(Pic)
-        for rec in table.records:
-            if rec.label == PSI1:
-                continue
-            if rec.quot_dim != quot_fiber_dimension(rec.label) + 1 + 2:
-                ok = False
+        ok = all([rec.quot_dim == quot_fiber_dimension(rec.label) + 1 + 2
+                  for rec in table.records if rec.label != PSI1])
         # duality transports the first stratum onto the second at degree -d
         dual = dualize_polygon(table.records[0].polygon)
-        swapped = name_polygon(dual, CurveParams(3, 2, 3, -args.d))
-        if swapped != PSI2:
-            ok = False
-        if table.records[0].stratum_dim != table.records[1].stratum_dim:
-            ok = False
-        if table.codimension != moduli_dimension(3, 2) - max(
-                r.stratum_dim for r in table.records):
-            ok = False
-        if table.top_components != 2:
-            ok = False
-        verify_lines.append(f"verify: dimension cross-checks: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            status = 1
+        ok &= name_polygon(dual, CurveParams(3, 2, 3, -args.d)) == PSI2
+        ok &= table.records[0].stratum_dim == table.records[1].stratum_dim
+        top = max(r.stratum_dim for r in table.records)
+        ok &= table.codimension == moduli_dimension(3, 2) - top
+        ok &= table.top_components == 2
+        checks.append(("dimension cross-checks", ok))
 
-    if args.format == "json":
-        _print_json(table.to_jsonable())
-        for line in verify_lines:
-            _note(line)
-        return status
-
-    print(f"Frobenius strata dimensions  p=3 g=2 r=3 d={args.d}")
-    print(f"  {'label':<6} {'vertices':<30} {'fiber':>5} {'quot':>5} {'stratum':>8} {'closed':>7}")
+    lines = [
+        f"Frobenius strata dimensions  p=3 g=2 r=3 d={args.d}",
+        f"  {'label':<6} {'vertices':<30} {'fiber':>5} {'quot':>5} {'stratum':>8} {'closed':>7}",
+    ]
     for rec in table.records:
         fib = "-" if rec.fiber_dim is None else rec.fiber_dim
         quo = "-" if rec.quot_dim is None else rec.quot_dim
-        print(f"  {rec.label:<6} {_fmt_vertices(rec.polygon):<30} {fib:>5} {quo:>5} "
-              f"{rec.stratum_dim:>8} {rec.closed_stratum_dim:>7}")
-    print(f"moduli dimension {moduli_dimension(3, 2)}; destabilized locus codimension "
-          f"{table.codimension}; top-dimensional components {table.top_components}")
-    for line in verify_lines:
-        print(line)
-    return status
+        lines.append(f"  {rec.label:<6} {_fmt_vertices(rec.polygon):<30} {fib:>5} {quo:>5} "
+                     f"{rec.stratum_dim:>8} {rec.closed_stratum_dim:>7}")
+    lines.append(f"moduli dimension {moduli_dimension(3, 2)}; destabilized locus codimension "
+                 f"{table.codimension}; top-dimensional components {table.top_components}")
+    return True, table.to_jsonable(), lines, checks
 
 
 def cmd_certify(args):
     t = args.t if args.t is not None else args.d - 1
-    try:
-        emb = embedding_certificate(args.p, args.g, args.r, args.d, t)
-        stab = stability_certificate(args.p, args.g, args.r, args.d, t)
-    except ValueError as exc:
-        return _fail(exc)
+    emb = embedding_certificate(args.p, args.g, args.r, args.d, t)
+    stab = stability_certificate(args.p, args.g, args.r, args.d, t)
 
-    status = 0 if (emb.passed and stab.passed) else 1
-    verify_lines = []
+    checks = []
     if args.verify:
         # re-derive each bound from the collapsed closed form (t + (g-1)(s-1))/p
         ok = True
-        for rep in (emb, stab):
-            for row in rep.bounds:
-                closed = Fraction(t + (args.g - 1) * (row.subrank - 1), args.p)
-                if closed != row.bound or (closed <= row.threshold) != row.ok:
-                    ok = False
-        verify_lines.append(
-            f"verify: closed-form bound recomputation: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            status = 1
+        for row in emb.bounds + stab.bounds:
+            closed = Fraction(t + (args.g - 1) * (row.subrank - 1), args.p)
+            ok &= closed == row.bound and (closed <= row.threshold) == row.ok
+        checks.append(("closed-form bound recomputation", ok))
 
-    if args.format == "json":
-        _print_json({"embedding": emb.to_jsonable(), "stability": stab.to_jsonable()})
-        for line in verify_lines:
-            _note(line)
-        return status
-
+    payload = {"embedding": emb.to_jsonable(), "stability": stab.to_jsonable()}
     fl_deg = pushforward_degree(BundleData(1, t), args.p, args.g)
-    print(f"certificates for p={args.p} g={args.g} r={args.r} d={args.d}, "
-          f"auxiliary line-bundle degree t={t}")
-    print(f"push-forward: rank {args.p}, degree {fl_deg}, "
-          f"slope {_fmt_frac(Fraction(fl_deg, args.p))}")
+    lines = [
+        f"certificates for p={args.p} g={args.g} r={args.r} d={args.d}, "
+        f"auxiliary line-bundle degree t={t}",
+        f"push-forward: rank {args.p}, degree {fl_deg}, "
+        f"slope {_fmt_frac(Fraction(fl_deg, args.p))}",
+    ]
     for rep, title in ((emb, "embedding certificate (adjoint map injective)"),
                        (stab, "stability certificate (subsheaf slopes below d/r)")):
-        print(f"{title}: {'PASS' if rep.passed else 'FAIL'}")
+        lines.append(f"{title}: {'PASS' if rep.passed else 'FAIL'}")
         for row in rep.bounds:
             rel = "<=" if row.ok else ">"
-            print(f"  subrank {row.subrank}: bound {_fmt_frac(row.bound)} {rel} "
-                  f"threshold {_fmt_frac(row.threshold)} -> "
-                  f"{'pass' if row.ok else 'fail'}")
-    for line in verify_lines:
-        print(line)
-    return status
+            lines.append(f"  subrank {row.subrank}: bound {_fmt_frac(row.bound)} {rel} "
+                         f"threshold {_fmt_frac(row.threshold)} -> "
+                         f"{'pass' if row.ok else 'fail'}")
+    return emb.passed and stab.passed, payload, lines, checks
 
 
 def cmd_dual(args):
@@ -290,8 +252,7 @@ def cmd_dual(args):
         D = dualize_polygon(P)
         pairs.append((name_polygon(P, params), P, name_polygon(D, dual_params), D))
 
-    status = 0
-    verify_lines = []
+    checks = []
     if args.verify:
         ok = all(dualize_polygon(D) == P for _, P, _, D in pairs)
         dual_set = sorted((D.vertices for _, _, _, D in pairs))
@@ -300,39 +261,40 @@ def cmd_dual(args):
         ok &= dual_set == enum_set
         swap = {PSI1: PSI2, PSI2: PSI1, PSI3: PSI3, PSI4: PSI4}
         ok &= all(dl == swap[l] for l, _, dl, _ in pairs)
-        verify_lines.append(
-            f"verify: involution and label swap onto degree {-args.d}: "
-            f"{'PASS' if ok else 'FAIL'}")
-        if not ok:
-            status = 1
+        checks.append((f"involution and label swap onto degree {-args.d}", ok))
 
-    if args.format == "json":
-        _print_json({
-            "d": args.d,
-            "pairs": [{"label": l, "vertices": P.to_pairs(),
-                       "dual_label": dl, "dual_vertices": D.to_pairs()}
-                      for l, P, dl, D in pairs],
-        })
-        for line in verify_lines:
-            _note(line)
-        return status
-
-    print(f"polygon duality  d={args.d} -> {-args.d}")
+    payload = {
+        "d": args.d,
+        "pairs": [{"label": l, "vertices": P.to_pairs(),
+                   "dual_label": dl, "dual_vertices": D.to_pairs()}
+                  for l, P, dl, D in pairs],
+    }
+    lines = [f"polygon duality  d={args.d} -> {-args.d}"]
     for l, P, dl, D in pairs:
-        print(f"  {l}({args.d}) -> {dl}({-args.d})   "
-              f"{_fmt_vertices(P)} -> {_fmt_vertices(D)}")
-    for line in verify_lines:
-        print(line)
-    return status
+        lines.append(f"  {l}({args.d}) -> {dl}({-args.d})   "
+                     f"{_fmt_vertices(P)} -> {_fmt_vertices(D)}")
+    return True, payload, lines, checks
 
 
-def _add_common(sub, *, format_flag=True, verify_flag=True):
-    if format_flag:
-        sub.add_argument("--format", choices=("table", "json"), default="table",
-                         help="output format (default table)")
-    if verify_flag:
-        sub.add_argument("--verify", action="store_true",
-                         help="re-run the independent cross-check and compare")
+# the integer options, each named by one letter
+_INT_OPTIONS = {
+    "p": dict(default=3, help="characteristic (default 3)"),
+    "g": dict(default=2, help="genus (default 2)"),
+    "r": dict(default=3, help="rank (default 3)"),
+    "d": dict(default=0, help="degree (default 0)"),
+    "q": dict(default=3, help="field size, a power of 3 (default 3)"),
+    "M": dict(default=3, help="truncation level (default 3)"),
+    "t": dict(default=None, help="auxiliary line-bundle degree (default d-1)"),
+}
+
+# (name, help, handler, its integer options in --help order)
+_COMMANDS = (
+    ("enumerate", "enumerate destabilized pull-back polygons", cmd_enumerate, "pgrd"),
+    ("localmodel", "classify the local model over GF(q), q a power of 3", cmd_localmodel, "qM"),
+    ("strata", "print the strata dimension table", cmd_strata, "d"),
+    ("certify", "run the embedding and stability certificates", cmd_certify, "pgrdt"),
+    ("dual", "dualize the enumerated polygons", cmd_dual, "d"),
+)
 
 
 def build_parser():
@@ -342,44 +304,15 @@ def build_parser():
                     "local models over finite fields, slope certificates, "
                     "strata dimensions.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    enum = subs.add_parser("enumerate",
-                           help="enumerate destabilized pull-back polygons")
-    enum.add_argument("--p", type=int, default=3, help="characteristic (default 3)")
-    enum.add_argument("--g", type=int, default=2, help="genus (default 2)")
-    enum.add_argument("--r", type=int, default=3, help="rank (default 3)")
-    enum.add_argument("--d", type=int, default=0, help="degree (default 0)")
-    _add_common(enum)
-    enum.set_defaults(func=cmd_enumerate)
-
-    local = subs.add_parser("localmodel",
-                            help="classify the local model over GF(q), q a power of 3")
-    local.add_argument("--q", type=int, default=3, help="field size, a power of 3 (default 3)")
-    local.add_argument("--M", type=int, default=3, help="truncation level (default 3)")
-    _add_common(local)
-    local.set_defaults(func=cmd_localmodel)
-
-    strata = subs.add_parser("strata", help="print the strata dimension table")
-    strata.add_argument("--d", type=int, default=0, help="degree (default 0)")
-    _add_common(strata)
-    strata.set_defaults(func=cmd_strata)
-
-    cert = subs.add_parser("certify",
-                           help="run the embedding and stability certificates")
-    cert.add_argument("--p", type=int, default=3, help="characteristic (default 3)")
-    cert.add_argument("--g", type=int, default=2, help="genus (default 2)")
-    cert.add_argument("--r", type=int, default=3, help="rank (default 3)")
-    cert.add_argument("--d", type=int, default=0, help="degree (default 0)")
-    cert.add_argument("--t", type=int, default=None,
-                      help="auxiliary line-bundle degree (default d-1)")
-    _add_common(cert)
-    cert.set_defaults(func=cmd_certify)
-
-    dual = subs.add_parser("dual", help="dualize the enumerated polygons")
-    dual.add_argument("--d", type=int, default=0, help="degree (default 0)")
-    _add_common(dual)
-    dual.set_defaults(func=cmd_dual)
-
+    for name, help_text, handler, options in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for option in options:
+            sub.add_argument(f"--{option}", type=int, **_INT_OPTIONS[option])
+        sub.add_argument("--format", choices=("table", "json"), default="table",
+                         help="output format (default table)")
+        sub.add_argument("--verify", action="store_true",
+                         help="re-run the independent cross-check and compare")
+        sub.set_defaults(func=handler)
     return parser
 
 
@@ -389,7 +322,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        result = args.func(args)
+    except ValueError as exc:
+        return _fail(exc, 2)
+    except RuntimeError as exc:
+        # a broken internal invariant: reported, not a traceback
+        return _fail(exc, 1)
+    return _render(args, *result)
 
 
 if __name__ == "__main__":

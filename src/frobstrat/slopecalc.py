@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gfield import _is_prime
+
 __all__ = [
     "BundleData",
     "CertificateReport",
@@ -113,6 +115,8 @@ class CertificateReport:
 
 
 def _subrank_bounds(p, g, r, d, t):
+    if not _is_prime(p):
+        raise ValueError(f"characteristic must be prime, got {p}")
     # r = 1 has no proper subranks, so both certificates hold vacuously
     if g < 2:
         raise ValueError(f"the subsheaf slope bound needs genus >= 2, got {g}")

@@ -81,6 +81,21 @@ def test_localmodel_rejects_non_power_of_three(capsys):
         assert "power of 3" in err
 
 
+def test_broken_colength_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("frobstrat.localmodel._colength", lambda spec, h: 7)
+    code, out, err = run(capsys, "localmodel", "--q", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: colength 7 outside 1..3")
+
+
+def test_label_colength_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("frobstrat.cli.classify_stratum", lambda V: "Psi2")
+    code, out, err = run(capsys, "localmodel", "--q", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: point ")
+    assert "stratum label Psi2" in err
+
+
 def test_strata_table_output(capsys):
     code, out, _ = run(capsys, "strata", "--d", "0")
     assert code == 0
@@ -128,10 +143,15 @@ def test_certify_json_and_verify(capsys):
     assert "PASS" in err
 
 
-def test_certify_regime_error(capsys):
-    code, _, err = run(capsys, "certify", "--g", "1")
+@pytest.mark.parametrize("argv, word", [
+    (("--g", "1"), "genus"),
+    (("--p", "4", "--r", "4"), "prime"),
+])
+def test_certify_regime_error(capsys, argv, word):
+    code, out, err = run(capsys, "certify", *argv)
     assert code == 2
-    assert "genus" in err
+    assert out == ""
+    assert word in err
 
 
 def test_certify_reports_fail_with_exit_1(capsys):
@@ -153,6 +173,34 @@ def test_dual_json(capsys):
     payload = json.loads(out)
     pairs = {p["label"]: p["dual_label"] for p in payload["pairs"]}
     assert pairs == {"Psi1": "Psi2", "Psi2": "Psi1", "Psi3": "Psi3", "Psi4": "Psi4"}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv, n_verdicts", [
+    (("enumerate", "--d", "1"), 1),
+    (("localmodel", "--q", "3"), 2),
+    (("strata", "--d", "0"), 1),
+    (("certify", "--d", "2"), 1),
+    (("dual", "--d", "1"), 1),
+])
+def test_verify_line_routing(capsys, argv, n_verdicts, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt, "--verify")
+    assert code == 0
+    # verdicts follow the table on stdout, except enumerate's box-scan verdict,
+    # which goes to stderr in both formats, as every verdict does under json
+    on_stdout = fmt == "table" and argv[0] != "enumerate"
+    here, elsewhere = (out, err) if on_stdout else (err, out)
+    verdicts = [ln for ln in here.splitlines() if ln.startswith("verify:")]
+    assert len(verdicts) == n_verdicts
+    assert all(ln.endswith(("PASS", "agrees (4 vs 4 polygons)")) for ln in verdicts)
+    assert "verify:" not in elsewhere
+    if on_stdout:
+        lines = out.splitlines()
+        # the local model's verdicts sit between its claims line and the per-point list
+        at = lines.index("per-point classification:") if argv[0] == "localmodel" else len(lines)
+        assert lines[at - n_verdicts:at] == verdicts
+        if argv[0] == "localmodel":
+            assert lines[at - n_verdicts - 1].startswith("membership claims a-d: PASS")
 
 
 def test_unknown_arguments_exit_2(capsys):
