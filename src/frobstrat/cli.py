@@ -42,7 +42,6 @@ from .slopecalc import (
 from .strata import (
     dualize_polygon,
     moduli_dimension,
-    quot_fiber_dimension,
     strata_table,
 )
 
@@ -53,6 +52,9 @@ __all__ = ["main"]
 _VERDICTS = object()
 
 _COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
+
+# largest localmodel --q: time and the q x q field tables grow as q^2
+_MAX_Q = 3 ** 5
 
 
 def _fail(message, code):
@@ -123,6 +125,10 @@ def cmd_localmodel(args):
     m = _power_of_three(args.q)
     if m is None:
         raise ValueError(f"q must be a positive power of 3, got {args.q}")
+    if args.q > _MAX_Q:
+        raise ValueError(f"q = {args.q} is above the ceiling {_MAX_Q}: it would classify "
+                         f"q^2 + q + 1 = {args.q ** 2 + args.q + 1} plane points with "
+                         f"field tables of q^2 = {args.q ** 2} entries")
     spec = ModelSpec(field_make(3, m), 3, args.M)
 
     rows = []
@@ -143,15 +149,10 @@ def cmd_localmodel(args):
         checks.append(("census matches q^2/q/1 decomposition", census == expected))
         deeper = ModelSpec(spec.field, 3, args.M + 1)
         stable = True
-        for pt, _, _, res in rows:
-            V1 = SubmoduleV(deeper, pt)
-            if claim_results(V1) != res:
-                stable = False
-                break
-            try:
-                intersection_colength(SubmoduleV(spec, pt), check_stability=True)
-            except RuntimeError:
-                stable = False
+        for pt, _, col, res in rows:
+            V = SubmoduleV(deeper, pt)
+            stable = claim_results(V) == res and intersection_colength(V) == col
+            if not stable:
                 break
         checks.append((f"claims and colengths stable at M={args.M + 1}", stable))
 
@@ -184,8 +185,10 @@ def cmd_strata(args):
     table = strata_table(args.d)
     checks = []
     if args.verify:
-        # parameter-space dims re-derived from fiber + dim(curve) + dim(Pic)
-        ok = all([rec.quot_dim == quot_fiber_dimension(rec.label) + 1 + 2
+        # a fiber of dimension n is an affine n-space: over GF(3) the local
+        # model's census must put 3^n plane points in its stratum
+        census = stratum_census(ModelSpec(field_make(3), 3))
+        ok = all([census[rec.label] == 3 ** rec.fiber_dim
                   for rec in table.records if rec.label != PSI1])
         # duality transports the first stratum onto the second at degree -d
         dual = dualize_polygon(table.records[0].polygon)

@@ -18,6 +18,7 @@ M >= 3 keeps every exponent the classification touches (at most 5) alive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
 from .polygon import PSI2, PSI3, PSI4
@@ -217,6 +218,27 @@ def tau_power(spec, n):
     return e
 
 
+def _eliminate(field, target, source, col):
+    """Subtract target[col] times ``source`` from ``target`` in place; ``source``
+    is zero before column ``col``.  A zero target[col] makes it a no-op, so
+    callers skip it."""
+    add, neg, mrow = field._add, field._neg, field._mul[target[col]]
+    for k in range(col, len(target)):
+        sk = source[k]
+        if sk:
+            target[k] = add[target[k]][neg[mrow[sk]]]
+
+
+def _reduce_against(field, mat, pivots, vec):
+    """Copy of ``vec`` with every pivot column of the reduced echelon rows ``mat``
+    cleared; each row is zero in the others' pivot columns, so their order is free."""
+    v = list(vec)
+    for prow, pc in zip(mat, pivots):
+        if v[pc]:
+            _eliminate(field, v, prow, pc)
+    return v
+
+
 def _rref(field, rows):
     """Reduced row echelon form over the field; rows are element-index vectors.
 
@@ -224,71 +246,31 @@ def _rref(field, rows):
     result is the canonical reduced basis.  Returns independent rows sorted
     by pivot column; input rows are not mutated.
     """
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    mul, inv = field._mul, field._inv
     basis = {}
     for row in rows:
-        row = list(row)
-        n = len(row)
-        for pc in sorted(basis):
-            c = row[pc]
-            if c:
-                prow = basis[pc]
-                mrow = mul[c]
-                for k in range(pc, n):
-                    pk = prow[k]
-                    if pk:
-                        row[k] = add[row[k]][neg[mrow[pk]]]
+        row = _reduce_against(field, basis.values(), basis, row)
         pc = next((k for k, v in enumerate(row) if v), None)
         if pc is None:
             continue
-        s = inv[row[pc]]
-        if s != 1:
-            srow = mul[s]
-            row = [srow[v] if v else 0 for v in row]
+        srow = mul[inv[row[pc]]]
+        row = [srow[v] for v in row]
         for qrow in basis.values():
-            c = qrow[pc]
-            if c:
-                mrow = mul[c]
-                for k in range(pc, n):
-                    rk = row[k]
-                    if rk:
-                        qrow[k] = add[qrow[k]][neg[mrow[rk]]]
+            if qrow[pc]:
+                _eliminate(field, qrow, row, pc)
         basis[pc] = row
     return [basis[pc] for pc in sorted(basis)]
-
-
-def _reduce_against(field, mat, pivots, vec):
-    add, mul, neg = field._add, field._mul, field._neg
-    v = list(vec)
-    n = len(v)
-    for prow, pc in zip(mat, pivots):
-        c = v[pc]
-        if c:
-            mrow = mul[c]
-            for k in range(pc, n):
-                pk = prow[k]
-                if pk:
-                    v[k] = add[v[k]][neg[mrow[pk]]]
-    return v
-
-
-def _tensor_from_dense(spec, row):
-    p = spec.p
-    elems = spec.field._elements
-    return TensorElement(
-        spec, {(k // p, k % p): elems[idx] for k, idx in enumerate(row) if idx})
 
 
 class SubspaceBasis:
     """Row-reduced k-basis of a subspace of the truncated tensor square."""
 
-    __slots__ = ("spec", "rows", "_mat", "_pivots")
+    __slots__ = ("spec", "_mat", "_pivots")
 
     def __init__(self, spec, mat):
         self.spec = spec
         self._mat = mat
         self._pivots = [next(k for k, v in enumerate(r) if v) for r in mat]
-        self.rows = tuple(_tensor_from_dense(spec, r) for r in mat)
 
     @classmethod
     def from_spanning(cls, spec, elements):
@@ -296,6 +278,15 @@ class SubspaceBasis:
             if e.spec != spec:
                 raise ValueError("spanning element belongs to a different local model")
         return cls(spec, _rref(spec.field, [e.dense() for e in elements]))
+
+    @property
+    def rows(self):
+        """The basis as tensor elements, sorted by pivot."""
+        p, elems = self.spec.p, self.spec.field._elements
+        return tuple(
+            TensorElement(self.spec, {(k // p, k % p): elems[idx]
+                                      for k, idx in enumerate(row) if idx})
+            for row in self._mat)
 
     @property
     def dim(self):
@@ -357,19 +348,11 @@ def contains_monomial(V, j):
 
 
 def _kernel_vectors(h):
-    """Deterministic basis of the functional's kernel inside span{1, t, t^2}."""
-    field = h.spec
-    coords = h.coords
-    k = next(i for i, c in enumerate(coords) if c)  # normalized: coords[k] == 1
-    vecs = []
-    for pos in range(3):
-        if pos == k:
-            continue
-        v = [field.zero] * 3
-        v[pos] = field.one
-        v[k] = -coords[pos]
-        vecs.append(tuple(v))
-    return vecs
+    """Deterministic basis of the functional's kernel inside span{1, t, t^2},
+    each vector as {exponent: coefficient index}."""
+    one = h.spec.one.index
+    k = next(i for i, c in enumerate(h.coords) if c)  # normalized: coords[k] == 1
+    return [{pos: one, k: (-c).index} for pos, c in enumerate(h.coords) if pos != k]
 
 
 def pullback_span(V):
@@ -381,20 +364,19 @@ def pullback_span(V):
     factor carries the base change.
     """
     spec = V.spec
-    p, M, lim = spec.p, spec.M, spec.left_bound
-    field = spec.field
-    gens = [{e: c for e, c in enumerate(vec) if c}
-            for vec in _kernel_vectors(V.hyperplane)]
-    gens.extend({e: field.one} for e in range(p, 2 * p))
-    spanning = []
+    p, lim = spec.p, spec.left_bound
+    one = spec.field.one.index
+    gens = _kernel_vectors(V.hyperplane) + [{e: one} for e in range(p, 2 * p)]
+    rows = []
     for gen in gens:
-        for a in range(M):
-            shift = p * a
+        for shift in range(0, lim, p):
             for j in range(p):
-                terms = {(e + shift, j): c for e, c in gen.items() if e + shift < lim}
-                if terms:
-                    spanning.append(TensorElement(spec, terms))
-    return SubspaceBasis.from_spanning(spec, spanning)
+                row = [0] * spec.dimension
+                for e, c in gen.items():
+                    if e + shift < lim:
+                        row[(e + shift) * p + j] = c
+                rows.append(row)
+    return SubspaceBasis(spec, _rref(spec.field, rows))
 
 
 def membership(e, W):
@@ -402,45 +384,43 @@ def membership(e, W):
     return W.contains(e)
 
 
+def _tau_square_multiples(spec):
+    """tau^2 t^k for k = 0, 1, .. as long as it survives truncation."""
+    e = tau_power(spec, 2)
+    while e:
+        yield e
+        e = times_t_right(e)
+
+
 def tau_square_span(spec):
     """Basis of the line generated by tau^2 under the right-factor module
     action, within truncation."""
-    rows = []
-    e = tau_power(spec, 2)
-    for _ in range(spec.dimension):
-        if e.is_zero():
-            break
-        rows.append(e)
-        e = times_t_right(e)
-    return SubspaceBasis.from_spanning(spec, rows)
+    return SubspaceBasis.from_spanning(spec, list(_tau_square_multiples(spec)))
+
+
+def _tau_square_residues(W):
+    """Residues modulo W of tau^2 t^k, k = 0, 1, .., for every nonzero tau^2 t^k."""
+    field = W.spec.field
+    for e in _tau_square_multiples(W.spec):
+        yield _reduce_against(field, W._mat, W._pivots, e.dense())
 
 
 def _colength(spec, h):
-    span = pullback_span(SubmoduleV(spec, h))
-    tau_line = tau_square_span(spec)
-    joint = _rref(spec.field, span._mat + tau_line._mat)
-    return len(joint) - span.dim
+    W = pullback_span(SubmoduleV(spec, h))
+    return len(_rref(spec.field, _tau_square_residues(W)))
 
 
-def intersection_colength(V, check_stability=False):
-    """Colength of the intersection of the base-changed submodule with the
-    tau^2-line: dim E - dim(E ∩ W), computed as dim(E + W) - dim W.
+def intersection_colength(V):
+    """Colength of the intersection of the base-changed submodule W with the
+    tau^2-line E: dim E - dim(E ∩ W) = dim(E + W) - dim W, the rank of the
+    tau^2 line modulo W.
 
     Always lands in {1, 2, 3}; anything else is an internal invariant break
-    and raises hard.  With ``check_stability`` the value is recomputed at
-    truncation level M + 1 and any disagreement also raises, certifying the
-    answer does not depend on the truncation.
+    and raises hard.
     """
     c = _colength(V.spec, V.hyperplane)
     if not 1 <= c <= 3:
         raise RuntimeError(f"colength {c} outside 1..3: local-model invariant broken")
-    if check_stability:
-        deeper = ModelSpec(V.spec.field, V.spec.p, V.spec.M + 1)
-        c2 = _colength(deeper, V.hyperplane)
-        if c2 != c:
-            raise RuntimeError(
-                f"colength unstable under truncation: {c} at M={V.spec.M}, "
-                f"{c2} at M={V.spec.M + 1}")
     return c
 
 
@@ -467,12 +447,8 @@ def claim_results(V):
     Returns {"a": .., "b": .., "c": .., "d": ..} with True meaning the fact
     holds for this V.
     """
-    W = pullback_span(V)
-    e = tau_power(V.spec, 2)
-    mem = []
-    for _ in range(4):
-        mem.append(W.contains(e))
-        e = times_t_right(e)
+    residues = _tau_square_residues(pullback_span(V))
+    mem = [not any(r) for r in islice(residues, 4)]
     t1 = contains_monomial(V, 1)
     t2 = contains_monomial(V, 2)
     return {

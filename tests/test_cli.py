@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from frobstrat import localmodel
 from frobstrat.cli import main
 
 
@@ -74,11 +75,31 @@ def test_localmodel_verify(capsys):
     assert "stable at M=4: PASS" in out
 
 
+def test_localmodel_verify_fails_on_a_truncation_dependent_colength(capsys, monkeypatch):
+    colength = localmodel._colength
+    monkeypatch.setattr(localmodel, "_colength",
+                        lambda spec, h: colength(spec, h) % 3 + 1 if spec.M == 4
+                        else colength(spec, h))
+    code, out, _ = run(capsys, "localmodel", "--q", "3", "--verify")
+    assert code == 1
+    assert "stable at M=4: FAIL" in out
+
+
 def test_localmodel_rejects_non_power_of_three(capsys):
     for q in ("5", "1", "6"):
         code, _, err = run(capsys, "localmodel", "--q", q)
         assert code == 2
         assert "power of 3" in err
+
+
+def test_localmodel_q_ceiling_builds_no_field(capsys, monkeypatch):
+    def no_field(*args):
+        raise AssertionError("field tables built above the ceiling")
+
+    monkeypatch.setattr("frobstrat.cli.field_make", no_field)
+    code, out, err = run(capsys, "localmodel", "--q", "729")
+    assert (code, out) == (2, "")
+    assert "243" in err
 
 
 def test_broken_colength_exits_1(capsys, monkeypatch):
@@ -116,6 +137,13 @@ def test_strata_defaults_and_verify(capsys):
     code, out, _ = run(capsys, "strata", "--verify")
     assert code == 0
     assert "cross-checks: PASS" in out
+
+
+def test_strata_verify_fails_on_a_wrong_fiber_dimension(capsys, monkeypatch):
+    monkeypatch.setattr("frobstrat.strata._FIBER_DIM", {"Psi2": 2, "Psi3": 0, "Psi4": 0})
+    code, out, _ = run(capsys, "strata", "--verify")
+    assert code == 1
+    assert "verify: dimension cross-checks: FAIL" in out
 
 
 def test_certify_main_regime(capsys):

@@ -6,6 +6,7 @@ from frobstrat.localmodel import (
     SubmoduleV,
     SubspaceBasis,
     TensorElement,
+    _rref,
     claim_results,
     classify_stratum,
     contains_monomial,
@@ -143,23 +144,29 @@ def test_claims_hold_on_every_point_of_the_small_plane(f3, model3):
 
 
 def test_colength_examples_with_stability_check(f3, model3):
-    for coords, want in (((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3)):
-        V = submodule_from_point(model3, pt(f3, *coords))
-        assert intersection_colength(V, check_stability=True) == want
-
-
-def test_colength_formula_and_truncation_stability(f3, model3):
     deeper = ModelSpec(f3, 3, 4)
-    for point in projective_plane(f3):
-        V = submodule_from_point(model3, point)
+    for coords, want in (((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3)):
+        point = pt(f3, *coords)
+        assert intersection_colength(submodule_from_point(model3, point)) == want
+        assert intersection_colength(submodule_from_point(deeper, point)) == want
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["GF3", "GF9"])
+def test_colength_formula_and_truncation_stability(m):
+    field = field_make(3, m)
+    spec, deeper = ModelSpec(field, 3, 3), ModelSpec(field, 3, 4)
+    for point in projective_plane(field):
+        V = submodule_from_point(spec, point)
         W = pullback_span(V)
-        e = tau_power(model3, 2)
+        e = tau_power(spec, 2)
         hits = 0
         for j in (1, 2):
             e = times_t_right(e)
             hits += membership(e, W)
         c = intersection_colength(V)
         assert c == 3 - hits
+        # the defining rank: dim(E + W) - dim W for the tau^2 line E
+        assert c == len(_rref(field, W._mat + tau_square_span(spec)._mat)) - W.dim
         assert c == intersection_colength(submodule_from_point(deeper, point))
 
 
