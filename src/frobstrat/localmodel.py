@@ -18,6 +18,7 @@ M >= 3 keeps every exponent the classification touches (at most 5) alive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
@@ -369,7 +370,8 @@ def pullback_span(V):
     gens = _kernel_vectors(V.hyperplane) + [{e: one} for e in range(p, 2 * p)]
     rows = []
     for gen in gens:
-        for shift in range(0, lim, p):
+        # shifts that push every exponent to pM or past would give zero rows
+        for shift in range(0, lim - min(gen), p):
             for j in range(p):
                 row = [0] * spec.dimension
                 for e, c in gen.items():
@@ -398,11 +400,18 @@ def tau_square_span(spec):
     return SubspaceBasis.from_spanning(spec, list(_tau_square_multiples(spec)))
 
 
+@lru_cache(maxsize=8)
+def _tau_square_rows(spec):
+    """Dense index rows of every nonzero tau^2 t^k; they do not depend on the
+    point, so each model builds them once."""
+    return tuple(tuple(e.dense()) for e in _tau_square_multiples(spec))
+
+
 def _tau_square_residues(W):
     """Residues modulo W of tau^2 t^k, k = 0, 1, .., for every nonzero tau^2 t^k."""
     field = W.spec.field
-    for e in _tau_square_multiples(W.spec):
-        yield _reduce_against(field, W._mat, W._pivots, e.dense())
+    for row in _tau_square_rows(W.spec):
+        yield _reduce_against(field, W._mat, W._pivots, row)
 
 
 def _colength(spec, h):

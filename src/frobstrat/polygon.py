@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import prod
 
 from .gfield import _is_prime
 
@@ -51,6 +51,11 @@ GREATER_OR_EQUAL = "greater-or-equal"
 LESS_OR_EQUAL = "less-or-equal"
 EQUAL = "equal"
 INCOMPARABLE = "incomparable"
+
+# Most candidates the brute-force box scan may visit: the r = 5, g = 2 boxes
+# (2,019,599 candidates at most) take several seconds; g = 3 at r = 5 (over
+# 26 million) or r = 6 at g = 2 would run for minutes to hours.
+_MAX_BOX_CANDIDATES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -191,43 +196,38 @@ def enumerate_destabilized_polygons(params):
     Directed search over vertex chains from (0, 0) to (r, p*d) with strictly
     decreasing slopes, every consecutive gap at most 2g - 2, and at least two
     segments.  Every slope is confined to p*d/r +- (r-1)(2g-2): the gap bound
-    limits the spread and the endpoint fixes the rank-weighted average.
-    Results are sorted lexicographically by vertex list.
+    limits the spread and the endpoint fixes the rank-weighted average.  Each
+    step admits exactly the integer rises dy over width w whose slope meets
+    all three bounds, so every chain extended is admissible.  Results are
+    sorted lexicographically by vertex list.
     """
     if params.g < 2:
         raise ValueError(f"enumeration needs genus >= 2, got {params.g}")
     p, g, r, d = params.p, params.g, params.r, params.d
     end_y = p * d
     gap = 2 * g - 2
-    mean = Fraction(end_y, r)
-    lo = mean - (r - 1) * gap
-    hi = mean + (r - 1) * gap
+    # the window [lo/r, hi/r] with its denominator cleared
+    lo = end_y - (r - 1) * gap * r
+    hi = end_y + (r - 1) * gap * r
     found = []
 
-    def admissible(s, prev):
-        if s < lo or s > hi:
-            return False
-        if prev is not None and (s >= prev or prev - s > gap):
-            return False
-        return True
-
-    def extend(chain, prev_slope):
+    def extend(chain, pdy, pw):
+        # (pdy, pw) is the previous segment; pw == 0 before the first one
         x0, y0 = chain[-1]
-        for x1 in range(x0 + 1, r + 1):
-            w = x1 - x0
-            if x1 == r:
-                s = Fraction(end_y - y0, w)
-                if len(chain) >= 2 and admissible(s, prev_slope):
-                    found.append(LatticePolygon(tuple(chain) + ((r, end_y),)))
-                continue
-            s_hi = hi if prev_slope is None else min(hi, prev_slope)
-            s_lo = lo if prev_slope is None else max(lo, prev_slope - gap)
-            for y1 in range(ceil(y0 + w * s_lo), floor(y0 + w * s_hi) + 1):
-                s = Fraction(y1 - y0, w)
-                if admissible(s, prev_slope):
-                    extend(chain + [(x1, y1)], s)
+        for w in range(1, r - x0 + 1):
+            # lo/r <= dy/w <= hi/r, by ceiling and floor division
+            low, high = -(-lo * w // r), hi * w // r
+            if pw:
+                # dy/w < pdy/pw and pdy/pw - dy/w <= gap, the same way
+                high = min(high, (pdy * w - 1) // pw)
+                low = max(low, -((gap * pw - pdy) * w // pw))
+            if x0 + w < r:
+                for dy in range(low, high + 1):
+                    extend(chain + ((x0 + w, y0 + dy),), dy, w)
+            elif pw and low <= end_y - y0 <= high:  # pw: not a single segment
+                found.append(LatticePolygon(chain + ((r, end_y),)))
 
-    extend([(0, 0)], None)
+    extend(((0, 0),), 0, 0)
     found.sort(key=lambda poly: poly.vertices)
     return found
 
@@ -237,8 +237,10 @@ def bruteforce_destabilized_polygons(params):
 
     Scans every subset of interior abscissae together with every integer
     height vector inside the slope-bound box, keeping the vertex lists that
-    validate.  All checks are integer cross-multiplications, so this path
-    shares no arithmetic with the directed search.
+    validate.  All checks are integer cross-multiplications, done again on
+    each finished vertex list, so this path shares no code with the directed
+    search.  A box of more than ``_MAX_BOX_CANDIDATES`` candidates raises
+    ValueError before the scan starts.
     """
     if params.g < 2:
         raise ValueError(f"enumeration needs genus >= 2, got {params.g}")
@@ -270,6 +272,12 @@ def bruteforce_destabilized_polygons(params):
                 return False
         return True
 
+    # candidates: every nonempty subset of interior abscissae times every
+    # height vector over it, i.e. prod(1 + |height_range(x)|) - 1
+    box = prod(len(height_range(x)) + 1 for x in range(1, r)) - 1
+    if box > _MAX_BOX_CANDIDATES:
+        raise ValueError(f"brute-force box holds {box} candidates, above the "
+                         f"ceiling of {_MAX_BOX_CANDIDATES}")
     found = []
     for k in range(1, r):
         for xs in combinations(range(1, r), k):

@@ -102,6 +102,17 @@ def test_localmodel_q_ceiling_builds_no_field(capsys, monkeypatch):
     assert "243" in err
 
 
+def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("brute-force scan started above the ceiling")
+
+    monkeypatch.setattr("frobstrat.polygon.combinations", no_scan)
+    code, out, err = run(capsys, "enumerate", "--p", "3", "--g", "2", "--r", "6",
+                         "--d", "1", "--verify")
+    assert (code, out) == (2, "")
+    assert "445588163 candidates" in err
+
+
 def test_broken_colength_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("frobstrat.localmodel._colength", lambda spec, h: 7)
     code, out, err = run(capsys, "localmodel", "--q", "3")

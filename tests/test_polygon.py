@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from frobstrat import polygon
 from frobstrat.polygon import (
     EQUAL,
     GREATER_OR_EQUAL,
@@ -25,6 +26,7 @@ from frobstrat.polygon import (
     psi_polygon,
     slopes,
 )
+from frobstrat.strata import dualize_polygon
 
 REGIME = CurveParams(3, 2, 3, 0)
 
@@ -124,6 +126,35 @@ def test_enumeration_agrees_with_bruteforce_everywhere():
                     params = CurveParams(p, g, r, d)
                     assert (enumerate_destabilized_polygons(params)
                             == bruteforce_destabilized_polygons(params)), (p, g, r, d)
+
+
+def _scan_must_not_start(*args):
+    raise AssertionError("brute-force scan started")
+
+
+def test_bruteforce_ceiling_refuses_before_scanning(monkeypatch):
+    monkeypatch.setattr(polygon, "combinations", _scan_must_not_start)
+    with pytest.raises(ValueError, match="445588163 candidates"):
+        bruteforce_destabilized_polygons(CurveParams(3, 2, 6, 1))
+    with pytest.raises(ValueError, match="26840384 candidates"):
+        bruteforce_destabilized_polygons(CurveParams(3, 3, 5, 1))
+    # the largest box a cross-check at r = 5, g = 2 scans (2,019,599) stays under it
+    with pytest.raises(AssertionError, match="scan started"):
+        bruteforce_destabilized_polygons(CurveParams(5, 2, 5, 0))
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("r", [5, 6])
+@pytest.mark.parametrize("p, g", [(3, 2), (5, 2)])
+def test_enumeration_symmetries_above_the_bruteforce_grid(p, g, r, d):
+    """Where the box scan is out of reach: raising the degree by r shears every
+    polygon by y -> y + p*x (an order-preserving map), and negating it dualizes."""
+    polys = enumerate_destabilized_polygons(CurveParams(p, g, r, d))
+    assert polys
+    sheared = [make_polygon([(x, y + p * x) for x, y in P.vertices]) for P in polys]
+    assert enumerate_destabilized_polygons(CurveParams(p, g, r, d + r)) == sheared
+    duals = sorted((dualize_polygon(P) for P in polys), key=lambda P: P.vertices)
+    assert enumerate_destabilized_polygons(CurveParams(p, g, r, -d)) == duals
 
 
 def test_enumerated_polygons_satisfy_the_invariants():
