@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
@@ -126,6 +128,54 @@ def test_enumeration_agrees_with_bruteforce_everywhere():
                     params = CurveParams(p, g, r, d)
                     assert (enumerate_destabilized_polygons(params)
                             == bruteforce_destabilized_polygons(params)), (p, g, r, d)
+
+
+def _literal_box_scan(params):
+    """The box scan by its definition, with no pruning: every nonempty subset
+    of interior abscissae times every height vector in the window box, each
+    vertex list judged on its Fraction slopes and then by make_polygon."""
+    p, g, r, d = params.p, params.g, params.r, params.d
+    gap = 2 * g - 2
+    lo = Fraction(p * d, r) - (r - 1) * gap
+    hi = Fraction(p * d, r) + (r - 1) * gap
+
+    @lru_cache(maxsize=None)
+    def slope(dy, w):  # None outside the window
+        s = Fraction(dy, w)
+        return s if lo <= s <= hi else None
+
+    found = []
+    for mask in product((False, True), repeat=r - 1):
+        xs = [x for x, keep in zip(range(1, r), mask) if keep]
+        if not xs:
+            continue  # a single segment is not destabilized
+        box = [range(math.ceil(lo * x), math.floor(hi * x) + 1) for x in xs]
+        for ys in product(*box):
+            verts = [(0, 0), *zip(xs, ys), (r, p * d)]
+            ss = [slope(y1 - y0, x1 - x0)
+                  for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
+            if any(s is None for s in ss):
+                continue
+            if all(0 < a - b <= gap for a, b in zip(ss, ss[1:])):
+                found.append(make_polygon(verts))
+    return sorted(found, key=lambda P: P.vertices)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("g, r", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_bruteforce_equals_the_literal_box_scan(p, g, r):
+    """Pruning failing prefixes loses no polygon of the full box."""
+    for d in range(-3, 4):
+        params = CurveParams(p, g, r, d)
+        assert bruteforce_destabilized_polygons(params) == _literal_box_scan(params), d
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 4), (5, 0), (5, 3)])
+def test_enumeration_agrees_with_bruteforce_at_rank_5(p, d):
+    params = CurveParams(p, 2, 5, d)
+    polys = enumerate_destabilized_polygons(params)
+    assert polys
+    assert polys == bruteforce_destabilized_polygons(params)
 
 
 def _scan_must_not_start(*args):
