@@ -88,20 +88,21 @@ class LatticePolygon:
     def __post_init__(self):
         verts = tuple(tuple(v) for v in self.vertices)
         for v in verts:
-            if len(v) != 2 or not all(isinstance(c, int) for c in v):
+            if len(v) != 2 or not (isinstance(v[0], int) and isinstance(v[1], int)):
                 raise ValueError(f"vertices must be integral lattice points, got {v!r}")
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError("polygon needs at least two vertices")
         if verts[0] != (0, 0):
             raise ValueError(f"polygon must start at (0, 0), got {verts[0]}")
-        for (x0, _), (x1, _) in zip(verts, verts[1:]):
-            if x1 <= x0:
-                raise ValueError("vertex ranks must strictly increase")
-        segs = self.slopes()
-        for s0, s1 in zip(segs, segs[1:]):
-            if s1 >= s0:
-                raise ValueError(f"segment slopes must strictly decrease, got {s0} then {s1}")
+        segs = [(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
+        if any(w <= 0 for _, w in segs):
+            raise ValueError("vertex ranks must strictly increase")
+        # dy1/w1 < dy0/w0 by cross-multiplication, widths being positive
+        for (dy0, w0), (dy1, w1) in zip(segs, segs[1:]):
+            if dy1 * w0 >= dy0 * w1:
+                raise ValueError("segment slopes must strictly decrease, got "
+                                 f"{Fraction(dy0, w0)} then {Fraction(dy1, w1)}")
 
     @property
     def endpoint(self):
@@ -153,6 +154,13 @@ def max_slope_gap(P):
     return max(a - b for a, b in zip(ss, ss[1:]))
 
 
+def _integer_heights(P):
+    """Heights of P at x = 1..m, each as (numerator, positive denominator)."""
+    return [(y0 * (x1 - x0) + (y1 - y0) * (x - x0), x1 - x0)
+            for (x0, y0), (x1, y1) in zip(P.vertices, P.vertices[1:])
+            for x in range(x0 + 1, x1 + 1)]
+
+
 def dominates(P, Q):
     """Compare two polygons with shared endpoints in the dominance order.
 
@@ -162,13 +170,10 @@ def dominates(P, Q):
     if P.endpoint != Q.endpoint:
         raise ValueError(
             f"polygons end at {P.endpoint} and {Q.endpoint}; dominance needs shared endpoints")
-    above = below = True
-    for x in range(P.endpoint[0] + 1):
-        hp, hq = P.height_at(x), Q.height_at(x)
-        if hp < hq:
-            above = False
-        if hp > hq:
-            below = False
+    # sign of P's height minus Q's at each abscissa, by cross-multiplication
+    signs = {(hp * wq > hq * wp) - (hp * wq < hq * wp)
+             for (hp, wp), (hq, wq) in zip(_integer_heights(P), _integer_heights(Q))}
+    above, below = -1 not in signs, 1 not in signs
     if above and below:
         return EQUAL
     if above:
@@ -201,8 +206,11 @@ def enumerate_destabilized_polygons(params):
     segments.  Every slope is confined to p*d/r +- (r-1)(2g-2): the gap bound
     limits the spread and the endpoint fixes the rank-weighted average.  Each
     step admits exactly the integer rises dy over width w whose slope meets
-    all three bounds, so every chain extended is admissible.  Results are
-    sorted lexicographically by vertex list.
+    all three bounds and whose end can still reach (r, p*d): the mean slope
+    left lies strictly below dy/w, by at most (2g-2) per remaining segment.
+    So every chain extended is admissible and can still finish, and the work
+    follows the number of polygons emitted.  Results are sorted
+    lexicographically by vertex list.
     """
     if params.g < 2:
         raise ValueError(f"enumeration needs genus >= 2, got {params.g}")
@@ -225,6 +233,12 @@ def enumerate_destabilized_polygons(params):
                 high = min(high, (pdy * w - 1) // pw)
                 low = max(low, -((gap * pw - pdy) * w // pw))
             if x0 + w < r:
+                # the rest must still reach (r, p*d): its mean slope lies
+                # strictly below dy/w, and at most (2g-2) * rest below it,
+                # since at most rest more segments each fall by at most 2g-2
+                rest, left = r - x0 - w, end_y - y0
+                low = max(low, left * w // (r - x0) + 1)
+                high = min(high, (left + gap * rest * rest) * w // (r - x0))
                 for dy in range(low, high + 1):
                     extend(chain + ((x0 + w, y0 + dy),), dy, w)
             elif pw and low <= end_y - y0 <= high:  # pw: not a single segment

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -41,8 +42,10 @@ def test_make_polygon_accepts_convex_chains():
 
 
 def test_make_polygon_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 0 then 1"):
         make_polygon([(0, 0), (1, 0), (2, 1)])        # slopes 0 then 1 increase
+    with pytest.raises(ValueError, match="got 1/2 then 1/2"):
+        make_polygon([(0, 0), (2, 1), (4, 2)])        # collinear segments
     with pytest.raises(ValueError):
         make_polygon([(1, 0), (2, 1)])                # does not start at origin
     with pytest.raises(ValueError):
@@ -193,8 +196,76 @@ def test_bruteforce_ceiling_refuses_before_scanning(monkeypatch):
         bruteforce_destabilized_polygons(CurveParams(5, 2, 5, 0))
 
 
+def _unpruned_search(params):
+    """The directed search without the reachability cuts: each step admits
+    every rise within the slope window, the strict decrease and the gap, and
+    a chain that cannot reach (r, p*d) is only dropped at its last step."""
+    p, g, r, d = params.p, params.g, params.r, params.d
+    end_y = p * d
+    gap = 2 * g - 2
+    lo = end_y - (r - 1) * gap * r
+    hi = end_y + (r - 1) * gap * r
+    found = []
+
+    def extend(chain, pdy, pw):
+        x0, y0 = chain[-1]
+        for w in range(1, r - x0 + 1):
+            low, high = -(-lo * w // r), hi * w // r
+            if pw:
+                high = min(high, (pdy * w - 1) // pw)
+                low = max(low, -((gap * pw - pdy) * w // pw))
+            if x0 + w < r:
+                for dy in range(low, high + 1):
+                    extend(chain + ((x0 + w, y0 + dy),), dy, w)
+            elif pw and low <= end_y - y0 <= high:
+                found.append(make_polygon(chain + ((r, end_y),)))
+
+    extend(((0, 0),), 0, 0)
+    return sorted(found, key=lambda P: P.vertices)
+
+
+@pytest.mark.parametrize("p, g, r, d", [
+    (3, 2, 6, 0), (3, 2, 6, 1), (3, 2, 7, 0), (3, 2, 7, 1), (3, 2, 8, 1), (5, 3, 6, 1)])
+def test_reachability_cuts_lose_no_polygon(p, g, r, d):
+    """Above the box-scan ceiling: the pruned search equals the unpruned one."""
+    params = CurveParams(p, g, r, d)
+    polys = enumerate_destabilized_polygons(params)
+    assert polys
+    assert polys == _unpruned_search(params)
+
+
+def _search_nodes(params):
+    """Emitted polygons and the number of calls of the search's recursive step."""
+    step = next(c for c in enumerate_destabilized_polygons.__code__.co_consts
+                if getattr(c, "co_name", None) == "extend")
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is step:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        polys = enumerate_destabilized_polygons(params)
+    finally:
+        sys.setprofile(previous)
+    return polys, calls
+
+
+@pytest.mark.parametrize("params", [CurveParams(3, 2, 8, 1), CurveParams(5, 3, 6, 1)])
+def test_search_work_follows_the_polygons_emitted(params):
+    """Every chain extended can still finish, so the search visits at most
+    two nodes per polygon it emits (the unpruned search visits 42-70).  A
+    node emits at most one polygon, which bounds the count from below."""
+    polys, nodes = _search_nodes(params)
+    assert len(polys) > 1000
+    assert len(polys) <= nodes <= 2 * len(polys), (nodes, len(polys))
+
+
 @pytest.mark.parametrize("d", [0, 1])
-@pytest.mark.parametrize("r", [5, 6])
+@pytest.mark.parametrize("r", [5, 6, 7, 8])
 @pytest.mark.parametrize("p, g", [(3, 2), (5, 2)])
 def test_enumeration_symmetries_above_the_bruteforce_grid(p, g, r, d):
     """Where the box scan is out of reach: raising the degree by r shears every
