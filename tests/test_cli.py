@@ -3,7 +3,7 @@ import json
 import pytest
 
 from frobstrat import localmodel
-from frobstrat.cli import main
+from frobstrat.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -259,3 +259,30 @@ def test_runs_are_byte_identical(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, 0, -7, None, True, "Psi1", 1.5,
+    {"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [], "e": {}},
+    [{"label": "caf\u00e9 \"q\"\n", "vertices": ((0, 0), (2, 5))}, [[[]]], [{}]],
+])
+def test_json_text_matches_the_stdlib(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_rejects_keys_the_stdlib_would_convert():
+    with pytest.raises(TypeError):
+        _json_text({1: "one"})
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--p", "3", "--r", "5", "--d", "1"),
+    ("localmodel", "--q", "3"),
+    ("strata", "--d", "0"),
+    ("certify", "--d", "2"),
+    ("dual", "--d", "1"),
+])
+def test_json_output_is_the_stdlib_dump_of_its_payload(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
