@@ -274,6 +274,13 @@ class SubspaceBasis:
         self._pivots = [next(k for k, v in enumerate(r) if v) for r in mat]
 
     @classmethod
+    def _echelon(cls, spec, mat, pivots):
+        """Wrap reduced echelon rows whose pivot columns the caller already knows."""
+        W = cls.__new__(cls)
+        W.spec, W._mat, W._pivots = spec, mat, pivots
+        return W
+
+    @classmethod
     def from_spanning(cls, spec, elements):
         for e in elements:
             if e.spec != spec:
@@ -348,37 +355,28 @@ def contains_monomial(V, j):
     return not V.hyperplane.coords[j]
 
 
-def _kernel_vectors(h):
-    """Deterministic basis of the functional's kernel inside span{1, t, t^2},
-    each vector as {exponent: coefficient index}."""
-    one = h.spec.one.index
-    k = next(i for i, c in enumerate(h.coords) if c)  # normalized: coords[k] == 1
-    return [{pos: one, k: (-c).index} for pos, c in enumerate(h.coords) if pos != k]
-
-
 def pullback_span(V):
-    """Row-reduced basis of the image of V (x)_R S inside the truncated model.
+    """Reduced echelon basis of the image W of V (x)_R S in the truncated model.
 
-    The image is spanned by (t^{pa} v) (x) t^j over the R-module generators v
-    of V (the two hyperplane-kernel vectors plus t^p, .., t^{2p-1}), shifts
-    a < M and right exponents j < p: the left factor carries V, the right
-    factor carries the base change.
-    """
-    spec = V.spec
-    p, lim = spec.p, spec.left_bound
-    one = spec.field.one.index
-    gens = _kernel_vectors(V.hyperplane) + [{e: one} for e in range(p, 2 * p)]
-    rows = []
-    for gen in gens:
-        # shifts that push every exponent to pM or past would give zero rows
-        for shift in range(0, lim - min(gen), p):
-            for j in range(p):
-                row = [0] * spec.dimension
-                for e, c in gen.items():
-                    if e + shift < lim:
-                        row[(e + shift) * p + j] = c
-                rows.append(row)
-    return SubspaceBasis(spec, _rref(spec.field, rows))
+    W is spanned by (t^{pa} v) (x) t^j over the R-generators v of V (ker h in
+    span{1, .., t^{p-1}}, and t^p, .., t^{2p-1}), a < M and j < p.  The shifted
+    t^p, .., t^{2p-1} span U = <t^i (x) t^j : i >= p>, so W = ker(h) (x) k^p + U.
+    With c the last nonzero coordinate of h, the rows e_(i,j) - (h_i/h_c) e_(c,j)
+    for i != c, j < p, then a unit row per column of U, sorted by pivot, are each
+    zero in the others' pivot columns: the unique reduced row echelon form of W,
+    which row-reducing the spanning set would also give."""
+    field, p, dim = V.spec.field, V.spec.p, V.spec.dimension
+    one, h = field.one.index, [x.index for x in V.hyperplane.coords]
+    c = max(i for i, x in enumerate(h) if x)
+    scale = field._mul[field._neg[field._inv[h[c]]]]  # x -> -x/h_c
+    pivots = [i * p + j for i in range(p) if i != c for j in range(p)]
+    pivots += range(p * p, dim)
+    mat = [[0] * dim for _ in pivots]
+    for row, k in zip(mat, pivots):
+        row[k] = one
+        if k < p * p:
+            row[c * p + k % p] = scale[h[k // p]]
+    return SubspaceBasis._echelon(V.spec, mat, pivots)
 
 
 def membership(e, W):

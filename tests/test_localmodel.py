@@ -1,5 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from frobstrat.cli import main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.localmodel import (
     ModelSpec,
@@ -128,6 +132,77 @@ def test_pullback_span_memberships(f3, model3):
     assert not membership(times_t_right(times_t_right(t2)), W)   # t^2 not in V
     e3 = times_t_right(times_t_right(times_t_right(t2)))
     assert membership(e3, W)
+
+
+def _spanning_rows(V):
+    """The spanning set of W written out literally: the hyperplane-kernel
+    vectors and t^p, .., t^{2p-1}, each shifted by every multiple of p that
+    leaves a nonzero row, tensored with every t^j, j < p."""
+    spec = V.spec
+    p, lim = spec.p, spec.left_bound
+    one = spec.field.one.index
+    h = V.hyperplane.coords
+    k = next(i for i, c in enumerate(h) if c)
+    gens = [{pos: one, k: (-c).index} for pos, c in enumerate(h) if pos != k]
+    gens += [{e: one} for e in range(p, 2 * p)]
+    rows = []
+    for gen in gens:
+        for shift in range(0, lim - min(gen), p):
+            for j in range(p):
+                row = [0] * spec.dimension
+                for e, c in gen.items():
+                    if e + shift < lim:
+                        row[(e + shift) * p + j] = c
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("m, M", [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3)])
+def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
+    """The closed-form basis is the reduced row echelon form of the spanning set."""
+    field = field_make(3, m)
+    spec = ModelSpec(field, 3, M)
+    for point in projective_plane(field):
+        V = submodule_from_point(spec, point)
+        want = _rref(field, _spanning_rows(V))
+        W = pullback_span(V)
+        assert W._mat == want, point
+        assert W._pivots == [next(k for k, v in enumerate(r) if v) for r in want], point
+
+
+def test_localmodel_row_reduces_only_for_colengths(capsys):
+    """pullback_span writes W down without row reduction, so a localmodel run
+    calls _rref at most once per intersection_colength call (for the rank of
+    the tau^2 residues) and never inside pullback_span."""
+    names = {_rref.__code__: "rref", pullback_span.__code__: "span",
+             intersection_colength.__code__: "colength"}
+    calls = Counter()
+    depth = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth
+        name = names.get(frame.f_code)
+        if name == "span" and event == "return":
+            depth -= 1
+        if event != "call" or name is None:
+            return
+        calls[name] += 1
+        if name == "span":
+            depth += 1
+        elif name == "rref" and depth:
+            calls["rref in span"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(["localmodel", "--q", "9"])
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert code == 0
+    assert calls["span"] == 2 * 91 and calls["colength"] == 91
+    assert calls["rref in span"] == 0
+    assert calls["rref"] <= calls["colength"], calls
 
 
 def test_membership_trivialities(f3, f9, model3, model9):
