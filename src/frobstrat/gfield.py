@@ -197,6 +197,8 @@ class FieldSpec:
         return self._elements
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
         return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
@@ -334,7 +336,7 @@ class ProjectivePoint:
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
         inv = pivot.inverse()
-        self.coords = tuple(c * inv for c in coords)
+        self.coords = coords if pivot.index == 1 else tuple(c * inv for c in coords)
 
     @classmethod
     def of(cls, spec, values):

@@ -370,13 +370,19 @@ def pullback_span(V):
     c = max(i for i, x in enumerate(h) if x)
     scale = field._mul[field._neg[field._inv[h[c]]]]  # x -> -x/h_c
     pivots = [i * p + j for i in range(p) if i != c for j in range(p)]
-    pivots += range(p * p, dim)
     mat = [[0] * dim for _ in pivots]
     for row, k in zip(mat, pivots):
         row[k] = one
-        if k < p * p:
-            row[c * p + k % p] = scale[h[k // p]]
-    return SubspaceBasis._echelon(V.spec, mat, pivots)
+        row[c * p + k % p] = scale[h[k // p]]
+    unit_rows, unit_pivots = _unit_rows(V.spec)
+    return SubspaceBasis._echelon(V.spec, mat + unit_rows, pivots + unit_pivots)
+
+
+@lru_cache(maxsize=8)
+def _unit_rows(spec):
+    """U's unit rows and their pivots, shared by every W of the model: never mutated."""
+    one, pivots = spec.field.one.index, list(range(spec.p ** 2, spec.dimension))
+    return [[one if k == c else 0 for k in range(spec.dimension)] for c in pivots], pivots
 
 
 def membership(e, W):
@@ -399,28 +405,38 @@ def tau_square_span(spec):
 
 
 @lru_cache(maxsize=8)
-def _tau_square_rows(spec):
-    """Dense index rows of every nonzero tau^2 t^k; they do not depend on the
-    point, so each model builds them once."""
-    return tuple(tuple(e.dense()) for e in _tau_square_multiples(spec))
+def _tau_square_blocks(spec):
+    """First p^2 coordinates (left exponent i < p) of every nonzero tau^2 t^k;
+    they do not depend on the point, so each model builds them once."""
+    return tuple(tuple(e.dense()[:spec.p ** 2]) for e in _tau_square_multiples(spec))
 
 
 def _tau_square_residues(W):
-    """Residues modulo W of tau^2 t^k, k = 0, 1, .., for every nonzero tau^2 t^k."""
-    field = W.spec.field
-    for row in _tau_square_rows(W.spec):
-        yield _reduce_against(field, W._mat, W._pivots, row)
+    """Residues modulo W of each nonzero tau^2 t^k, k = 0, 1, .., cut to the block
+    i < p, its first p^2 coordinates.  Exact when W contains U: W's reduced rows
+    from pivot p^2 on are then U's unit rows and the n before them are zero past
+    the block, so a full residue is the block reduced against those n, zero-padded."""
+    p2 = W.spec.p ** 2
+    n = W.dim - (W.spec.dimension - p2)
+    if n < 0 or W._pivots[n] != p2:
+        raise RuntimeError("W does not contain U: the block reduction would be wrong")
+    field, mat, pivots = W.spec.field, W._mat[:n], W._pivots[:n]
+    for block in _tau_square_blocks(W.spec):
+        yield _reduce_against(field, mat, pivots, block) if any(block) else block
 
 
 def _colength(spec, h):
     W = pullback_span(SubmoduleV(spec, h))
-    return len(_rref(spec.field, _tau_square_residues(W)))
+    return len(_rref(spec.field, [r for r in _tau_square_residues(W) if any(r)]))
 
 
 def intersection_colength(V):
     """Colength of the intersection of the base-changed submodule W with the
     tau^2-line E: dim E - dim(E ∩ W) = dim(E + W) - dim W, the rank of the
     tau^2 line modulo W.
+
+    W contains U, so that rank is the rank of the at most p nonzero residues
+    cut to the block i < p (see _tau_square_residues).
 
     Always lands in {1, 2, 3}; anything else is an internal invariant break
     and raises hard.

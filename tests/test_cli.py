@@ -4,6 +4,7 @@ import pytest
 
 from frobstrat import localmodel
 from frobstrat.cli import _json_text, main
+from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 
 
 def run(capsys, *argv):
@@ -67,6 +68,21 @@ def test_localmodel_q9_json(capsys):
     assert payload["census"] == {"Psi2": 81, "Psi3": 9, "Psi4": 1}
     assert payload["claims_pass"] is True
     assert len(payload["points"]) == 91
+
+
+def test_localmodel_q9_json_round_trips_to_the_table(capsys):
+    _, out, _ = run(capsys, "localmodel", "--q", "9", "--format", "json")
+    points = json.loads(out)["points"]
+    _, table, _ = run(capsys, "localmodel", "--q", "9")
+    lines = table.splitlines()
+    lines = lines[lines.index("per-point classification:") + 1:]
+    field = field_make(3, 2)
+    plane = projective_plane(field)
+    assert len(points) == len(lines) == len(plane)
+    for entry, line, want in zip(points, lines, plane):
+        point = ProjectivePoint.of(field, entry["point"])
+        assert point == want
+        assert line == f"  {point!r:<24} colength {entry['colength']}  {entry['label']}"
 
 
 def test_localmodel_verify(capsys):

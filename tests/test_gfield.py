@@ -121,6 +121,13 @@ def test_projective_normalization_is_canonical(f3):
     assert scaled.to_lists() == [[1], [0], [2]]
 
 
+def test_projective_normalization_with_a_later_non_one_pivot(f9):
+    x, y = f9.element([0, 1]), f9.element([1, 1])
+    point = ProjectivePoint((f9.zero, x, y))
+    assert point.coords == (f9.zero, f9.one, y / x)
+    assert point == ProjectivePoint((f9.zero, f9.one, y / x))
+
+
 def test_projective_point_rejects_zero(f3):
     with pytest.raises(ValueError):
         ProjectivePoint.of(f3, (0, 0, 0))
@@ -136,7 +143,9 @@ def test_mixed_field_arithmetic_is_an_error(f3, f9):
 
 def test_equal_specs_interoperate(f9):
     twin = field_make(3, 2, [1, 0, 1])
-    assert twin == f9
+    assert twin == f9 and twin is not f9
+    assert hash(twin) == hash(f9)
+    assert f9 == f9 and f9 != field_make(3)
     assert twin.element([0, 1]) + f9.element([0, 2]) == f9.zero
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from frobstrat import localmodel
 from frobstrat.cli import main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.localmodel import (
@@ -10,7 +11,10 @@ from frobstrat.localmodel import (
     SubmoduleV,
     SubspaceBasis,
     TensorElement,
+    _reduce_against,
     _rref,
+    _tau_square_multiples,
+    _tau_square_residues,
     claim_results,
     classify_stratum,
     contains_monomial,
@@ -203,6 +207,72 @@ def test_localmodel_row_reduces_only_for_colengths(capsys):
     assert calls["span"] == 2 * 91 and calls["colength"] == 91
     assert calls["rref in span"] == 0
     assert calls["rref"] <= calls["colength"], calls
+
+
+def _full_residues(W):
+    """The reduction the block residues replace: each whole tau^2 t^k row
+    reduced against every row of W."""
+    return [_reduce_against(W.spec.field, W._mat, W._pivots, e.dense())
+            for e in _tau_square_multiples(W.spec)]
+
+
+@pytest.mark.parametrize("m, M", [(m, M) for m in (1, 2, 3) for M in (3, 4)])
+def test_block_residues_are_the_full_residues(m, M):
+    """Each block residue is the first p^2 entries of the full residue, the
+    full residue is zero past them, and colength and claims agree with the
+    full residues."""
+    field = field_make(3, m)
+    spec = ModelSpec(field, 3, M)
+    p2 = spec.p ** 2
+    for point in projective_plane(field):
+        V = submodule_from_point(spec, point)
+        W = pullback_span(V)
+        full = _full_residues(W)
+        assert [list(r) for r in _tau_square_residues(W)] == [r[:p2] for r in full], point
+        assert not any(any(r[p2:]) for r in full), point
+        assert intersection_colength(V) == len(_rref(field, full)), point
+        mem = [not any(r) for r in full[:4]]
+        t1, t2 = contains_monomial(V, 1), contains_monomial(V, 2)
+        assert claim_results(V) == {"a": not mem[0], "b": mem[1] == (t1 and t2),
+                                    "c": mem[2] == t2, "d": mem[3]}, point
+    # every W shares U's unit rows; nothing above may have written into them
+    dim = spec.dimension
+    unit = [[int(k == c) for k in range(dim)] for c in range(p2, dim)]
+    assert localmodel._unit_rows(spec) == (unit, list(range(p2, dim)))
+
+
+def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
+    line = SubspaceBasis.from_spanning(model3, [tau_power(model3, 2)])
+    W = pullback_span(submodule_from_point(model3, pt(f3, 1, 1, 1)))
+    short = SubspaceBasis._echelon(model3, W._mat[:-1], W._pivots[:-1])
+    for bad in (line, short):
+        with pytest.raises(RuntimeError):
+            list(_tau_square_residues(bad))
+
+
+def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
+    """At q = 9 each tau^2 block is reduced against the p(p-1) = 6 block rows
+    of W alone, and each colength ranks at most p = 3 residues."""
+    reduce_against, rref = localmodel._reduce_against, localmodel._rref
+    reduced, ranked = [], []
+
+    def reduce_spy(field, mat, pivots, vec):
+        if sys._getframe(1).f_code is localmodel._tau_square_residues.__code__:
+            reduced.append((len(mat), len(vec)))
+        return reduce_against(field, mat, pivots, vec)
+
+    def rref_spy(field, rows):
+        rows = list(rows)
+        if sys._getframe(1).f_code is localmodel._colength.__code__:
+            ranked.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr(localmodel, "_reduce_against", reduce_spy)
+    monkeypatch.setattr(localmodel, "_rref", rref_spy)
+    assert main(["localmodel", "--q", "9"]) == 0
+    capsys.readouterr()
+    assert reduced and all(n <= 6 and length <= 9 for n, length in reduced), max(reduced)
+    assert len(ranked) == 91 and max(ranked) <= 3, max(ranked)
 
 
 def test_membership_trivialities(f3, f9, model3, model9):
