@@ -335,8 +335,7 @@ class ProjectivePoint:
         pivot = next((c for c in coords if c), None)
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        inv = pivot.inverse()
-        self.coords = coords if pivot.index == 1 else tuple(c * inv for c in coords)
+        self.coords = coords if pivot.index == 1 else tuple(c * pivot.inverse() for c in coords)
 
     @classmethod
     def of(cls, spec, values):

@@ -275,7 +275,8 @@ class SubspaceBasis:
 
     @classmethod
     def _echelon(cls, spec, mat, pivots):
-        """Wrap reduced echelon rows whose pivot columns the caller already knows."""
+        """Wrap reduced echelon rows whose pivot columns the caller already knows.
+        Rows may be shared between bases (see _unit_rows): never write into them."""
         W = cls.__new__(cls)
         W.spec, W._mat, W._pivots = spec, mat, pivots
         return W
