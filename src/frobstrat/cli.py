@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .gfield import field_make, projective_plane
@@ -56,6 +57,11 @@ _COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
 
 # largest localmodel --q: time and the q x q field tables grow as q^2
 _MAX_Q = 3 ** 5
+
+# largest localmodel --M: each model's unit rows of U hold (9M - 9) x 9M entries
+# and stay cached, and --verify builds a second model at M + 1; with --verify,
+# q = 3 peaked at 29 MB resident at M = 100 and at 135 MB at M = 300
+_MAX_M = 100
 
 
 def _fail(message, code):
@@ -164,6 +170,13 @@ def cmd_localmodel(args):
         raise ValueError(f"q = {args.q} is above the ceiling {_MAX_Q}: it would classify "
                          f"q^2 + q + 1 = {args.q ** 2 + args.q + 1} plane points with "
                          f"field tables of q^2 = {args.q ** 2} entries")
+    # both M bounds are checked here, before any field table is built
+    if args.M < 3:
+        raise ValueError(f"truncation level M must be at least 3, got {args.M}")
+    if args.M > _MAX_M:
+        raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: the model's unit "
+                         f"rows alone would hold (9M - 9) x 9M = "
+                         f"{(9 * args.M - 9) * 9 * args.M} entries")
     spec = ModelSpec(field_make(3, m), 3, args.M)
 
     rows = []
@@ -335,7 +348,13 @@ _COMMANDS = (
 )
 
 
+@cache
 def build_parser():
+    """The frobstrat argument parser, built on the first call and shared by every
+    later one, so in-process callers of main pay for the tree once.  It is never
+    mutated after it is built: parse_args makes a fresh Namespace per call, and
+    argparse looks up sys.stdout and sys.stderr only when it prints.  The command
+    handlers are bound into it when it is built."""
     parser = argparse.ArgumentParser(
         prog="frobstrat",
         description="Frobenius stratification calculator: polygon enumeration, "

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from frobstrat import localmodel
-from frobstrat.cli import _json_text, main
+from frobstrat.cli import _COMMANDS, _MAX_M, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 
 
@@ -116,6 +117,28 @@ def test_localmodel_q_ceiling_builds_no_field(capsys, monkeypatch):
     code, out, err = run(capsys, "localmodel", "--q", "729")
     assert (code, out) == (2, "")
     assert "243" in err
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("verify", [(), ("--verify",)])
+def test_localmodel_M_ceiling_builds_no_model(capsys, monkeypatch, verify):
+    def refuse(*args):
+        raise _Built
+
+    monkeypatch.setattr("frobstrat.cli.field_make", refuse)
+    monkeypatch.setattr(localmodel, "_unit_rows", refuse)
+    # q = 243 is the largest field: neither M bound may wait for its tables
+    for M, words in ((2, "at least 3, got 2"), (_MAX_M + 1, f"ceiling {_MAX_M}"),
+                     (100000, "809991900000 entries")):
+        code, out, err = run(capsys, "localmodel", "--q", "243", "--M", str(M), *verify)
+        assert (code, out) == (2, ""), M
+        assert words in err
+    # the ceiling itself is accepted, also when --verify adds a model at M + 1
+    with pytest.raises(_Built):
+        main(["localmodel", "--q", "3", "--M", str(_MAX_M), *verify])
 
 
 def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
@@ -261,6 +284,47 @@ def test_verify_line_routing(capsys, argv, n_verdicts, fmt):
 def test_unknown_arguments_exit_2(capsys):
     assert main(["enumerate", "--bogus"]) == 2
     capsys.readouterr()
+
+
+def test_main_builds_the_parser_tree_at_most_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for d in ("-1", "0", "1", "x"):
+        for argv in (("enumerate", "--d", d), ("strata", "--d", d, "--format", "json"),
+                     ("dual", "--d", d), ("certify", "--d", d, "--verify"),
+                     ("localmodel", "--q", "3", "--M", "2" if d == "x" else "3")):
+            run(capsys, *argv)
+    # one root parser and one subparser per command, or none if already built
+    assert len(built) <= 1 + len(_COMMANDS)
+
+
+# help, usage errors, parameter errors, a non-prime characteristic and valid
+# table and JSON requests, all through one parser
+_MIXED_ARGV = [
+    ("--help",), ("enumerate", "--help"),
+    ("enumerate", "--bogus"), ("strata", "--d", "x"), ("dual", "--d", "1.5"),
+    (), ("nosuch",),
+    ("localmodel", "--q", "3", "--M", "2"), ("certify", "--p", "4", "--r", "4"),
+    ("enumerate", "--d", "1"), ("dual", "--d", "2", "--format", "json", "--verify"),
+    ("certify", "--d", "0", "--t", "-1", "--format", "json"),
+]
+
+
+def test_shared_parser_leaks_no_state_between_requests(capsys):
+    fresh = {}
+    for argv in _MIXED_ARGV:
+        build_parser.cache_clear()
+        fresh[argv] = run(capsys, *argv)
+    assert {code for code, _, _ in fresh.values()} == {0, 2}
+    for order in (_MIXED_ARGV, _MIXED_ARGV[::-1]):
+        for argv in order:
+            assert run(capsys, *argv) == fresh[argv], argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,14 @@
-"""Property tests on polygons drawn from small enumerations (needs hypothesis)."""
+"""Property tests on polygons drawn from small enumerations and on the CLI's
+JSON writer (needs hypothesis)."""
+
+import json
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from frobstrat.cli import _json_text  # noqa: E402
 from frobstrat.polygon import (  # noqa: E402
     EQUAL,
     GREATER_OR_EQUAL,
@@ -63,3 +67,34 @@ def test_dominance_mirrors_and_ties_only_on_equal_polygons(pair):
 def test_shear_preserves_dominance(pair):
     p, P, Q = pair
     assert dominates(shear(P, p), shear(Q, p)) == dominates(P, Q)
+
+
+# strings that need escaping or are not ASCII, beside arbitrary text
+strings = st.text() | st.sampled_from(['"', "\\", "\n\t\r", "\x00\x1f", "caf\u00e9",
+                                       "\u2028", "\U0001f600", "\ud800"])
+# short keys over a few letters, so that dicts often hold keys whose order
+# depends on case or on escaping
+keys = st.text(alphabet='aAbZ_"\u00e9', max_size=3) | strings
+scalars = st.none() | st.booleans() | st.integers() | strings
+payloads = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=30)
+
+
+def as_loaded(x):
+    """x as json.loads would give it back: tuples become lists."""
+    if isinstance(x, (list, tuple)):
+        return [as_loaded(v) for v in x]
+    if isinstance(x, dict):
+        return {k: as_loaded(v) for k, v in x.items()}
+    return x
+
+
+@examples
+@given(payloads)
+def test_json_text_is_the_stdlib_dump_and_round_trips(x):
+    text = _json_text(x)
+    assert text == json.dumps(x, indent=2, sort_keys=True)
+    assert json.loads(text) == as_loaded(x)
