@@ -2,8 +2,8 @@
 
 Coefficient vectors are little-endian: ``(c0, c1)`` encodes ``c0 + c1*x``.
 Every field precomputes its full operation tables at construction; the fields
-used downstream are tiny (q <= 81 in practice), so element arithmetic is a
-table lookup and all linear algebra built on top stays exact.
+used downstream are small (q <= 243, the ``localmodel --q`` ceiling), so element
+arithmetic is a table lookup and all linear algebra built on top stays exact.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ M >= 3 keeps every exponent the classification touches (at most 5) alive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
+from ._record import Record, _set
 from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
 from .polygon import PSI2, PSI3, PSI4
 
@@ -44,20 +44,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Field, characteristic and truncation level of one local model."""
 
-    field: FieldSpec
-    p: int
-    M: int = 3
+    __match_args__ = ("field", "p", "M")
+    __slots__ = __match_args__ + ("_hash",)
 
-    def __post_init__(self):
-        if self.field.p != self.p:
-            raise ValueError(
-                f"field characteristic {self.field.p} does not match p = {self.p}")
-        if self.M < 3:
-            raise ValueError(f"truncation level M must be at least 3, got {self.M}")
+    def __init__(self, field: FieldSpec, p: int, M: int = 3):
+        if field.p != p:
+            raise ValueError(f"field characteristic {field.p} does not match p = {p}")
+        if M < 3:
+            raise ValueError(f"truncation level M must be at least 3, got {M}")
+        _set(self, "field", field)
+        _set(self, "p", p)
+        _set(self, "M", M)
+
+    def __hash__(self):
+        # it keys the per-model caches looked up for every W, so it keeps the
+        # hash of its fields from the first lookup on
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._key))
+            return self._hash
 
     @property
     def left_bound(self):
@@ -309,8 +318,7 @@ class SubspaceBasis:
                                        e.dense()))
 
 
-@dataclass(frozen=True)
-class SubmoduleV:
+class SubmoduleV(Record):
     """Colength-1 R-submodule of S, cut out by a hyperplane functional.
 
     The point [a : b : c] encodes V = { f : a f(0-coeff) + b f(1-coeff)
@@ -318,15 +326,16 @@ class SubmoduleV:
     maximal ideal kills the one-dimensional quotient.
     """
 
-    spec: ModelSpec
-    hyperplane: ProjectivePoint
+    __slots__ = __match_args__ = ("spec", "hyperplane")
 
-    def __post_init__(self):
-        if self.spec.p != 3:
+    def __init__(self, spec: ModelSpec, hyperplane: ProjectivePoint):
+        if spec.p != 3:
             raise ValueError(
                 "the hyperplane encoding of colength-1 submodules is implemented for p = 3")
-        if self.hyperplane.spec != self.spec.field:
+        if hyperplane.spec != spec.field:
             raise ValueError("hyperplane point lives over a different field")
+        _set(self, "spec", spec)
+        _set(self, "hyperplane", hyperplane)
 
     def functional(self, coeffs):
         """Apply the defining functional to the coefficients of 1, t, t^2."""

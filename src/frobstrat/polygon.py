@@ -10,11 +10,11 @@ enumeration finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
+from ._record import Record, _set
 from .gfield import _is_prime
 
 __all__ = [
@@ -61,36 +61,35 @@ INCOMPARABLE = "incomparable"
 _MAX_BOX_CANDIDATES = 5_000_000
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(Record):
     """Characteristic, genus, rank and degree fixing one enumeration problem."""
 
-    p: int
-    g: int
-    r: int
-    d: int
+    __slots__ = __match_args__ = ("p", "g", "r", "d")
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"characteristic must be prime, got {self.p!r}")
-        if self.g < 1:
-            raise ValueError(f"genus must be at least 1, got {self.g}")
-        if self.r < 1:
-            raise ValueError(f"rank must be positive, got {self.r}")
+    def __init__(self, p: int, g: int, r: int, d: int):
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p!r}")
+        if g < 1:
+            raise ValueError(f"genus must be at least 1, got {g}")
+        if r < 1:
+            raise ValueError(f"rank must be positive, got {r}")
+        _set(self, "p", p)
+        _set(self, "g", g)
+        _set(self, "r", r)
+        _set(self, "d", d)
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(Record):
     """Strictly convex lattice polygon from (0, 0) to its endpoint."""
 
-    vertices: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("vertices",)
 
-    def __post_init__(self):
-        verts = tuple(tuple(v) for v in self.vertices)
+    def __init__(self, vertices: tuple[tuple[int, int], ...]):
+        verts = tuple(tuple(v) for v in vertices)
         for v in verts:
             if len(v) != 2 or not (isinstance(v[0], int) and isinstance(v[1], int)):
                 raise ValueError(f"vertices must be integral lattice points, got {v!r}")
-        object.__setattr__(self, "vertices", verts)
+        _set(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError("polygon needs at least two vertices")
         if verts[0] != (0, 0):

@@ -7,9 +7,9 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .gfield import _is_prime
 
 __all__ = [
@@ -28,16 +28,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(Record):
     """Rank and degree of a bundle; the slope is degree/rank."""
 
-    rank: int
-    degree: int
+    __slots__ = __match_args__ = ("rank", "degree")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+    def __init__(self, rank: int, degree: int):
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        _set(self, "rank", rank)
+        _set(self, "degree", degree)
 
     @property
     def slope(self):
@@ -79,14 +79,16 @@ def sun_upper_bound(subrank, p, g, pushforward_slope):
     return Fraction(pushforward_slope) - Fraction((p - subrank) * (g - 1), p)
 
 
-@dataclass(frozen=True)
-class SubrankBound:
+class SubrankBound(Record):
     """One row of a certificate witness: the slope bound for one subrank."""
 
-    subrank: int
-    bound: Fraction
-    threshold: Fraction
-    ok: bool
+    __slots__ = __match_args__ = ("subrank", "bound", "threshold", "ok")
+
+    def __init__(self, subrank: int, bound: Fraction, threshold: Fraction, ok: bool):
+        _set(self, "subrank", subrank)
+        _set(self, "bound", bound)
+        _set(self, "threshold", threshold)
+        _set(self, "ok", ok)
 
     def to_jsonable(self):
         return {
@@ -98,13 +100,15 @@ class SubrankBound:
         }
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Record):
     """Outcome of a certificate plus the per-subrank inequalities behind it."""
 
-    kind: str
-    passed: bool
-    bounds: tuple[SubrankBound, ...]
+    __slots__ = __match_args__ = ("kind", "passed", "bounds")
+
+    def __init__(self, kind: str, passed: bool, bounds: tuple[SubrankBound, ...]):
+        _set(self, "kind", kind)
+        _set(self, "passed", passed)
+        _set(self, "bounds", bounds)
 
     def to_jsonable(self):
         return {

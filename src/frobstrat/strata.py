@@ -4,8 +4,7 @@ dual-polygon involution, and the assembled table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, _set
 from .polygon import PSI1, PSI2, PSI3, PSI4, LatticePolygon, psi_polygon
 
 __all__ = [
@@ -79,28 +78,31 @@ def dualize_polygon(P):
     return LatticePolygon(tuple(verts))
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(Record):
     """One row of the dimension table.
 
     Open and closed stratum dimensions always agree; Psi1 carries no
     parameter-space data, so its fiber and quot dims are None together.
     """
 
-    label: str
-    polygon: LatticePolygon
-    stratum_dim: int
-    closed_stratum_dim: int
-    fiber_dim: int | None = None
-    quot_dim: int | None = None
+    __slots__ = __match_args__ = ("label", "polygon", "stratum_dim", "closed_stratum_dim",
+                                  "fiber_dim", "quot_dim")
 
-    def __post_init__(self):
-        if self.stratum_dim != self.closed_stratum_dim:
+    def __init__(self, label: str, polygon: LatticePolygon, stratum_dim: int,
+                 closed_stratum_dim: int, fiber_dim: int | None = None,
+                 quot_dim: int | None = None):
+        if stratum_dim != closed_stratum_dim:
             raise ValueError("open and closed stratum dimensions must agree")
-        if (self.fiber_dim is None) != (self.quot_dim is None):
+        if (fiber_dim is None) != (quot_dim is None):
             raise ValueError("fiber and parameter-space dimensions come together")
-        if self.quot_dim is not None and self.quot_dim != self.fiber_dim + CURVE_DIM + 2:
+        if quot_dim is not None and quot_dim != fiber_dim + CURVE_DIM + 2:
             raise ValueError("parameter-space dimension must be fiber + 1 + g with g = 2")
+        _set(self, "label", label)
+        _set(self, "polygon", polygon)
+        _set(self, "stratum_dim", stratum_dim)
+        _set(self, "closed_stratum_dim", closed_stratum_dim)
+        _set(self, "fiber_dim", fiber_dim)
+        _set(self, "quot_dim", quot_dim)
 
     def to_jsonable(self):
         return {
@@ -113,14 +115,17 @@ class StratumRecord:
         }
 
 
-@dataclass(frozen=True)
-class StrataTable:
+class StrataTable(Record):
     """The four stratum records plus the headline numbers of the regime."""
 
-    degree: int
-    records: tuple[StratumRecord, ...]
-    codimension: int
-    top_components: int
+    __slots__ = __match_args__ = ("degree", "records", "codimension", "top_components")
+
+    def __init__(self, degree: int, records: tuple[StratumRecord, ...], codimension: int,
+                 top_components: int):
+        _set(self, "degree", degree)
+        _set(self, "records", records)
+        _set(self, "codimension", codimension)
+        _set(self, "top_components", top_components)
 
     def to_jsonable(self):
         return {

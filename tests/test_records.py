@@ -1,0 +1,182 @@
+"""The nine value records behave as frozen value types, and importing the
+package loads none of the heavy introspection modules."""
+
+import copy
+import pickle
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import frobstrat
+from frobstrat import (
+    BundleData,
+    CertificateReport,
+    CurveParams,
+    LatticePolygon,
+    ModelSpec,
+    StrataTable,
+    StratumRecord,
+    SubmoduleV,
+    SubrankBound,
+    field_make,
+    projective_plane,
+    psi_polygon,
+)
+from frobstrat.localmodel import _tau_square_blocks, _unit_rows
+
+F9 = field_make(3, 2)
+SPEC = ModelSpec(F9, 3, 3)
+POINT = projective_plane(F9)[5]
+TRI = psi_polygon(2, 0)
+BOUND = SubrankBound(1, Fraction(-1, 3), Fraction(0), True)
+REC = StratumRecord("Psi2", TRI, 5, 5, 2, 5)
+
+# (class, positional arguments, the same arguments by keyword)
+CASES = [
+    (ModelSpec, (F9, 3, 4), dict(field=F9, p=3, M=4)),
+    (SubmoduleV, (SPEC, POINT), dict(spec=SPEC, hyperplane=POINT)),
+    (CurveParams, (3, 2, 3, 1), dict(p=3, g=2, r=3, d=1)),
+    (LatticePolygon, (((0, 0), (1, 2), (3, 3)),), dict(vertices=((0, 0), (1, 2), (3, 3)))),
+    (BundleData, (3, 1), dict(rank=3, degree=1)),
+    (SubrankBound, (1, Fraction(-1, 3), Fraction(0), True),
+     dict(subrank=1, bound=Fraction(-1, 3), threshold=Fraction(0), ok=True)),
+    (CertificateReport, ("stability", True, (BOUND,)),
+     dict(kind="stability", passed=True, bounds=(BOUND,))),
+    (StratumRecord, ("Psi3", TRI, 4, 4, 1, 4),
+     dict(label="Psi3", polygon=TRI, stratum_dim=4, closed_stratum_dim=4,
+          fiber_dim=1, quot_dim=4)),
+    (StrataTable, (0, (REC,), 5, 2),
+     dict(degree=0, records=(REC,), codimension=5, top_components=2)),
+]
+IDS = [cls.__name__ for cls, _, _ in CASES]
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, args, kwargs):
+    a, b = cls(*args), cls(**kwargs)
+    assert a == b and hash(a) == hash(b)
+    for name, value in kwargs.items():
+        assert getattr(a, name) == value
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=IDS)
+def test_equal_values_give_equal_objects_and_hashes(cls, args, kwargs):
+    a, b = cls(*args), cls(*args)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=IDS)
+def test_another_class_with_the_same_values_is_unequal(cls, args, kwargs):
+    a = cls(*args)
+    sub = type("Sub", (cls,), {})(*args)
+    assert a.__eq__(sub) is NotImplemented
+    assert a != sub and sub != a
+    assert a != tuple(args)
+    assert a.__eq__(tuple(args)) is NotImplemented
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=IDS)
+def test_fields_can_be_neither_assigned_nor_deleted(cls, args, kwargs):
+    a = cls(*args)
+    for name, value in kwargs.items():
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(a, name)
+        assert getattr(a, name) == value
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == cls(*args)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=IDS)
+def test_copies_and_pickles_are_equal(cls, args, kwargs):
+    a = cls(*args)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a) and type(b) is cls
+
+
+def test_defaults():
+    assert ModelSpec(F9, 3).M == 3
+    rec = StratumRecord("Psi1", TRI, 5, 5)
+    assert rec.fiber_dim is None and rec.quot_dim is None
+    assert rec == StratumRecord("Psi1", TRI, 5, 5, None, None)
+
+
+def test_reprs():
+    assert repr(BundleData(3, 1)) == "BundleData(rank=3, degree=1)"
+    assert repr(CurveParams(3, 2, 3, 1)) == "CurveParams(p=3, g=2, r=3, d=1)"
+    assert repr(ModelSpec(field_make(3), 3)) == "ModelSpec(field=GF(3), p=3, M=3)"
+    assert repr(SubrankBound(2, Fraction(1, 3), Fraction(1), True)) == \
+        "SubrankBound(subrank=2, bound=Fraction(1, 3), threshold=Fraction(1, 1), ok=True)"
+    assert repr(TRI) == "LatticePolygon[(0,0) (2,1) (3,0)]"
+
+
+def test_polygon_normalises_its_vertices_to_tuples():
+    P = LatticePolygon([[0, 0], [1, 2], [3, 3]])
+    assert P.vertices == ((0, 0), (1, 2), (3, 3))
+    assert type(P.vertices) is tuple and all(type(v) is tuple for v in P.vertices)
+    assert P == LatticePolygon(((0, 0), (1, 2), (3, 3)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ModelSpec(F9, 5), "field characteristic 3 does not match p = 5"),
+    (lambda: ModelSpec(F9, 3, 2), "truncation level M must be at least 3, got 2"),
+    (lambda: SubmoduleV(ModelSpec(field_make(5), 5), projective_plane(field_make(5))[0]),
+     "the hyperplane encoding of colength-1 submodules is implemented for p = 3"),
+    (lambda: SubmoduleV(SPEC, projective_plane(field_make(3))[0]),
+     "hyperplane point lives over a different field"),
+    (lambda: CurveParams(4, 2, 3, 0), "characteristic must be prime, got 4"),
+    (lambda: CurveParams("3", 2, 3, 0), "characteristic must be prime, got '3'"),
+    (lambda: CurveParams(3, 0, 3, 0), "genus must be at least 1, got 0"),
+    (lambda: CurveParams(3, 2, 0, 0), "rank must be positive, got 0"),
+    (lambda: LatticePolygon(((0, 0), (1, 1.5))),
+     "vertices must be integral lattice points, got (1, 1.5)"),
+    (lambda: LatticePolygon(((0, 0), (1, 2, 3))),
+     "vertices must be integral lattice points, got (1, 2, 3)"),
+    (lambda: LatticePolygon(((0, 0),)), "polygon needs at least two vertices"),
+    (lambda: LatticePolygon(((1, 0), (2, 1))), "polygon must start at (0, 0), got (1, 0)"),
+    (lambda: LatticePolygon(((0, 0), (0, 1))), "vertex ranks must strictly increase"),
+    (lambda: LatticePolygon(((0, 0), (2, 1), (3, 3))),
+     "segment slopes must strictly decrease, got 1/2 then 2"),
+    (lambda: BundleData(0, 1), "rank must be positive, got 0"),
+    (lambda: StratumRecord("Psi2", TRI, 5, 4, 2, 5),
+     "open and closed stratum dimensions must agree"),
+    (lambda: StratumRecord("Psi2", TRI, 5, 5, 2),
+     "fiber and parameter-space dimensions come together"),
+    (lambda: StratumRecord("Psi2", TRI, 5, 5, 2, 4),
+     "parameter-space dimension must be fiber + 1 + g with g = 2"),
+])
+def test_validation_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("lookup", [_unit_rows, _tau_square_blocks])
+def test_equal_model_specs_share_one_cache_entry(lookup):
+    a, b = ModelSpec(field_make(3, 2), 3, 3), ModelSpec(field_make(3, 2), 3, 3)
+    assert a is not b and a.field is not b.field
+    first = lookup(a)
+    before = lookup.cache_info()
+    assert lookup(b) is first
+    after = lookup.cache_info()
+    assert (after.hits, after.misses, after.currsize) == \
+        (before.hits + 1, before.misses, before.currsize)
+
+
+def test_import_loads_no_introspection_modules():
+    # a fresh isolated interpreter, so nothing the test runner loaded counts
+    src = str(Path(frobstrat.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import frobstrat, frobstrat.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == []
