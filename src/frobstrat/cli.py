@@ -18,11 +18,12 @@ from json.encoder import encode_basestring_ascii
 
 from .gfield import field_make, projective_plane
 from .localmodel import (
+    _COLENGTH_LABEL,
     ModelSpec,
     SubmoduleV,
-    claim_results,
+    _full_model,
     classify_stratum,
-    intersection_colength,
+    quotient_classification,
     stratum_census,
 )
 from .polygon import (
@@ -53,14 +54,12 @@ __all__ = ["main"]
 # it they follow the table
 _VERDICTS = object()
 
-_COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
-
 # largest localmodel --q: time and the q x q field tables grow as q^2
 _MAX_Q = 3 ** 5
 
-# largest localmodel --M: each model's unit rows of U hold (9M - 9) x 9M entries
-# and stay cached, and --verify builds a second model at M + 1; with --verify,
-# q = 3 peaked at 29 MB resident at M = 100 and at 135 MB at M = 300
+# largest localmodel --M: the --verify oracle's unit rows of U hold (9M - 9) x 9M
+# entries per model and stay cached, at M and at M + 1; with --verify, q = 3
+# peaked at 29 MB resident at M = 100 and at 135 MB at M = 300
 _MAX_M = 100
 
 
@@ -179,17 +178,22 @@ def cmd_localmodel(args):
                          f"{(9 * args.M - 9) * 9 * args.M} entries")
     spec = ModelSpec(field_make(3, m), 3, args.M)
 
+    # one quotient per point gives its colength and claims; with --verify the
+    # full model W recomputes both at M and at M + 1
     rows = []
     claims_ok = True
+    census = {PSI2: 0, PSI3: 0, PSI4: 0}
     for pt in projective_plane(spec.field):
         V = SubmoduleV(spec, pt)
-        res = claim_results(V)
+        col, res = quotient_classification(V)
         claims_ok &= all(res.values())
-        lab, col = classify_stratum(V), intersection_colength(V)
+        lab = classify_stratum(V)
         if _COLENGTH_LABEL[col] != lab:
             raise RuntimeError(f"point {pt!r} has colength {col} but stratum label {lab}")
+        if args.verify and (full := _full_model(V)) != (col, res):
+            raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
+        census[lab] += 1
         rows.append((pt, lab, col, res))
-    census = stratum_census(spec)
 
     checks = []
     if args.verify:
@@ -199,7 +203,7 @@ def cmd_localmodel(args):
         stable = True
         for pt, _, col, res in rows:
             V = SubmoduleV(deeper, pt)
-            stable = claim_results(V) == res and intersection_colength(V) == col
+            stable = quotient_classification(V) == (col, res) == _full_model(V)
             if not stable:
                 break
         checks.append((f"claims and colengths stable at M={args.M + 1}", stable))

@@ -18,11 +18,14 @@ M >= 3 keeps every exponent the classification touches (at most 5) alive.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 
 from ._record import Record, _set
 from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
 from .polygon import PSI2, PSI3, PSI4
+
+# the stratum of each colength; classify_stratum reads the same labels off
+# the point's coordinates
+_COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
 
 __all__ = [
     "ModelSpec",
@@ -35,6 +38,7 @@ __all__ = [
     "intersection_colength",
     "membership",
     "pullback_span",
+    "quotient_classification",
     "stratum_census",
     "submodule_from_point",
     "tau_power",
@@ -260,11 +264,14 @@ def _rref(field, rows):
     basis = {}
     for row in rows:
         row = _reduce_against(field, basis.values(), basis, row)
-        pc = next((k for k, v in enumerate(row) if v), None)
-        if pc is None:
+        for pc, x in enumerate(row):
+            if x:
+                break
+        else:
             continue
-        srow = mul[inv[row[pc]]]
-        row = [srow[v] for v in row]
+        if x != 1:  # index 1 is the field's one
+            srow = mul[inv[x]]
+            row = [srow[v] for v in row]
         for qrow in basis.values():
             if qrow[pc]:
                 _eliminate(field, qrow, row, pc)
@@ -435,26 +442,66 @@ def _tau_square_residues(W):
         yield _reduce_against(field, mat, pivots, block) if any(block) else block
 
 
-def _colength(spec, h):
-    W = pullback_span(SubmoduleV(spec, h))
-    return len(_rref(spec.field, [r for r in _tau_square_residues(W) if any(r)]))
+@lru_cache(maxsize=8)
+def _block_entries(spec):
+    """(i, j, x) for each nonzero entry x = X_k[i][j] of the tau^2 blocks X_k, up
+    to the last nonzero block; built once per model."""
+    blocks = [tuple(divmod(k, spec.p) + (x,) for k, x in enumerate(b) if x)
+              for b in _tau_square_blocks(spec)]
+    return tuple(blocks[:max(k for k, b in enumerate(blocks) if b) + 1])
+
+
+def _quotient(V):
+    """Image h^T X_k in S (x) S / W of each tau^2 t^k, k = 0, 1, .. up to the last
+    nonzero block: modulo U, W is ker(h) (x) k^p, so h^T on the left factor maps
+    S (x) S / W onto k^p."""
+    add, mul = V.spec.field._add, V.spec.field._mul
+    h = [x.index for x in V.hyperplane.coords]
+    images = []
+    for entries in _block_entries(V.spec):
+        v = [0] * V.spec.p
+        for i, j, x in entries:
+            if h[i]:
+                v[j] = add[v[j]][mul[h[i]][x]]
+        images.append(v)
+    return images
+
+
+def _colength(spec, images):
+    """Rank of the images of the tau^2 line modulo W."""
+    return len(_rref(spec.field, [v for v in images if any(v)]))
+
+
+def _claims(V, rows):
+    """claim_results from the images or residues of tau^2 t^k modulo W: tau^2 t^k
+    lies in W iff its row is zero, and rows past the last one given are zero."""
+    mem = [not any(r) for r in rows[:4]] + [True] * (4 - len(rows))
+    _, t1, t2 = (not x for x in V.hyperplane.coords)
+    return {"a": not mem[0], "b": mem[1] == (t1 and t2), "c": mem[2] == t2, "d": mem[3]}
+
+
+def quotient_classification(V):
+    """(colength, claim results) of V from one quotient h^T X_k; no W is built.
+    A colength outside {1, 2, 3} is an internal invariant break and raises hard."""
+    images = _quotient(V)
+    c = _colength(V.spec, images)
+    if not 1 <= c <= 3:
+        raise RuntimeError(f"colength {c} outside 1..3: local-model invariant broken")
+    return c, _claims(V, images)
+
+
+def _full_model(V):
+    """The --verify oracle for quotient_classification: (colength, claim results)
+    from W itself, pullback_span's rows reducing the tau^2 residues for _rref."""
+    residues = list(_tau_square_residues(pullback_span(V)))
+    return len(_rref(V.spec.field, [r for r in residues if any(r)])), _claims(V, residues)
 
 
 def intersection_colength(V):
     """Colength of the intersection of the base-changed submodule W with the
     tau^2-line E: dim E - dim(E ∩ W) = dim(E + W) - dim W, the rank of the
-    tau^2 line modulo W.
-
-    W contains U, so that rank is the rank of the at most p nonzero residues
-    cut to the block i < p (see _tau_square_residues).
-
-    Always lands in {1, 2, 3}; anything else is an internal invariant break
-    and raises hard.
-    """
-    c = _colength(V.spec, V.hyperplane)
-    if not 1 <= c <= 3:
-        raise RuntimeError(f"colength {c} outside 1..3: local-model invariant broken")
-    return c
+    images h^T X_k (see _quotient).  It lands in {1, 2, 3} or raises."""
+    return quotient_classification(V)[0]
 
 
 def classify_stratum(V):
@@ -480,27 +527,17 @@ def claim_results(V):
     Returns {"a": .., "b": .., "c": .., "d": ..} with True meaning the fact
     holds for this V.
     """
-    residues = _tau_square_residues(pullback_span(V))
-    mem = [not any(r) for r in islice(residues, 4)]
-    t1 = contains_monomial(V, 1)
-    t2 = contains_monomial(V, 2)
-    return {
-        "a": not mem[0],
-        "b": mem[1] == (t1 and t2),
-        "c": mem[2] == t2,
-        "d": mem[3],
-    }
+    return quotient_classification(V)[1]
 
 
 def stratum_census(spec):
-    """Classify every point of the projective plane over the model's field.
+    """Classify every point of the projective plane over the model's field by
+    its colength, the rank of the quotient h^T X_k.
 
     Returns {label: count}; the counts are q^2, q and 1 for Psi2, Psi3 and
     Psi4, partitioning all q^2 + q + 1 points.
     """
-    if spec.p != 3:
-        raise ValueError("the census is defined for characteristic 3")
     counts = {PSI2: 0, PSI3: 0, PSI4: 0}
     for pt in projective_plane(spec.field):
-        counts[classify_stratum(SubmoduleV(spec, pt))] += 1
+        counts[_COLENGTH_LABEL[intersection_colength(SubmoduleV(spec, pt))]] += 1
     return counts

@@ -116,16 +116,6 @@ class LatticePolygon(Record):
         return [Fraction(y1 - y0, x1 - x0)
                 for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:])]
 
-    def height_at(self, x):
-        """Height of the piecewise-linear graph at abscissa x (exact rational)."""
-        x = Fraction(x)
-        if not 0 <= x <= self.endpoint[0]:
-            raise ValueError(f"abscissa {x} outside [0, {self.endpoint[0]}]")
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            if x <= x1:
-                return y0 + Fraction(y1 - y0, x1 - x0) * (x - x0)
-        raise AssertionError("unreachable")
-
     def to_pairs(self):
         """Serialization form: list of [rank, degree] pairs."""
         return [[r, dg] for r, dg in self.vertices]

@@ -102,6 +102,27 @@ def test_localmodel_verify_fails_on_a_truncation_dependent_colength(capsys, monk
     assert "stable at M=4: FAIL" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, monkeypatch, fmt):
+    classify = localmodel.quotient_classification
+    last = ProjectivePoint.of(field_make(3), (0, 0, 1))
+
+    def one_claim_flipped(V):
+        col, res = classify(V)
+        if V.spec.M == 3 and V.hyperplane == last:
+            res = {**res, "d": not res["d"]}
+        return col, res
+
+    monkeypatch.setattr("frobstrat.cli.quotient_classification", one_claim_flipped)
+    code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: point [0 : 0 : 1]: ")
+    assert "full model" in err
+    # without --verify the flipped claim is reported, not an error
+    code, out, _ = run(capsys, "localmodel", "--q", "3")
+    assert code == 1 and out.endswith(f"  {last!r:<24} colength 3  Psi2  CLAIM-FAIL d\n")
+
+
 def test_localmodel_rejects_non_power_of_three(capsys):
     for q in ("5", "1", "6"):
         code, _, err = run(capsys, "localmodel", "--q", q)

@@ -21,6 +21,7 @@ from frobstrat.localmodel import (
     intersection_colength,
     membership,
     pullback_span,
+    quotient_classification,
     stratum_census,
     submodule_from_point,
     tau_power,
@@ -174,12 +175,12 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
         assert W._pivots == [next(k for k, v in enumerate(r) if v) for r in want], point
 
 
-def test_localmodel_row_reduces_only_for_colengths(capsys):
-    """pullback_span writes W down without row reduction, so a localmodel run
-    calls _rref at most once per intersection_colength call (for the rank of
-    the tau^2 residues) and never inside pullback_span."""
+def _count_calls(capsys, argv):
+    """Calls of _rref, pullback_span, _colength and the full-model oracle in one
+    CLI run, and the _rref calls made inside pullback_span."""
     names = {_rref.__code__: "rref", pullback_span.__code__: "span",
-             intersection_colength.__code__: "colength"}
+             localmodel._colength.__code__: "colength",
+             localmodel._full_model.__code__: "oracle"}
     calls = Counter()
     depth = 0
 
@@ -199,14 +200,27 @@ def test_localmodel_row_reduces_only_for_colengths(capsys):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        code = main(["localmodel", "--q", "9"])
+        code = main(argv)
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
     assert code == 0
-    assert calls["span"] == 2 * 91 and calls["colength"] == 91
-    assert calls["rref in span"] == 0
+    return calls
+
+
+def test_localmodel_row_reduces_only_for_colengths(capsys):
+    """localmodel classifies each point from its quotient h^T X_k and builds no W;
+    --verify builds one W per point at M and one at M + 1 for the full-model
+    oracle.  _rref runs at most once per colength, of the quotient or of the
+    oracle, and never inside pullback_span, which writes W down without row
+    reduction."""
+    calls = _count_calls(capsys, ["localmodel", "--q", "9"])
+    assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 0, calls
     assert calls["rref"] <= calls["colength"], calls
+    calls = _count_calls(capsys, ["localmodel", "--q", "9", "--verify"])
+    assert calls["colength"] == calls["span"] == calls["oracle"] == 2 * 91, calls
+    assert calls["rref in span"] == 0
+    assert calls["rref"] <= calls["colength"] + calls["oracle"], calls
 
 
 def _full_residues(W):
@@ -219,8 +233,8 @@ def _full_residues(W):
 @pytest.mark.parametrize("m, M", [(m, M) for m in (1, 2, 3) for M in (3, 4)])
 def test_block_residues_are_the_full_residues(m, M):
     """Each block residue is the first p^2 entries of the full residue, the
-    full residue is zero past them, and colength and claims agree with the
-    full residues."""
+    full residue is zero past them, and the colength and claims of the quotient
+    h^T X_k agree with the full residues and with the full-model oracle."""
     field = field_make(3, m)
     spec = ModelSpec(field, 3, M)
     p2 = spec.p ** 2
@@ -235,6 +249,9 @@ def test_block_residues_are_the_full_residues(m, M):
         t1, t2 = contains_monomial(V, 1), contains_monomial(V, 2)
         assert claim_results(V) == {"a": not mem[0], "b": mem[1] == (t1 and t2),
                                     "c": mem[2] == t2, "d": mem[3]}, point
+        # the quotient h^T X_k and the full model W give the same classification
+        assert quotient_classification(V) == localmodel._full_model(V) == \
+            (intersection_colength(V), claim_results(V)), point
     # every W shares U's unit rows; nothing above may have written into them
     dim = spec.dimension
     unit = [[int(k == c) for k in range(dim)] for c in range(p2, dim)]
@@ -251,8 +268,9 @@ def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
 
 
 def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
-    """At q = 9 each tau^2 block is reduced against the p(p-1) = 6 block rows
-    of W alone, and each colength ranks at most p = 3 residues."""
+    """At q = 9 the oracle of --verify reduces each tau^2 block against the
+    p(p-1) = 6 block rows of W alone, and each colength, of the quotient or of
+    the oracle, ranks at most p = 3 rows."""
     reduce_against, rref = localmodel._reduce_against, localmodel._rref
     reduced, ranked = [], []
 
@@ -263,16 +281,19 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
 
     def rref_spy(field, rows):
         rows = list(rows)
-        if sys._getframe(1).f_code is localmodel._colength.__code__:
+        if sys._getframe(1).f_code in (localmodel._colength.__code__,
+                                       localmodel._full_model.__code__):
             ranked.append(len(rows))
         return rref(field, rows)
 
     monkeypatch.setattr(localmodel, "_reduce_against", reduce_spy)
     monkeypatch.setattr(localmodel, "_rref", rref_spy)
-    assert main(["localmodel", "--q", "9"]) == 0
+    assert main(["localmodel", "--q", "9", "--verify"]) == 0
     capsys.readouterr()
-    assert reduced and all(n <= 6 and length <= 9 for n, length in reduced), max(reduced)
-    assert len(ranked) == 91 and max(ranked) <= 3, max(ranked)
+    # the oracle reduces the three nonzero blocks per point at M and at M + 1
+    assert len(reduced) == 3 * 2 * 91
+    assert all(n <= 6 and length <= 9 for n, length in reduced), max(reduced)
+    assert len(ranked) == 2 * 2 * 91 and max(ranked) <= 3, max(ranked)
 
 
 def test_membership_trivialities(f3, f9, model3, model9):
@@ -332,6 +353,66 @@ def test_census_counts(model3, model9):
     assert stratum_census(model3) == {PSI2: 9, PSI3: 3, PSI4: 1}
     assert sum(stratum_census(model3).values()) == 13
     assert stratum_census(model9) == {PSI2: 81, PSI3: 9, PSI4: 1}
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["GF3", "GF9"])
+def test_census_counts_colengths_not_coordinate_labels(capsys, monkeypatch, m):
+    """The census ranks each point's quotient; the labels read off the
+    coordinates play no part in it, so strata --verify still passes."""
+    monkeypatch.setattr(localmodel, "classify_stratum", lambda V: PSI2)
+    q = 3 ** m
+    assert stratum_census(ModelSpec(field_make(3, m), 3)) == {PSI2: q * q, PSI3: q, PSI4: 1}
+    assert main(["strata", "--verify"]) == 0
+    assert "verify: dimension cross-checks: PASS" in capsys.readouterr().out
+
+
+def _drop_block(blocks, k):
+    return blocks[:k] + blocks[k + 1:]
+
+
+def _swap_indices(blocks):
+    return tuple(tuple((j, i, x) for i, j, x in b) for b in blocks)
+
+
+def _right_index(blocks):
+    return tuple(tuple((j, j, x) for i, j, x in b) for b in blocks)
+
+
+def _disagreements(monkeypatch, mutate):
+    """Points of GF(9) whose quotient classification, with the tau^2 block
+    entries mutated, differs from the full-model oracle."""
+    field = field_make(3, 2)
+    spec = ModelSpec(field, 3, 3)
+    entries = localmodel._block_entries
+    monkeypatch.setattr(localmodel, "_block_entries", lambda model: mutate(entries(model)))
+    out = []
+    for point in projective_plane(field):
+        V = SubmoduleV(spec, point)
+        images = localmodel._quotient(V)
+        if (localmodel._colength(spec, images), localmodel._claims(V, images)) \
+                != localmodel._full_model(V):
+            out.append(point)
+    return out
+
+
+@pytest.mark.parametrize("mutate", [
+    *(lambda blocks, k=k: _drop_block(blocks, k) for k in range(3)),
+    _right_index,       # h pairs with the right factor's index: h_j X_k[i][j]
+], ids=["drop X0", "drop X1", "drop X2", "right index"])
+def test_quotient_mutants_disagree_with_the_full_model(monkeypatch, mutate):
+    assert _disagreements(monkeypatch, mutate)
+
+
+def test_a_transposed_quotient_is_the_same_map(monkeypatch):
+    """X_k h in place of h^T X_k cannot be told apart: in characteristic 3
+    every tau^2 block is symmetric (tau^2 = t^2 (x) 1 + t (x) t + 1 (x) t^2, and
+    its right multiples keep the block terms t^2 (x) t + t (x) t^2 and
+    t^2 (x) t^2), so the transposed mutant is the quotient itself."""
+    for m, M in ((1, 3), (2, 4), (3, 5)):
+        spec = ModelSpec(field_make(3, m), 3, M)
+        for block in localmodel._tau_square_blocks(spec):
+            assert all(block[3 * i + j] == block[3 * j + i] for i in range(3) for j in range(3))
+    assert _disagreements(monkeypatch, _swap_indices) == []
 
 
 def test_base_change_has_colength_p_in_the_ambient_module(f3, f9, model3, model9):

@@ -26,7 +26,7 @@ from frobstrat import (
     projective_plane,
     psi_polygon,
 )
-from frobstrat.localmodel import _tau_square_blocks, _unit_rows
+from frobstrat.localmodel import _block_entries, _tau_square_blocks, _unit_rows
 
 F9 = field_make(3, 2)
 SPEC = ModelSpec(F9, 3, 3)
@@ -159,7 +159,7 @@ def test_validation_messages(make, message):
         make()
 
 
-@pytest.mark.parametrize("lookup", [_unit_rows, _tau_square_blocks])
+@pytest.mark.parametrize("lookup", [_unit_rows, _tau_square_blocks, _block_entries])
 def test_equal_model_specs_share_one_cache_entry(lookup):
     a, b = ModelSpec(field_make(3, 2), 3, 3), ModelSpec(field_make(3, 2), 3, 3)
     assert a is not b and a.field is not b.field
