@@ -22,6 +22,7 @@ from .localmodel import (
     intersection_colength,
     membership,
     pullback_span,
+    quotient_classification,
     stratum_census,
     submodule_from_point,
     tau_power,
@@ -68,6 +69,7 @@ from .slopecalc import (
     sun_upper_bound,
 )
 from .strata import (
+    CURVE_DIM,
     StrataTable,
     StratumRecord,
     dualize_polygon,

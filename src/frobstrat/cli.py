@@ -68,11 +68,6 @@ def _fail(message, code):
     return code
 
 
-def _fmt_frac(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 _JSON_SCALARS = {None: "null", True: "true", False: "false"}
 
 
@@ -148,7 +143,7 @@ def cmd_enumerate(args):
         f"slope-gap bound {2 * args.g - 2}",
     ]
     for lab, P in zip(labels, polys):
-        slope_str = ", ".join(_fmt_frac(s) for s in P.slopes())
+        slope_str = ", ".join(map(str, P.slopes()))
         lines.append(f"  {lab or '-':<5} vertices {_fmt_vertices(P):<30} slopes {slope_str}")
     return agrees, None, lines, []
 
@@ -285,15 +280,15 @@ def cmd_certify(args):
         f"certificates for p={args.p} g={args.g} r={args.r} d={args.d}, "
         f"auxiliary line-bundle degree t={t}",
         f"push-forward: rank {args.p}, degree {fl_deg}, "
-        f"slope {_fmt_frac(Fraction(fl_deg, args.p))}",
+        f"slope {Fraction(fl_deg, args.p)}",
     ]
     for rep, title in ((emb, "embedding certificate (adjoint map injective)"),
                        (stab, "stability certificate (subsheaf slopes below d/r)")):
         lines.append(f"{title}: {'PASS' if rep.passed else 'FAIL'}")
         for row in rep.bounds:
             rel = "<=" if row.ok else ">"
-            lines.append(f"  subrank {row.subrank}: bound {_fmt_frac(row.bound)} {rel} "
-                         f"threshold {_fmt_frac(row.threshold)} -> "
+            lines.append(f"  subrank {row.subrank}: bound {row.bound} {rel} "
+                         f"threshold {row.threshold} -> "
                          f"{'pass' if row.ok else 'fail'}")
     return emb.passed and stab.passed, payload, lines, checks
 

@@ -1,9 +1,13 @@
 """Exact arithmetic in small finite fields GF(p^m) and projective planes over them.
 
-Coefficient vectors are little-endian: ``(c0, c1)`` encodes ``c0 + c1*x``.
-Every field precomputes its full operation tables at construction; the fields
-used downstream are small (q <= 243, the ``localmodel --q`` ceiling), so element
-arithmetic is a table lookup and all linear algebra built on top stays exact.
+Coefficient vectors are little-endian: ``(c0, c1)`` encodes ``c0 + c1*x``, and
+an element's index is ``c0 + c1*p + ...``.  Every field precomputes its full
+q x q operation tables at construction: addition one base-p digit at a time,
+multiplication and inverses from the discrete logarithms of one generator.  The
+only polynomial products taken are the powers of the elements tried as that
+generator, about q of them rather than one per pair.  The fields used downstream
+are small (q <= 243, the ``localmodel --q`` ceiling), so element arithmetic is a
+table lookup and all linear algebra built on top stays exact.
 """
 
 from __future__ import annotations
@@ -128,45 +132,37 @@ class FieldSpec:
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
-        coeffs_of = []
-        for idx in range(q):
-            v, digits = idx, []
-            for _ in range(m):
-                digits.append(v % p)
-                v //= p
-            coeffs_of.append(tuple(digits))
+        coeffs_of = [tuple(i // p ** k % p for k in range(m)) for i in range(q)]
         self._elements = tuple(FieldElement(self, c, i) for i, c in enumerate(coeffs_of))
         self._coeff_index = {c: i for i, c in enumerate(coeffs_of)}
 
-        def index_of(poly):
-            idx = 0
-            for k in reversed(range(len(poly))):
-                idx = idx * p + poly[k]
-            return idx
+        # index a holds the base-p digits of a's coefficients, so addition and
+        # negation act on the lowest digit mod p and on the rest by the table
+        # one digit shorter
+        add, neg = [[0]], [0]
+        for n in (p ** k for k in range(1, m + 1)):
+            add = [[(a + b) % p + p * add[a // p][b // p] for b in range(n)]
+                   for a in range(n)]
+            neg = [-a % p + p * neg[a // p] for a in range(n)]
 
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        for i, a in enumerate(coeffs_of):
-            neg[i] = index_of([(-c) % p for c in a])
-            for j in range(i, q):
-                b = coeffs_of[j]
-                s = index_of([(x + y) % p for x, y in zip(a, b)])
-                add[i][j] = add[j][i] = s
-                prod = _poly_mul(a, b, p)
-                if m > 1:
-                    prod = _poly_rem(prod, self.modulus, p)
-                t = index_of(prod[:m])
-                mul[i][j] = mul[j][i] = t
-        inv = [None] * q
-        for i in range(1, q):
-            if inv[i] is None:
-                row = mul[i]
-                for j in range(1, q):
-                    if row[j] == 1:
-                        inv[i] = j
-                        inv[j] = i
-                        break
+        # the powers of a generator, the first element in index order whose
+        # order is q - 1, are its antilogarithms: one product per power.  A
+        # prime field reduces modulo x, which leaves a constant as it is.
+        mod, one = self.modulus or (0, 1), [1] + [0] * (m - 1)
+        for gen in coeffs_of[1:]:
+            exp, power = [1], list(gen)
+            while power != one:
+                exp.append(self._coeff_index[tuple(power)])
+                power = _poly_rem(_poly_mul(power, gen, p), mod, p)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        logs = log[1:]  # of the units 1 .. q - 1, in index order
+        exp2 = exp + exp  # log a + log b < 2(q - 1)
+        mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        inv = [None] + [exp[-la] for la in logs]  # g^-l is g^(q - 1 - l)
         self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
 
     def element(self, value):

@@ -313,19 +313,12 @@ def bruteforce_destabilized_polygons(params):
 def polygon_of_filtration(pieces):
     """Cumulative (rank, degree) polygon of a filtration's graded pieces.
 
-    Pieces are listed top slope first; their slopes must strictly decrease.
+    Pieces are listed top slope first; their ranks must be positive and their
+    slopes strictly decrease, which ``LatticePolygon`` checks.
     """
     pieces = [tuple(piece) for piece in pieces]
     if not pieces:
         raise ValueError("filtration needs at least one graded piece")
-    prev = None
-    for rank, degree in pieces:
-        if rank < 1:
-            raise ValueError(f"graded piece ranks must be positive, got {rank}")
-        s = Fraction(degree, rank)
-        if prev is not None and s >= prev:
-            raise ValueError("graded-piece slopes must strictly decrease")
-        prev = s
     verts = [(0, 0)]
     for rank, degree in pieces:
         x, y = verts[-1]

@@ -1,5 +1,6 @@
 import pytest
 
+from frobstrat import gfield
 from frobstrat.gfield import (
     FieldSpec,
     ProjectivePoint,
@@ -166,3 +167,45 @@ def test_integer_operands_lift(f3):
 def test_spec_repr_mentions_size(f3, f9):
     assert "GF(3)" in repr(f3)
     assert "3^2" in repr(f9)
+
+
+def _poly_index(poly, p):
+    return sum(c * p ** k for k, c in enumerate(poly))
+
+
+@pytest.mark.parametrize("p,m,modulus", [(p, m, None) for p, m in SMALL_FIELDS]
+                         + [(3, 3, None), (3, 4, None), (3, 5, None), (5, 2, None),
+                            (3, 2, [1, 0, 1]), (3, 2, [2, 1, 1])])
+def test_tables_match_the_polynomial_definition(p, m, modulus):
+    # oracle: one polynomial product and reduction per pair, digit-wise sums
+    spec = field_make(p, m, modulus)
+    mod = spec.modulus or (0, 1)
+    coeffs = [e.coeffs for e in spec.elements]
+    assert all(e.index == _poly_index(c, p) for e, c in zip(spec.elements, coeffs))
+    for a, ca in enumerate(coeffs):
+        assert spec._neg[a] == _poly_index([-x % p for x in ca], p)
+        if a:
+            assert spec._mul[a][spec._inv[a]] == 1
+        for b in range(a, spec.q):
+            cb = coeffs[b]
+            s = _poly_index([(x + y) % p for x, y in zip(ca, cb)], p)
+            t = _poly_index(gfield._poly_rem(gfield._poly_mul(ca, cb, p), mod, p), p)
+            assert spec._add[a][b] == spec._add[b][a] == s
+            assert spec._mul[a][b] == spec._mul[b][a] == t
+    assert spec._inv[0] is None
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_tables_take_at_most_four_products_per_unit(monkeypatch, m):
+    # one product per power of each element tried as the generator; the
+    # per-pair build took q(q + 1)/2
+    calls = []
+    poly_mul = gfield._poly_mul
+
+    def spy(a, b, p):
+        calls.append(None)
+        return poly_mul(a, b, p)
+
+    monkeypatch.setattr(gfield, "_poly_mul", spy)
+    field_make(3, m)
+    assert len(calls) <= 4 * (3 ** m - 1)

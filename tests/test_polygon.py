@@ -337,6 +337,10 @@ def test_polygon_of_filtration_rejects_non_decreasing_slopes():
     with pytest.raises(ValueError):
         polygon_of_filtration([(1, 0), (1, 5)])
     with pytest.raises(ValueError):
+        polygon_of_filtration([(1, 2), (0, 1)])
+    with pytest.raises(ValueError):
+        polygon_of_filtration([(2, 3), (-1, 0)])
+    with pytest.raises(ValueError, match="at least one graded piece"):
         polygon_of_filtration([])
 
 

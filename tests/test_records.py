@@ -1,7 +1,9 @@
-"""The nine value records behave as frozen value types, and importing the
-package loads none of the heavy introspection modules."""
+"""The nine value records behave as frozen value types, importing the package
+loads none of the heavy introspection modules, and the package re-exports
+every public name of its modules."""
 
 import copy
+import importlib
 import pickle
 import re
 import subprocess
@@ -180,3 +182,11 @@ def test_import_loads_no_introspection_modules():
     done = subprocess.run([sys.executable, "-I", "-c", probe, src],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == []
+
+
+@pytest.mark.parametrize("module", ["gfield", "localmodel", "polygon", "slopecalc", "strata"])
+def test_package_reexports_every_public_name(module):
+    mod = importlib.import_module(f"frobstrat.{module}")
+    missing = [name for name in mod.__all__
+               if getattr(frobstrat, name, None) is not getattr(mod, name)]
+    assert missing == []
