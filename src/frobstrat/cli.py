@@ -54,8 +54,11 @@ __all__ = ["main"]
 # it they follow the table
 _VERDICTS = object()
 
-# largest localmodel --q: time and the q x q field tables grow as q^2
+# largest localmodel --q: time and the plane's points and output entries grow as q^2
 _MAX_Q = 3 ** 5
+
+# largest --p, checked before its primality is tested by trial division up to sqrt(p)
+_MAX_P = 10_000
 
 # largest localmodel --M: the --verify oracle's unit rows of U hold (9M - 9) x 9M
 # entries per model and stay cached, at M and at M + 1; with --verify, q = 3
@@ -172,60 +175,55 @@ def cmd_localmodel(args):
                          f"rows alone would hold (9M - 9) x 9M = "
                          f"{(9 * args.M - 9) * 9 * args.M} entries")
     spec = ModelSpec(field_make(3, m), 3, args.M)
+    deeper = ModelSpec(spec.field, 3, args.M + 1)
 
-    # one quotient per point gives its colength and claims; with --verify the
-    # full model W recomputes both at M and at M + 1
-    rows = []
-    claims_ok = True
+    # one walk of the plane: a point's quotient gives its colength and claims, the
+    # full model W (--verify) recomputes both at M on every point and at M + 1 up
+    # to the first disagreement, and only the requested format's entry is kept
+    as_json = args.format == "json"
     census = {PSI2: 0, PSI3: 0, PSI4: 0}
+    bad, stable = 0, True
+    entries = []
     for pt in projective_plane(spec.field):
         V = SubmoduleV(spec, pt)
         col, res = quotient_classification(V)
-        claims_ok &= all(res.values())
         lab = classify_stratum(V)
         if _COLENGTH_LABEL[col] != lab:
             raise RuntimeError(f"point {pt!r} has colength {col} but stratum label {lab}")
-        if args.verify and (full := _full_model(V)) != (col, res):
-            raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
+        if args.verify:
+            if (full := _full_model(V)) != (col, res):
+                raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
+            if stable:
+                V = SubmoduleV(deeper, pt)
+                stable = quotient_classification(V) == (col, res) == _full_model(V)
         census[lab] += 1
-        rows.append((pt, lab, col, res))
+        ok = all(res.values())
+        bad += not ok
+        if as_json:
+            entries.append({"point": pt.to_lists(), "label": lab, "colength": col})
+        else:
+            flag = "" if ok else "  CLAIM-FAIL " + ",".join(k for k, v in res.items() if not v)
+            entries.append(f"  {pt!r:<24} colength {col}  {lab}{flag}")
 
     checks = []
     if args.verify:
-        expected = {PSI2: args.q * args.q, PSI3: args.q, PSI4: 1}
-        checks.append(("census matches q^2/q/1 decomposition", census == expected))
-        deeper = ModelSpec(spec.field, 3, args.M + 1)
-        stable = True
-        for pt, _, col, res in rows:
-            V = SubmoduleV(deeper, pt)
-            stable = quotient_classification(V) == (col, res) == _full_model(V)
-            if not stable:
-                break
-        checks.append((f"claims and colengths stable at M={args.M + 1}", stable))
-
-    payload = {
-        "q": args.q,
-        "M": args.M,
-        "census": census,
-        "claims_pass": claims_ok,
-        "points": [{"point": pt.to_lists(), "label": lab, "colength": col}
-                   for pt, lab, col, _ in rows],
-    }
-    bad = sum(1 for _, _, _, res in rows if not all(res.values()))
-    lines = [
+        checks = [("census matches q^2/q/1 decomposition",
+                   census == {PSI2: args.q * args.q, PSI3: args.q, PSI4: 1}),
+                  (f"claims and colengths stable at M={args.M + 1}", stable)]
+    claims_ok = not bad
+    if as_json:
+        return claims_ok, {"q": args.q, "M": args.M, "census": census, "claims_pass": claims_ok,
+                           "points": entries}, None, checks
+    return claims_ok, None, [
         f"local pull-back model over GF({args.q}), truncation M={args.M}",
         f"census: {PSI2}={census[PSI2]} {PSI3}={census[PSI3]} {PSI4}={census[PSI4]} "
-        f"(total {sum(census.values())} = q^2+q+1)",
+        f"(total {len(entries)} = q^2+q+1)",
         f"membership claims a-d: {'PASS' if claims_ok else 'FAIL'} "
-        f"on {len(rows) - bad}/{len(rows)} points",
+        f"on {len(entries) - bad}/{len(entries)} points",
         _VERDICTS,
         "per-point classification:",
-    ]
-    for pt, lab, col, res in rows:
-        flag = "" if all(res.values()) else "  CLAIM-FAIL " + \
-            ",".join(k for k, v in res.items() if not v)
-        lines.append(f"  {pt!r:<24} colength {col}  {lab}{flag}")
-    return claims_ok, payload, lines, checks
+        *entries,
+    ], checks
 
 
 def cmd_strata(args):
@@ -379,6 +377,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "p", 0) > _MAX_P:
+            raise ValueError(f"p = {args.p} is above the ceiling {_MAX_P} for trial division")
         result = args.func(args)
     except ValueError as exc:
         return _fail(exc, 2)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from frobstrat import localmodel
-from frobstrat.cli import _COMMANDS, _MAX_M, _json_text, build_parser, main
+from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 
 
@@ -121,6 +121,35 @@ def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, mo
     # without --verify the flipped claim is reported, not an error
     code, out, _ = run(capsys, "localmodel", "--q", "3")
     assert code == 1 and out.endswith(f"  {last!r:<24} colength 3  Psi2  CLAIM-FAIL d\n")
+
+    # a failure at M + 1 on the first point stops only the M + 1 check: the
+    # full model still runs at M on every later point and names the last one
+    deeper = []
+
+    def also_unstable(V):
+        col, res = one_claim_flipped(V)
+        if V.spec.M == 4:
+            deeper.append(V.hyperplane)
+            res = {**res, "a": not res["a"]}
+        return col, res
+
+    monkeypatch.setattr("frobstrat.cli.quotient_classification", also_unstable)
+    code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: point [0 : 0 : 1]: ")
+    assert deeper == projective_plane(field_make(3))[:1]
+
+
+@pytest.mark.parametrize("fmt, other_format", [("table", "to_lists"), ("json", "__repr__")])
+def test_localmodel_builds_only_the_requested_format(capsys, monkeypatch, fmt, other_format):
+    # to_lists serves only the JSON points and repr only the table lines
+    calls = []
+    original = getattr(ProjectivePoint, other_format)
+    monkeypatch.setattr(ProjectivePoint, other_format,
+                        lambda pt: calls.append(pt) or original(pt))
+    code, out, _ = run(capsys, "localmodel", "--q", "9", "--format", fmt)
+    assert (code, out.count("colength")) == (0, 91)
+    assert calls == []
 
 
 def test_localmodel_rejects_non_power_of_three(capsys):
@@ -251,6 +280,18 @@ def test_certify_regime_error(capsys, argv, word):
     assert code == 2
     assert out == ""
     assert word in err
+
+
+def test_p_ceiling_is_checked_before_primality(capsys, monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("primality tested above the ceiling")
+
+    monkeypatch.setattr("frobstrat.polygon._is_prime", no_trial_division)
+    monkeypatch.setattr("frobstrat.slopecalc._is_prime", no_trial_division)
+    for argv in (("enumerate", "--p", "10007"), ("certify", "--p", "10007", "--r", "10007")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"ceiling {_MAX_P}" in err
 
 
 def test_certify_reports_fail_with_exit_1(capsys):

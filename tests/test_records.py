@@ -184,9 +184,20 @@ def test_import_loads_no_introspection_modules():
     assert done.stdout.split() == []
 
 
-@pytest.mark.parametrize("module", ["gfield", "localmodel", "polygon", "slopecalc", "strata"])
+_MODULES = ("gfield", "localmodel", "polygon", "slopecalc", "strata")
+
+
+@pytest.mark.parametrize("module", _MODULES)
 def test_package_reexports_every_public_name(module):
     mod = importlib.import_module(f"frobstrat.{module}")
     missing = [name for name in mod.__all__
                if getattr(frobstrat, name, None) is not getattr(mod, name)]
     assert missing == []
+    # and the converse: every public name of the package is one of the
+    # modules' __all__ names or a submodule (cli appears once it is imported)
+    exported = {name for m in _MODULES
+                for name in importlib.import_module(f"frobstrat.{m}").__all__}
+    extra = [name for name, value in vars(frobstrat).items()
+             if not name.startswith("_") and name not in exported
+             and getattr(value, "__name__", None) != f"frobstrat.{name}"]
+    assert extra == []
