@@ -379,13 +379,13 @@ def main(argv=None):
     try:
         if getattr(args, "p", 0) > _MAX_P:
             raise ValueError(f"p = {args.p} is above the ceiling {_MAX_P} for trial division")
-        result = args.func(args)
+        # rendering too can refuse an input, an int past str()'s digit limit
+        return _render(args, *args.func(args))
     except ValueError as exc:
         return _fail(exc, 2)
     except RuntimeError as exc:
         # a broken internal invariant: reported, not a traceback
         return _fail(exc, 1)
-    return _render(args, *result)
 
 
 if __name__ == "__main__":

@@ -54,16 +54,12 @@ def _poly_rem(a, mod, p):
             for k in range(dm + 1):
                 a[i - dm + k] = (a[i - dm + k] - c * mod[k]) % p
     del a[dm:]
-    while len(a) < dm:
-        a.append(0)
     return a
 
 
 def _is_irreducible(coeffs, p):
     """Exhaustive trial division by every monic polynomial of degree 1..deg/2."""
     deg = len(coeffs) - 1
-    if deg == 1:
-        return True
     for div_deg in range(1, deg // 2 + 1):
         for tail in product(range(p), repeat=div_deg):
             divisor = tail + (1,)
@@ -167,10 +163,6 @@ class FieldSpec:
 
     def element(self, value):
         """Intern an element from an int (constant) or a coefficient sequence."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return self._elements[value.index]
         if isinstance(value, int):
             coeffs = (value % self.p,) + (0,) * (self.m - 1)
         else:
@@ -217,9 +209,6 @@ class FieldElement:
         self.spec = spec
         self.coeffs = coeffs
         self.index = index
-
-    def is_zero(self):
-        return self.index == 0
 
     def __bool__(self):
         return self.index != 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record, _set
-from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
+from .gfield import FieldSpec, ProjectivePoint, projective_plane
 from .polygon import PSI2, PSI3, PSI4
 
 # the stratum of each colength; classify_stratum reads the same labels off
@@ -153,19 +153,6 @@ class TensorElement:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = self.spec.field.element(scalar)
-        if not isinstance(scalar, FieldElement):
-            return NotImplemented
-        if scalar.spec != self.spec.field:
-            raise ValueError("scalar comes from a different field")
-        if not scalar:
-            return TensorElement.zero(self.spec)
-        return TensorElement(self.spec, {k: v * scalar for k, v in self._c.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -284,25 +271,18 @@ class SubspaceBasis:
 
     __slots__ = ("spec", "_mat", "_pivots")
 
-    def __init__(self, spec, mat):
-        self.spec = spec
-        self._mat = mat
-        self._pivots = [next(k for k, v in enumerate(r) if v) for r in mat]
-
-    @classmethod
-    def _echelon(cls, spec, mat, pivots):
-        """Wrap reduced echelon rows whose pivot columns the caller already knows.
-        Rows may be shared between bases (see _unit_rows): never write into them."""
-        W = cls.__new__(cls)
-        W.spec, W._mat, W._pivots = spec, mat, pivots
-        return W
+    def __init__(self, spec, mat, pivots):
+        """Wrap reduced echelon rows and their pivot columns.  Rows may be shared
+        between bases (see _unit_rows): never write into them."""
+        self.spec, self._mat, self._pivots = spec, mat, pivots
 
     @classmethod
     def from_spanning(cls, spec, elements):
         for e in elements:
             if e.spec != spec:
                 raise ValueError("spanning element belongs to a different local model")
-        return cls(spec, _rref(spec.field, [e.dense() for e in elements]))
+        mat = _rref(spec.field, [e.dense() for e in elements])
+        return cls(spec, mat, [next(k for k, v in enumerate(r) if v) for r in mat])
 
     @property
     def rows(self):
@@ -392,7 +372,7 @@ def pullback_span(V):
         row[k] = one
         row[c * p + k % p] = scale[h[k // p]]
     unit_rows, unit_pivots = _unit_rows(V.spec)
-    return SubspaceBasis._echelon(V.spec, mat + unit_rows, pivots + unit_pivots)
+    return SubspaceBasis(V.spec, mat + unit_rows, pivots + unit_pivots)
 
 
 @lru_cache(maxsize=8)
@@ -423,32 +403,33 @@ def tau_square_span(spec):
 
 @lru_cache(maxsize=8)
 def _tau_square_blocks(spec):
-    """First p^2 coordinates (left exponent i < p) of every nonzero tau^2 t^k;
-    they do not depend on the point, so each model builds them once."""
-    return tuple(tuple(e.dense()[:spec.p ** 2]) for e in _tau_square_multiples(spec))
+    """The blocks X_k, the first p^2 coordinates (left exponent i < p) of tau^2 t^k,
+    up to the last nonzero one, past which every tau^2 t^k lies in U (none at p = 2,
+    where tau^2 = 0).  They do not depend on the point: each model builds them once."""
+    blocks = [tuple(e.dense()[:spec.p ** 2]) for e in _tau_square_multiples(spec)]
+    return tuple(blocks[:max((k for k, b in enumerate(blocks) if any(b)), default=-1) + 1])
 
 
 def _tau_square_residues(W):
-    """Residues modulo W of each nonzero tau^2 t^k, k = 0, 1, .., cut to the block
-    i < p, its first p^2 coordinates.  Exact when W contains U: W's reduced rows
-    from pivot p^2 on are then U's unit rows and the n before them are zero past
-    the block, so a full residue is the block reduced against those n, zero-padded."""
+    """Residues modulo W of tau^2 t^k for each block X_k, cut to the block i < p,
+    its first p^2 coordinates.  Exact when W contains U: W's reduced rows from
+    pivot p^2 on are then U's unit rows and the n before them are zero past the
+    block, so a full residue is the block reduced against those n, zero-padded."""
     p2 = W.spec.p ** 2
     n = W.dim - (W.spec.dimension - p2)
     if n < 0 or W._pivots[n] != p2:
         raise RuntimeError("W does not contain U: the block reduction would be wrong")
     field, mat, pivots = W.spec.field, W._mat[:n], W._pivots[:n]
     for block in _tau_square_blocks(W.spec):
-        yield _reduce_against(field, mat, pivots, block) if any(block) else block
+        yield _reduce_against(field, mat, pivots, block)
 
 
 @lru_cache(maxsize=8)
 def _block_entries(spec):
-    """(i, j, x) for each nonzero entry x = X_k[i][j] of the tau^2 blocks X_k, up
-    to the last nonzero block; built once per model."""
-    blocks = [tuple(divmod(k, spec.p) + (x,) for k, x in enumerate(b) if x)
-              for b in _tau_square_blocks(spec)]
-    return tuple(blocks[:max(k for k, b in enumerate(blocks) if b) + 1])
+    """(i, j, x) for each nonzero entry x = X_k[i][j] of the tau^2 blocks X_k;
+    built once per model."""
+    return tuple(tuple(divmod(k, spec.p) + (x,) for k, x in enumerate(b) if x)
+                 for b in _tau_square_blocks(spec))
 
 
 def _quotient(V):

@@ -127,7 +127,7 @@ class LatticePolygon(Record):
 
 def make_polygon(vertices):
     """Validated polygon from a sequence of (rank, degree) pairs."""
-    return LatticePolygon(tuple(tuple(v) for v in vertices))
+    return LatticePolygon(vertices)
 
 
 def slopes(P):
@@ -233,8 +233,8 @@ def enumerate_destabilized_polygons(params):
             elif pw and low <= end_y - y0 <= high:  # pw: not a single segment
                 found.append(LatticePolygon(chain + ((r, end_y),)))
 
+    # widths, then rises, are tried in ascending order, so chains come out sorted
     extend(((0, 0),), 0, 0)
-    found.sort(key=lambda poly: poly.vertices)
     return found
 
 

@@ -129,10 +129,9 @@ def _subrank_bounds(p, g, r, d, t):
             f"certificates cover the rank-equals-characteristic case; got r={r}, p={p}")
     fl_slope = Fraction(pushforward_degree(BundleData(1, t), p, g), p)
     threshold = Fraction(d, r)
-    return tuple(
-        SubrankBound(s, sun_upper_bound(s, p, g, fl_slope), threshold,
-                     sun_upper_bound(s, p, g, fl_slope) <= threshold)
-        for s in range(1, r))
+    bounds = [sun_upper_bound(s, p, g, fl_slope) for s in range(1, r)]
+    return tuple(SubrankBound(s, b, threshold, b <= threshold)
+                 for s, b in enumerate(bounds, 1))
 
 
 def stability_certificate(p, g, r, d, t):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -341,6 +342,15 @@ def test_verify_line_routing(capsys, argv, n_verdicts, fmt):
         assert lines[at - n_verdicts:at] == verdicts
         if argv[0] == "localmodel":
             assert lines[at - n_verdicts - 1].startswith("membership claims a-d: PASS")
+
+
+def test_an_int_too_long_to_print_exits_2(capsys):
+    # d parses, but p * d has one digit more than str() may write, and the
+    # JSON is rendered only after the command has run
+    d = "9" * sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "enumerate", "--d", d, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_unknown_arguments_exit_2(capsys):

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from frobstrat import gfield
@@ -30,6 +32,8 @@ def test_gf9_default_modulus_is_lex_smallest(f9):
 def test_explicit_modulus_accepted():
     spec = field_make(3, 2, [1, 0, 1])
     assert spec == field_make(3, 2)
+    # a non-monic modulus is scaled to its monic twin
+    assert field_make(3, 2, [2, 0, 2]) == field_make(3, 2, [1, 0, 1])
 
 
 def test_rejects_non_prime_characteristic():
@@ -158,10 +162,24 @@ def test_serialization_roundtrip(f9):
     assert ProjectivePoint.of(f9, pt.to_lists()) == pt
 
 
-def test_integer_operands_lift(f3):
+def test_integer_operands_lift(f3, f9):
     assert f3.element(1) + 2 == f3.zero
     assert 2 * f3.element(2) == f3.one
     assert f3.element(1) - 2 == f3.element(2)
+    x, inv = f9.element([0, 1]), f9.element([0, 2])  # x * 2x = 2x^2 = -2 = 1
+    assert 2 - x == f9.element([2, 2])
+    assert 1 / x == inv
+    assert x ** -1 == inv
+
+
+def test_other_operands_are_refused(f9):
+    x = f9.element([0, 1])
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((x, "1"), ("1", x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        x ** 0.5
 
 
 def test_spec_repr_mentions_size(f3, f9):

@@ -233,16 +233,20 @@ def _full_residues(W):
 @pytest.mark.parametrize("m, M", [(m, M) for m in (1, 2, 3) for M in (3, 4)])
 def test_block_residues_are_the_full_residues(m, M):
     """Each block residue is the first p^2 entries of the full residue, the
-    full residue is zero past them, and the colength and claims of the quotient
-    h^T X_k agree with the full residues and with the full-model oracle."""
+    full residue is zero past them, every later tau^2 t^k has a zero block, and
+    the colength and claims of the quotient h^T X_k agree with the full residues
+    and with the full-model oracle."""
     field = field_make(3, m)
     spec = ModelSpec(field, 3, M)
     p2 = spec.p ** 2
+    blocks = [e.dense()[:p2] for e in _tau_square_multiples(spec)]
     for point in projective_plane(field):
         V = submodule_from_point(spec, point)
         W = pullback_span(V)
         full = _full_residues(W)
-        assert [list(r) for r in _tau_square_residues(W)] == [r[:p2] for r in full], point
+        residues = [list(r) for r in _tau_square_residues(W)]
+        assert residues == [r[:p2] for r in full[:len(residues)]], point
+        assert not any(any(b) for b in blocks[len(residues):]), point
         assert not any(any(r[p2:]) for r in full), point
         assert intersection_colength(V) == len(_rref(field, full)), point
         mem = [not any(r) for r in full[:4]]
@@ -261,7 +265,7 @@ def test_block_residues_are_the_full_residues(m, M):
 def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
     line = SubspaceBasis.from_spanning(model3, [tau_power(model3, 2)])
     W = pullback_span(submodule_from_point(model3, pt(f3, 1, 1, 1)))
-    short = SubspaceBasis._echelon(model3, W._mat[:-1], W._pivots[:-1])
+    short = SubspaceBasis(model3, W._mat[:-1], W._pivots[:-1])
     for bad in (line, short):
         with pytest.raises(RuntimeError):
             list(_tau_square_residues(bad))
@@ -441,6 +445,14 @@ def test_tensor_serialization(model3):
         {"i": 0, "j": 2, "coeff": [1]},
         {"i": 2, "j": 0, "coeff": [2]},
     ]
+
+
+def test_tensor_repr_and_hash(model3):
+    assert repr(TensorElement.monomial(model3, 1, 2, 2)) == "[2 in GF(3)]t^1(x)t^2"
+    assert repr(TensorElement.zero(model3)) == "0"
+    a = TensorElement.monomial(model3, 1, 2) + TensorElement.monomial(model3, 0, 0)
+    b = TensorElement.monomial(model3, 0, 0) + TensorElement.monomial(model3, 1, 2)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_tensor_normal_form_bounds(model3):

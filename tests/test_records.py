@@ -20,18 +20,25 @@ from frobstrat import (
     CurveParams,
     LatticePolygon,
     ModelSpec,
+    ProjectivePoint,
     StrataTable,
     StratumRecord,
     SubmoduleV,
     SubrankBound,
+    SubspaceBasis,
+    TensorElement,
+    bruteforce_destabilized_polygons,
+    canonical_filtration_degrees,
     field_make,
     projective_plane,
     psi_polygon,
+    pushforward_degree,
+    tau_power,
 )
 from frobstrat.localmodel import _block_entries, _tau_square_blocks, _unit_rows
 
-F9 = field_make(3, 2)
-SPEC = ModelSpec(F9, 3, 3)
+F3, F9 = field_make(3), field_make(3, 2)
+SPEC, SPEC3 = ModelSpec(F9, 3, 3), ModelSpec(F3, 3, 3)
 POINT = projective_plane(F9)[5]
 TRI = psi_polygon(2, 0)
 BOUND = SubrankBound(1, Fraction(-1, 3), Fraction(0), True)
@@ -155,6 +162,25 @@ def test_polygon_normalises_its_vertices_to_tuples():
      "fiber and parameter-space dimensions come together"),
     (lambda: StratumRecord("Psi2", TRI, 5, 5, 2, 4),
      "parameter-space dimension must be fiber + 1 + g with g = 2"),
+    (lambda: tau_power(SPEC, -1), "exponent must be non-negative, got -1"),
+    (lambda: SubspaceBasis.from_spanning(SPEC, [TensorElement.zero(SPEC3)]),
+     "spanning element belongs to a different local model"),
+    (lambda: TensorElement.zero(SPEC) + TensorElement.zero(SPEC3),
+     "elements belong to different local models"),
+    (lambda: ProjectivePoint((F9.one, F9.one)),
+     "projective points here live in P^2: need 3 coordinates"),
+    (lambda: ProjectivePoint((F9.one, F3.one, F9.one)),
+     "coordinates must all belong to one field"),
+    (lambda: F9.element([1, 2, 0]), "coefficient vector longer than extension degree 2"),
+    (lambda: psi_polygon(5, 0), "template index must be 1..4, got 5"),
+    (lambda: bruteforce_destabilized_polygons(CurveParams(3, 1, 3, 0)),
+     "enumeration needs genus >= 2, got 1"),
+    (lambda: pushforward_degree(BundleData(3, 1), 1, 2),
+     "characteristic must be at least 2, got 1"),
+    (lambda: pushforward_degree(BundleData(3, 1), 3, -1), "genus must be non-negative, got -1"),
+    # its own id: CurveParams' case above has the same message
+    pytest.param(lambda: canonical_filtration_degrees(3, 0, 0), "genus must be at least 1, got 0",
+                 id="canonical_filtration_degrees-genus must be at least 1, got 0"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
