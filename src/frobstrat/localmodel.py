@@ -121,9 +121,6 @@ class TensorElement:
         """Nonzero terms sorted in monomial order (left exponent, then right)."""
         return sorted(self._c.items())
 
-    def is_zero(self):
-        return not self._c
-
     def __bool__(self):
         return bool(self._c)
 

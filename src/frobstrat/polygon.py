@@ -85,23 +85,36 @@ class LatticePolygon(Record):
     __slots__ = __match_args__ = ("vertices",)
 
     def __init__(self, vertices: tuple[tuple[int, int], ...]):
-        verts = tuple(tuple(v) for v in vertices)
-        for v in verts:
-            if len(v) != 2 or not (isinstance(v[0], int) and isinstance(v[1], int)):
-                raise ValueError(f"vertices must be integral lattice points, got {v!r}")
+        verts = tuple(map(tuple, vertices))
         _set(self, "vertices", verts)
+        # one pass over consecutive vertices; faults are reported in a fixed
+        # order: a non-integral vertex, too few vertices, the start, a width
+        # that is not positive anywhere, then the first slope that fails to fall
+        x0 = y0 = pdy = pw = None
+        narrow, falls = False, None
+        for v in verts:
+            x1, y1 = v if len(v) == 2 else (None, None)
+            # exact ints first; isinstance admits bool and other int subclasses
+            if not ((type(x1) is int or isinstance(x1, int))
+                    and (type(y1) is int or isinstance(y1, int))):
+                raise ValueError(f"vertices must be integral lattice points, got {v!r}")
+            if x0 is not None:
+                dy, w = y1 - y0, x1 - x0
+                if w <= 0:
+                    narrow = True
+                # dy/w < pdy/pw by cross-multiplication, widths being positive
+                elif pw and falls is None and dy * pw >= pdy * w:
+                    falls = f"{Fraction(pdy, pw)} then {Fraction(dy, w)}"
+                pdy, pw = dy, w
+            x0, y0 = x1, y1
         if len(verts) < 2:
             raise ValueError("polygon needs at least two vertices")
         if verts[0] != (0, 0):
             raise ValueError(f"polygon must start at (0, 0), got {verts[0]}")
-        segs = [(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
-        if any(w <= 0 for _, w in segs):
+        if narrow:
             raise ValueError("vertex ranks must strictly increase")
-        # dy1/w1 < dy0/w0 by cross-multiplication, widths being positive
-        for (dy0, w0), (dy1, w1) in zip(segs, segs[1:]):
-            if dy1 * w0 >= dy0 * w1:
-                raise ValueError("segment slopes must strictly decrease, got "
-                                 f"{Fraction(dy0, w0)} then {Fraction(dy1, w1)}")
+        if falls:
+            raise ValueError(f"segment slopes must strictly decrease, got {falls}")
 
     @property
     def endpoint(self):
@@ -172,19 +185,21 @@ def dominates(P, Q):
     return INCOMPARABLE
 
 
+def _psi_vertices(index, d):
+    if index == 1:
+        return ((0, 0), (1, d + 1), (3, 3 * d))
+    if index == 2:
+        return ((0, 0), (2, 2 * d + 1), (3, 3 * d))
+    if index == 3:
+        return ((0, 0), (1, d + 1), (2, 2 * d + 1), (3, 3 * d))
+    if index == 4:
+        return ((0, 0), (1, d + 2), (2, 2 * d + 2), (3, 3 * d))
+    raise ValueError(f"template index must be 1..4, got {index}")
+
+
 def psi_polygon(index, d):
     """The four destabilized pull-back polygon templates for (p, g, r) = (3, 2, 3)."""
-    if index == 1:
-        verts = ((0, 0), (1, d + 1), (3, 3 * d))
-    elif index == 2:
-        verts = ((0, 0), (2, 2 * d + 1), (3, 3 * d))
-    elif index == 3:
-        verts = ((0, 0), (1, d + 1), (2, 2 * d + 1), (3, 3 * d))
-    elif index == 4:
-        verts = ((0, 0), (1, d + 2), (2, 2 * d + 2), (3, 3 * d))
-    else:
-        raise ValueError(f"template index must be 1..4, got {index}")
-    return LatticePolygon(verts)
+    return LatticePolygon(_psi_vertices(index, d))
 
 
 def enumerate_destabilized_polygons(params):
@@ -209,32 +224,42 @@ def enumerate_destabilized_polygons(params):
     # the window [lo/r, hi/r] with its denominator cleared
     lo = end_y - (r - 1) * gap * r
     hi = end_y + (r - 1) * gap * r
+    # the window's bounds on a rise over width w, by ceiling and floor division
+    windows = [(-(-lo * w // r), hi * w // r) for w in range(r + 1)]
     found = []
 
-    def extend(chain, pdy, pw):
-        # (pdy, pw) is the previous segment; pw == 0 before the first one
-        x0, y0 = chain[-1]
-        for w in range(1, r - x0 + 1):
-            # lo/r <= dy/w <= hi/r, by ceiling and floor division
-            low, high = -(-lo * w // r), hi * w // r
+    def extend(chain, x0, y0, pdy, pw):
+        # (x0, y0) ends the chain; (pdy, pw) is its last segment, pw == 0 before the first
+        span, left = r - x0, end_y - y0
+        for w in range(1, span + 1):
+            low, high = windows[w]
             if pw:
-                # dy/w < pdy/pw and pdy/pw - dy/w <= gap, the same way
-                high = min(high, (pdy * w - 1) // pw)
-                low = max(low, -((gap * pw - pdy) * w // pw))
-            if x0 + w < r:
+                # dy/w < pdy/pw and pdy/pw - dy/w <= gap, by floor and ceiling division
+                bound = (pdy * w - 1) // pw
+                if bound < high:
+                    high = bound
+                bound = -((gap * pw - pdy) * w // pw)
+                if bound > low:
+                    low = bound
+            if w < span:
                 # the rest must still reach (r, p*d): its mean slope lies
                 # strictly below dy/w, and at most (2g-2) * rest below it,
                 # since at most rest more segments each fall by at most 2g-2
-                rest, left = r - x0 - w, end_y - y0
-                low = max(low, left * w // (r - x0) + 1)
-                high = min(high, (left + gap * rest * rest) * w // (r - x0))
+                rest = span - w
+                bound = left * w // span + 1
+                if bound > low:
+                    low = bound
+                bound = (left + gap * rest * rest) * w // span
+                if bound < high:
+                    high = bound
+                x = x0 + w
                 for dy in range(low, high + 1):
-                    extend(chain + ((x0 + w, y0 + dy),), dy, w)
-            elif pw and low <= end_y - y0 <= high:  # pw: not a single segment
+                    extend(chain + ((x, y0 + dy),), x, y0 + dy, dy, w)
+            elif pw and low <= left <= high:  # pw: not a single segment
                 found.append(LatticePolygon(chain + ((r, end_y),)))
 
     # widths, then rises, are tried in ascending order, so chains come out sorted
-    extend(((0, 0),), 0, 0)
+    extend(((0, 0),), 0, 0, 0, 0)
     return found
 
 
@@ -336,7 +361,8 @@ def name_polygon(P, params):
         raise ValueError(f"polygon ends at {P.endpoint}, expected (3, {3 * d})")
     if P.segment_count == 1:
         return SEMISTABLE
+    # the templates' vertex tuples, so that no template polygon is built per call
     for i in (1, 2, 3, 4):
-        if P == psi_polygon(i, d):
+        if P.vertices == _psi_vertices(i, d):
             return PSI_LABELS[i - 1]
     return OTHER

@@ -7,6 +7,7 @@ import pytest
 from frobstrat import localmodel
 from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
+from frobstrat.polygon import CurveParams, enumerate_destabilized_polygons
 
 
 def run(capsys, *argv):
@@ -32,6 +33,20 @@ def test_enumerate_json_schema(capsys):
     for entry in payload:
         assert entry["vertices"][0] == [0, 0]
         assert entry["vertices"][-1] == [3, 3]
+
+
+@pytest.mark.parametrize("p, g, r", [(3, 2, r) for r in range(1, 9)] + [(5, 3, 6)])
+def test_enumerate_table_slopes_are_the_fraction_strings(capsys, p, g, r):
+    """The table's slope column, printed from integer rises and widths, reads as
+    the str() of each Fraction slopes() returns."""
+    for d in range(r):
+        polys = enumerate_destabilized_polygons(CurveParams(p, g, r, d))
+        code, out, _ = run(capsys, "enumerate", *f"--p {p} --g {g} --r {r} --d {d}".split())
+        assert code == 0
+        rows = out.splitlines()[2:]
+        assert len(rows) == len(polys)
+        for row, P in zip(rows, polys):
+            assert row.split(" slopes ")[1] == ", ".join(map(str, P.slopes())), row
 
 
 def test_enumerate_outside_regime_has_no_labels(capsys):
@@ -417,6 +432,7 @@ def test_runs_are_byte_identical(capsys, argv):
     [], {}, 0, -7, None, True, "Psi1", 1.5,
     {"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [], "e": {}},
     [{"label": "caf\u00e9 \"q\"\n", "vertices": ((0, 0), (2, 5))}, [[[]]], [{}]],
+    [0, [1, True, -2], False, [None, 3]],
 ])
 def test_json_text_matches_the_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)

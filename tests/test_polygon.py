@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -17,11 +18,13 @@ from frobstrat.polygon import (
     PSI2,
     PSI3,
     PSI4,
+    PSI_LABELS,
     SEMISTABLE,
     CurveParams,
     bruteforce_destabilized_polygons,
     dominates,
     enumerate_destabilized_polygons,
+    LatticePolygon,
     make_polygon,
     max_slope_gap,
     name_polygon,
@@ -54,6 +57,39 @@ def test_make_polygon_rejects_bad_input():
         make_polygon([(0, 0), (1, Fraction(1, 2))])   # non-integral vertex
     with pytest.raises(ValueError):
         make_polygon([(0, 0)])
+
+
+@pytest.mark.parametrize("verts, message", [
+    ([(0, 0), (1, 0), (2, 1), (2, 5)], "vertex ranks must strictly increase"),
+    ([(0, 0), (1, 1), (1, 0), (2, 0.5)], "vertices must be integral lattice points, got (2, 0.5)"),
+    ([(0, 0), (2, 1), (1, 3), (3, 3)], "vertex ranks must strictly increase"),
+    ([(1, 0), (2, 0), (3, 1)], "polygon must start at (0, 0), got (1, 0)"),
+    ([(1, 0), (1, 1)], "polygon must start at (0, 0), got (1, 0)"),
+    ([(0.0, 0), (1, 0)], "vertices must be integral lattice points, got (0.0, 0)"),
+    ([(0.5, 0)], "vertices must be integral lattice points, got (0.5, 0)"),
+    ([(1, 0)], "polygon needs at least two vertices"),
+    ([], "polygon needs at least two vertices"),
+    ([(0, 0), (1, 1, 1)], "vertices must be integral lattice points, got (1, 1, 1)"),
+    ([(0, 0), (1, 0), (2, 1), (3, 3)], "segment slopes must strictly decrease, got 0 then 1"),
+    ([(0, 0), (2, 3), (3, 5), (4, 5), (5, 6)],
+     "segment slopes must strictly decrease, got 3/2 then 2"),
+])
+def test_validation_reports_one_fault_of_several_in_a_fixed_order(verts, message):
+    """A non-integral vertex anywhere comes first, then the vertex count, the
+    start, a non-positive width anywhere, and last the first slope that fails
+    to fall."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LatticePolygon(verts)
+
+
+def test_validation_accepts_int_subclasses_and_lists():
+    class Rank(int):
+        pass
+
+    P = LatticePolygon([[False, False], [True, 2], [Rank(2), True]])
+    assert P.vertices == ((0, 0), (1, 2), (2, 1))
+    assert all(type(v) is tuple for v in P.vertices)
+    assert P.slopes() == [2, -1]
 
 
 @pytest.mark.parametrize("d", [-3, 0, 5])
@@ -365,3 +401,15 @@ def test_name_polygon_regime_errors():
         name_polygon(make_polygon([(0, 0), (2, 0)]), CurveParams(2, 2, 2, 0))
     with pytest.raises(ValueError):
         name_polygon(psi_polygon(1, 1), REGIME)  # endpoint (3, 3) vs expected (3, 0)
+
+
+def test_name_polygon_matches_the_template_polygons():
+    """name_polygon's vertex comparison gives the label that equality with
+    psi_polygon gives, on every enumerated polygon and the semistable one."""
+    for d in range(-4, 5):
+        params = CurveParams(3, 2, 3, d)
+        for P in enumerate_destabilized_polygons(params) + [make_polygon([(0, 0), (3, 3 * d)])]:
+            want = next((lab for i, lab in enumerate(PSI_LABELS, start=1)
+                         if P == psi_polygon(i, d)),
+                        SEMISTABLE if P.segment_count == 1 else OTHER)
+            assert name_polygon(P, params) == want, (d, P)
