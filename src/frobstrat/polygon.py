@@ -207,32 +207,33 @@ def enumerate_destabilized_polygons(params):
 
     Directed search over vertex chains from (0, 0) to (r, p*d) with strictly
     decreasing slopes, every consecutive gap at most 2g - 2, and at least two
-    segments.  Every slope is confined to p*d/r +- (r-1)(2g-2): the gap bound
-    limits the spread and the endpoint fixes the rank-weighted average.  Each
-    step admits exactly the integer rises dy over width w whose slope meets
-    all three bounds and whose end can still reach (r, p*d): the mean slope
-    left lies strictly below dy/w, by at most (2g-2) per remaining segment.
-    So every chain extended is admissible and can still finish, and the work
-    follows the number of polygons emitted.  Results are sorted
-    lexicographically by vertex list.
+    segments.  Each step admits exactly the integer rises dy over width w
+    that fall below the last slope by at most 2g - 2 and whose end can still
+    reach (r, p*d): the mean slope left lies strictly below dy/w, by at most
+    (2g-2) per remaining segment.  So the closing segment falls strictly, only
+    its gap is checked, and every chain extended can finish: the work follows
+    the polygons emitted.  The slope window is derived, not imposed: the
+    first slope lies in (p*d/r, p*d/r + (2g-2)(r-1)^2/r], and at most r - 1
+    drops of at most 2g - 2 follow it, so every slope is within
+    p*d/r +- (r-1)(2g-2).  Results are sorted lexicographically by vertex list.
     """
     if params.g < 2:
         raise ValueError(f"enumeration needs genus >= 2, got {params.g}")
     p, g, r, d = params.p, params.g, params.r, params.d
     end_y = p * d
     gap = 2 * g - 2
-    # the window [lo/r, hi/r] with its denominator cleared
-    lo = end_y - (r - 1) * gap * r
-    hi = end_y + (r - 1) * gap * r
-    # the window's bounds on a rise over width w, by ceiling and floor division
-    windows = [(-(-lo * w // r), hi * w // r) for w in range(r + 1)]
     found = []
 
     def extend(chain, x0, y0, pdy, pw):
         # (x0, y0) ends the chain; (pdy, pw) is its last segment, pw == 0 before the first
         span, left = r - x0, end_y - y0
-        for w in range(1, span + 1):
-            low, high = windows[w]
+        for w in range(1, span):
+            # the rest must still reach (r, p*d): its mean slope lies strictly
+            # below dy/w, and at most (2g-2) * rest below it, since at most
+            # rest more segments each fall by at most 2g-2
+            rest = span - w
+            low = left * w // span + 1
+            high = (left + gap * rest * rest) * w // span
             if pw:
                 # dy/w < pdy/pw and pdy/pw - dy/w <= gap, by floor and ceiling division
                 bound = (pdy * w - 1) // pw
@@ -241,22 +242,12 @@ def enumerate_destabilized_polygons(params):
                 bound = -((gap * pw - pdy) * w // pw)
                 if bound > low:
                     low = bound
-            if w < span:
-                # the rest must still reach (r, p*d): its mean slope lies
-                # strictly below dy/w, and at most (2g-2) * rest below it,
-                # since at most rest more segments each fall by at most 2g-2
-                rest = span - w
-                bound = left * w // span + 1
-                if bound > low:
-                    low = bound
-                bound = (left + gap * rest * rest) * w // span
-                if bound < high:
-                    high = bound
-                x = x0 + w
-                for dy in range(low, high + 1):
-                    extend(chain + ((x, y0 + dy),), x, y0 + dy, dy, w)
-            elif pw and low <= left <= high:  # pw: not a single segment
-                found.append(LatticePolygon(chain + ((r, end_y),)))
+            x = x0 + w
+            for dy in range(low, high + 1):
+                extend(chain + ((x, y0 + dy),), x, y0 + dy, dy, w)
+        # pw: not a single segment; the closing slope left/span falls by at most 2g-2
+        if pw and pdy * span <= (left + gap * span) * pw:
+            found.append(LatticePolygon(chain + ((r, end_y),)))
 
     # widths, then rises, are tried in ascending order, so chains come out sorted
     extend(((0, 0),), 0, 0, 0, 0)

@@ -261,7 +261,8 @@ def _unpruned_search(params):
 
 
 @pytest.mark.parametrize("p, g, r, d", [
-    (3, 2, 6, 0), (3, 2, 6, 1), (3, 2, 7, 0), (3, 2, 7, 1), (3, 2, 8, 1), (5, 3, 6, 1)])
+    (3, 2, 6, 0), (3, 2, 6, 1), (3, 2, 7, 0), (3, 2, 7, 1), (3, 2, 8, 1), (5, 3, 6, 1),
+    (7, 4, 6, 1), (7, 2, 7, 3)])
 def test_reachability_cuts_lose_no_polygon(p, g, r, d):
     """Above the box-scan ceiling: the pruned search equals the unpruned one."""
     params = CurveParams(p, g, r, d)
@@ -290,7 +291,8 @@ def _search_nodes(params):
     return polys, calls
 
 
-@pytest.mark.parametrize("params", [CurveParams(3, 2, 8, 1), CurveParams(5, 3, 6, 1)])
+@pytest.mark.parametrize("params", [
+    CurveParams(3, 2, 8, 1), CurveParams(5, 3, 6, 1), CurveParams(7, 4, 6, 1)])
 def test_search_work_follows_the_polygons_emitted(params):
     """Every chain extended can still finish, so the search visits at most
     two nodes per polygon it emits (the unpruned search visits 42-70).  A
