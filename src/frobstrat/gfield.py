@@ -18,7 +18,6 @@ __all__ = [
     "FieldElement",
     "FieldSpec",
     "ProjectivePoint",
-    "field_inverse",
     "field_make",
     "projective_plane",
 ]
@@ -255,6 +254,7 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
+        """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.index == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.spec!r}")
         return self.spec._elements[self.spec._inv[self.index]]
@@ -352,11 +352,6 @@ def field_make(p, m=1, modulus=None):
     """Construct GF(p^m); picks the lexicographically smallest irreducible
     modulus when none is given, so repeated runs agree."""
     return FieldSpec(p, m, modulus)
-
-
-def field_inverse(a):
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    return a.inverse()
 
 
 def projective_plane(spec):

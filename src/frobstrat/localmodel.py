@@ -36,11 +36,9 @@ __all__ = [
     "classify_stratum",
     "contains_monomial",
     "intersection_colength",
-    "membership",
     "pullback_span",
     "quotient_classification",
     "stratum_census",
-    "submodule_from_point",
     "tau_power",
     "tau_square_span",
     "times_t_left",
@@ -335,11 +333,6 @@ class SubmoduleV(Record):
         return not self.functional(list(coeffs)[:3])
 
 
-def submodule_from_point(spec, h):
-    """Wrap a projective plane point as the colength-1 submodule it cuts out."""
-    return SubmoduleV(spec, h)
-
-
 def contains_monomial(V, j):
     """Whether t^j (j in {0, 1, 2}) lies in V: the j-th functional coordinate
     vanishes.  In particular t is in V iff the middle coordinate is 0 and
@@ -377,11 +370,6 @@ def _unit_rows(spec):
     """U's unit rows and their pivots, shared by every W of the model: never mutated."""
     one, pivots = spec.field.one.index, list(range(spec.p ** 2, spec.dimension))
     return [[one if k == c else 0 for k in range(spec.dimension)] for c in pivots], pivots
-
-
-def membership(e, W):
-    """Exact membership of an element in a row-reduced subspace."""
-    return W.contains(e)
 
 
 def _tau_square_multiples(spec):

@@ -34,12 +34,10 @@ __all__ = [
     "bruteforce_destabilized_polygons",
     "dominates",
     "enumerate_destabilized_polygons",
-    "make_polygon",
     "max_slope_gap",
     "name_polygon",
     "polygon_of_filtration",
     "psi_polygon",
-    "slopes",
 ]
 
 PSI1, PSI2, PSI3, PSI4 = "Psi1", "Psi2", "Psi3", "Psi4"
@@ -138,16 +136,6 @@ class LatticePolygon(Record):
         return f"LatticePolygon[{pts}]"
 
 
-def make_polygon(vertices):
-    """Validated polygon from a sequence of (rank, degree) pairs."""
-    return LatticePolygon(vertices)
-
-
-def slopes(P):
-    """Exact segment slopes of a polygon."""
-    return P.slopes()
-
-
 def max_slope_gap(P):
     """Largest difference between consecutive segment slopes."""
     ss = P.slopes()
@@ -207,14 +195,15 @@ def enumerate_destabilized_polygons(params):
 
     Directed search over vertex chains from (0, 0) to (r, p*d) with strictly
     decreasing slopes, every consecutive gap at most 2g - 2, and at least two
-    segments.  Each step admits exactly the integer rises dy over width w
-    that fall below the last slope by at most 2g - 2 and whose end can still
-    reach (r, p*d): the mean slope left lies strictly below dy/w, by at most
-    (2g-2) per remaining segment.  So the closing segment falls strictly, only
-    its gap is checked, and every chain extended can finish: the work follows
-    the polygons emitted.  The slope window is derived, not imposed: the
-    first slope lies in (p*d/r, p*d/r + (2g-2)(r-1)^2/r], and at most r - 1
-    drops of at most 2g - 2 follow it, so every slope is within
+    segments.  Each step admits the integer rises dy over width w that fall
+    below the last slope by at most 2g - 2 and pass a reachability cut: the
+    mean slope left lies strictly below dy/w, by at most (2g-2) per remaining
+    segment.  So the closing segment falls strictly and only its gap is
+    checked.  The cut drops no chain that can finish but keeps some that
+    cannot (each with 2 or more units of width left); on the tested cases the
+    search visits at most 2 nodes per polygon.  The slope window is derived,
+    not imposed: the first slope lies in (p*d/r, p*d/r + (2g-2)(r-1)^2/r], and
+    at most r - 1 drops of at most 2g - 2 follow it, so every slope is within
     p*d/r +- (r-1)(2g-2).  Results are sorted lexicographically by vertex list.
     """
     if params.g < 2:

@@ -13,12 +13,12 @@ from frobstrat.cli import main
 from frobstrat.gfield import field_make, projective_plane
 from frobstrat.localmodel import (
     ModelSpec,
+    SubmoduleV,
     TensorElement,
     claim_results,
     classify_stratum,
     intersection_colength,
     stratum_census,
-    submodule_from_point,
     tau_power,
     times_t_right,
 )
@@ -95,7 +95,7 @@ def test_criterion_03_local_model_claims():
         per_level = []
         for M in (3, 4):
             spec = ModelSpec(field, 3, M)
-            results = [claim_results(submodule_from_point(spec, pt)) for pt in points]
+            results = [claim_results(SubmoduleV(spec, pt)) for pt in points]
             ok &= all(all(r.values()) for r in results)
             per_level.append(results)
         ok &= per_level[0] == per_level[1]   # identical at both truncation levels
@@ -122,7 +122,7 @@ def test_criterion_05_colength_degree_polygon_consistency():
     triple_of = {PSI4: (1, d + 2), PSI3: (2, d + 1), PSI2: (3, d)}
     ok = True
     for pt in projective_plane(spec.field):
-        V = submodule_from_point(spec, pt)
+        V = SubmoduleV(spec, pt)
         c = intersection_colength(V)
         label = classify_stratum(V)
         want_c, want_deg = triple_of[label]

@@ -19,11 +19,9 @@ from frobstrat.localmodel import (
     classify_stratum,
     contains_monomial,
     intersection_colength,
-    membership,
     pullback_span,
     quotient_classification,
     stratum_census,
-    submodule_from_point,
     tau_power,
     tau_square_span,
     times_t_left,
@@ -97,13 +95,13 @@ def test_truncation_drops_high_left_exponents(model3):
 
 
 def test_submodule_membership_through_the_functional(f3, model3):
-    V = submodule_from_point(model3, pt(f3, 1, 0, 0))
+    V = SubmoduleV(model3, pt(f3, 1, 0, 0))
     assert V.contains([0, 1, 0]) and V.contains([0, 0, 1])
     assert not V.contains([1, 0, 0])
-    V = submodule_from_point(model3, pt(f3, 0, 0, 1))
+    V = SubmoduleV(model3, pt(f3, 0, 0, 1))
     assert V.contains([1, 0, 0]) and V.contains([0, 1, 0])
     assert not V.contains([0, 0, 1])
-    V = submodule_from_point(model3, pt(f3, 0, 1, 1))
+    V = SubmoduleV(model3, pt(f3, 0, 1, 1))
     assert V.contains([0, 1, -1])        # t - t^2 is in the kernel of a1 + a2
     assert V.contains([1, 0, 0])
     assert not V.contains([0, 1, 0])
@@ -114,29 +112,29 @@ def test_submodule_membership_through_the_functional(f3, model3):
 def test_submodule_requires_characteristic_three(f3):
     spec2 = ModelSpec(field_make(2), 2, 3)
     with pytest.raises(ValueError):
-        submodule_from_point(spec2, pt(field_make(2), 1, 0, 0))
+        SubmoduleV(spec2, pt(field_make(2), 1, 0, 0))
     with pytest.raises(ValueError):
         SubmoduleV(ModelSpec(f3, 3, 3), pt(field_make(3, 2), 1, 0, 0))
 
 
 def test_contains_monomial_examples(f3, model3):
-    assert contains_monomial(submodule_from_point(model3, pt(f3, 1, 0, 0)), 1)
-    assert not contains_monomial(submodule_from_point(model3, pt(f3, 0, 0, 1)), 2)
-    assert not contains_monomial(submodule_from_point(model3, pt(f3, 1, 0, 0)), 0)
+    assert contains_monomial(SubmoduleV(model3, pt(f3, 1, 0, 0)), 1)
+    assert not contains_monomial(SubmoduleV(model3, pt(f3, 0, 0, 1)), 2)
+    assert not contains_monomial(SubmoduleV(model3, pt(f3, 1, 0, 0)), 0)
     with pytest.raises(ValueError):
-        contains_monomial(submodule_from_point(model3, pt(f3, 1, 0, 0)), 3)
+        contains_monomial(SubmoduleV(model3, pt(f3, 1, 0, 0)), 3)
 
 
 def test_pullback_span_memberships(f3, model3):
     t2 = tau_power(model3, 2)
-    W = pullback_span(submodule_from_point(model3, pt(f3, 1, 0, 0)))
-    assert membership(times_t_right(t2), W)          # both t and t^2 inside V
-    assert not membership(t2, W)
-    W = pullback_span(submodule_from_point(model3, pt(f3, 0, 0, 1)))
-    assert not membership(t2, W)
-    assert not membership(times_t_right(times_t_right(t2)), W)   # t^2 not in V
+    W = pullback_span(SubmoduleV(model3, pt(f3, 1, 0, 0)))
+    assert W.contains(times_t_right(t2))          # both t and t^2 inside V
+    assert not W.contains(t2)
+    W = pullback_span(SubmoduleV(model3, pt(f3, 0, 0, 1)))
+    assert not W.contains(t2)
+    assert not W.contains(times_t_right(times_t_right(t2)))   # t^2 not in V
     e3 = times_t_right(times_t_right(times_t_right(t2)))
-    assert membership(e3, W)
+    assert W.contains(e3)
 
 
 def _spanning_rows(V):
@@ -168,7 +166,7 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
     field = field_make(3, m)
     spec = ModelSpec(field, 3, M)
     for point in projective_plane(field):
-        V = submodule_from_point(spec, point)
+        V = SubmoduleV(spec, point)
         want = _rref(field, _spanning_rows(V))
         W = pullback_span(V)
         assert W._mat == want, point
@@ -241,7 +239,7 @@ def test_block_residues_are_the_full_residues(m, M):
     p2 = spec.p ** 2
     blocks = [e.dense()[:p2] for e in _tau_square_multiples(spec)]
     for point in projective_plane(field):
-        V = submodule_from_point(spec, point)
+        V = SubmoduleV(spec, point)
         W = pullback_span(V)
         full = _full_residues(W)
         residues = [list(r) for r in _tau_square_residues(W)]
@@ -264,7 +262,7 @@ def test_block_residues_are_the_full_residues(m, M):
 
 def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
     line = SubspaceBasis.from_spanning(model3, [tau_power(model3, 2)])
-    W = pullback_span(submodule_from_point(model3, pt(f3, 1, 1, 1)))
+    W = pullback_span(SubmoduleV(model3, pt(f3, 1, 1, 1)))
     short = SubspaceBasis(model3, W._mat[:-1], W._pivots[:-1])
     for bad in (line, short):
         with pytest.raises(RuntimeError):
@@ -301,15 +299,15 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
 
 
 def test_membership_trivialities(f3, f9, model3, model9):
-    W = pullback_span(submodule_from_point(model3, pt(f3, 1, 1, 1)))
-    assert membership(TensorElement.zero(model3), W)
+    W = pullback_span(SubmoduleV(model3, pt(f3, 1, 1, 1)))
+    assert W.contains(TensorElement.zero(model3))
     with pytest.raises(ValueError):
-        membership(TensorElement.monomial(model9, 0, 0), W)
+        W.contains(TensorElement.monomial(model9, 0, 0))
 
 
 def test_claims_hold_on_every_point_of_the_small_plane(f3, model3):
     for point in projective_plane(f3):
-        res = claim_results(submodule_from_point(model3, point))
+        res = claim_results(SubmoduleV(model3, point))
         assert res == {"a": True, "b": True, "c": True, "d": True}, point
 
 
@@ -317,8 +315,8 @@ def test_colength_examples_with_stability_check(f3, model3):
     deeper = ModelSpec(f3, 3, 4)
     for coords, want in (((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3)):
         point = pt(f3, *coords)
-        assert intersection_colength(submodule_from_point(model3, point)) == want
-        assert intersection_colength(submodule_from_point(deeper, point)) == want
+        assert intersection_colength(SubmoduleV(model3, point)) == want
+        assert intersection_colength(SubmoduleV(deeper, point)) == want
 
 
 @pytest.mark.parametrize("m", [1, 2], ids=["GF3", "GF9"])
@@ -326,31 +324,31 @@ def test_colength_formula_and_truncation_stability(m):
     field = field_make(3, m)
     spec, deeper = ModelSpec(field, 3, 3), ModelSpec(field, 3, 4)
     for point in projective_plane(field):
-        V = submodule_from_point(spec, point)
+        V = SubmoduleV(spec, point)
         W = pullback_span(V)
         e = tau_power(spec, 2)
         hits = 0
         for j in (1, 2):
             e = times_t_right(e)
-            hits += membership(e, W)
+            hits += W.contains(e)
         c = intersection_colength(V)
         assert c == 3 - hits
         # the defining rank: dim(E + W) - dim W for the tau^2 line E
         assert c == len(_rref(field, W._mat + tau_square_span(spec)._mat)) - W.dim
-        assert c == intersection_colength(submodule_from_point(deeper, point))
+        assert c == intersection_colength(SubmoduleV(deeper, point))
 
 
 def test_classification_matches_colength(f3, model3):
     bijection = {1: PSI4, 2: PSI3, 3: PSI2}
     for point in projective_plane(f3):
-        V = submodule_from_point(model3, point)
+        V = SubmoduleV(model3, point)
         assert classify_stratum(V) == bijection[intersection_colength(V)]
 
 
 def test_classify_examples(f3, model3):
-    assert classify_stratum(submodule_from_point(model3, pt(f3, 1, 0, 0))) == PSI4
-    assert classify_stratum(submodule_from_point(model3, pt(f3, 2, 1, 0))) == PSI3
-    assert classify_stratum(submodule_from_point(model3, pt(f3, 1, 1, 1))) == PSI2
+    assert classify_stratum(SubmoduleV(model3, pt(f3, 1, 0, 0))) == PSI4
+    assert classify_stratum(SubmoduleV(model3, pt(f3, 2, 1, 0))) == PSI3
+    assert classify_stratum(SubmoduleV(model3, pt(f3, 1, 1, 1))) == PSI2
 
 
 def test_census_counts(model3, model9):
@@ -422,18 +420,18 @@ def test_a_transposed_quotient_is_the_same_map(monkeypatch):
 def test_base_change_has_colength_p_in_the_ambient_module(f3, f9, model3, model9):
     for field, model in ((f3, model3), (f9, model9)):
         for point in projective_plane(field):
-            W = pullback_span(submodule_from_point(model, point))
+            W = pullback_span(SubmoduleV(model, point))
             assert model.dimension - W.dim == 3
 
 
 def test_tau_square_span_is_the_cyclic_line(model3):
     E = tau_square_span(model3)
     assert E.dim == model3.left_bound  # one basis vector per surviving power of t
-    assert membership(tau_power(model3, 2), E)
+    assert E.contains(tau_power(model3, 2))
 
 
 def test_subspace_basis_rows_are_canonical(f3, model3):
-    V = submodule_from_point(model3, pt(f3, 0, 1, 2))
+    V = SubmoduleV(model3, pt(f3, 0, 1, 2))
     W1 = pullback_span(V)
     W2 = SubspaceBasis.from_spanning(model3, list(reversed(W1.rows)))
     assert W1.rows == W2.rows

@@ -25,12 +25,10 @@ from frobstrat.polygon import (
     dominates,
     enumerate_destabilized_polygons,
     LatticePolygon,
-    make_polygon,
     max_slope_gap,
     name_polygon,
     polygon_of_filtration,
     psi_polygon,
-    slopes,
 )
 from frobstrat.strata import dualize_polygon
 
@@ -38,25 +36,25 @@ REGIME = CurveParams(3, 2, 3, 0)
 
 
 def test_make_polygon_accepts_convex_chains():
-    P = make_polygon([(0, 0), (1, 2), (2, 2), (3, 0)])
+    P = LatticePolygon([(0, 0), (1, 2), (2, 2), (3, 0)])
     assert P.slopes() == [2, 0, -2]
     assert P == psi_polygon(4, 0)
-    assert make_polygon([(0, 0), (3, 0)]).segment_count == 1
+    assert LatticePolygon([(0, 0), (3, 0)]).segment_count == 1
 
 
 def test_make_polygon_rejects_bad_input():
     with pytest.raises(ValueError, match="got 0 then 1"):
-        make_polygon([(0, 0), (1, 0), (2, 1)])        # slopes 0 then 1 increase
+        LatticePolygon([(0, 0), (1, 0), (2, 1)])       # slopes 0 then 1 increase
     with pytest.raises(ValueError, match="got 1/2 then 1/2"):
-        make_polygon([(0, 0), (2, 1), (4, 2)])        # collinear segments
+        LatticePolygon([(0, 0), (2, 1), (4, 2)])       # collinear segments
     with pytest.raises(ValueError):
-        make_polygon([(1, 0), (2, 1)])                # does not start at origin
+        LatticePolygon([(1, 0), (2, 1)])               # does not start at origin
     with pytest.raises(ValueError):
-        make_polygon([(0, 0), (1, 1), (1, 0)])        # ranks not increasing
+        LatticePolygon([(0, 0), (1, 1), (1, 0)])       # ranks not increasing
     with pytest.raises(ValueError):
-        make_polygon([(0, 0), (1, Fraction(1, 2))])   # non-integral vertex
+        LatticePolygon([(0, 0), (1, Fraction(1, 2))])  # non-integral vertex
     with pytest.raises(ValueError):
-        make_polygon([(0, 0)])
+        LatticePolygon([(0, 0)])
 
 
 @pytest.mark.parametrize("verts, message", [
@@ -94,9 +92,9 @@ def test_validation_accepts_int_subclasses_and_lists():
 
 @pytest.mark.parametrize("d", [-3, 0, 5])
 def test_slopes_of_templates(d):
-    assert slopes(psi_polygon(3, d)) == [d + 1, d, d - 1]
-    assert slopes(psi_polygon(1, d)) == [d + 1, Fraction(2 * d - 1, 2)]
-    assert slopes(make_polygon([(0, 0), (3, 3 * d)])) == [d]
+    assert psi_polygon(3, d).slopes() == [d + 1, d, d - 1]
+    assert psi_polygon(1, d).slopes() == [d + 1, Fraction(2 * d - 1, 2)]
+    assert LatticePolygon([(0, 0), (3, 3 * d)]).slopes() == [d]
 
 
 def test_max_slope_gap_examples():
@@ -104,7 +102,7 @@ def test_max_slope_gap_examples():
     assert max_slope_gap(psi_polygon(3, 0)) == 1
     assert max_slope_gap(psi_polygon(1, 0)) == Fraction(3, 2)
     with pytest.raises(ValueError):
-        max_slope_gap(make_polygon([(0, 0), (3, 0)]))
+        max_slope_gap(LatticePolygon([(0, 0), (3, 0)]))
 
 
 def test_dominates_examples():
@@ -172,7 +170,7 @@ def test_enumeration_agrees_with_bruteforce_everywhere():
 def _literal_box_scan(params):
     """The box scan by its definition, with no pruning: every nonempty subset
     of interior abscissae times every height vector in the window box, each
-    vertex list judged on its Fraction slopes and then by make_polygon."""
+    vertex list judged on its Fraction slopes and then by LatticePolygon."""
     p, g, r, d = params.p, params.g, params.r, params.d
     gap = 2 * g - 2
     lo = Fraction(p * d, r) - (r - 1) * gap
@@ -196,7 +194,7 @@ def _literal_box_scan(params):
             if any(s is None for s in ss):
                 continue
             if all(0 < a - b <= gap for a, b in zip(ss, ss[1:])):
-                found.append(make_polygon(verts))
+                found.append(LatticePolygon(verts))
     return sorted(found, key=lambda P: P.vertices)
 
 
@@ -254,7 +252,7 @@ def _unpruned_search(params):
                 for dy in range(low, high + 1):
                     extend(chain + ((x0 + w, y0 + dy),), dy, w)
             elif pw and low <= end_y - y0 <= high:
-                found.append(make_polygon(chain + ((r, end_y),)))
+                found.append(LatticePolygon(chain + ((r, end_y),)))
 
     extend(((0, 0),), 0, 0)
     return sorted(found, key=lambda P: P.vertices)
@@ -291,15 +289,24 @@ def _search_nodes(params):
     return polys, calls
 
 
+# the search's recursive steps per case; a looser bound costs only work, so
+# only the count shows it
+SEARCH_NODES = {CurveParams(3, 2, 8, 1): 2345, CurveParams(5, 3, 6, 1): 1626,
+                CurveParams(7, 4, 6, 1): 6610}
+
+
 @pytest.mark.parametrize("params", [
     CurveParams(3, 2, 8, 1), CurveParams(5, 3, 6, 1), CurveParams(7, 4, 6, 1)])
 def test_search_work_follows_the_polygons_emitted(params):
-    """Every chain extended can still finish, so the search visits at most
-    two nodes per polygon it emits (the unpruned search visits 42-70).  A
-    node emits at most one polygon, which bounds the count from below."""
+    """The reachability cut drops no chain that can finish, but with two or
+    more units of width left it can keep one that cannot.  Still, on these
+    cases the search visits at most two nodes per polygon it emits (the
+    unpruned search visits 42-70), and exactly the pinned number.  A node
+    emits at most one polygon, which bounds the count from below."""
     polys, nodes = _search_nodes(params)
     assert len(polys) > 1000
     assert len(polys) <= nodes <= 2 * len(polys), (nodes, len(polys))
+    assert nodes == SEARCH_NODES[params]
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -310,7 +317,7 @@ def test_enumeration_symmetries_above_the_bruteforce_grid(p, g, r, d):
     polygon by y -> y + p*x (an order-preserving map), and negating it dualizes."""
     polys = enumerate_destabilized_polygons(CurveParams(p, g, r, d))
     assert polys
-    sheared = [make_polygon([(x, y + p * x) for x, y in P.vertices]) for P in polys]
+    sheared = [LatticePolygon([(x, y + p * x) for x, y in P.vertices]) for P in polys]
     assert enumerate_destabilized_polygons(CurveParams(p, g, r, d + r)) == sheared
     duals = sorted((dualize_polygon(P) for P in polys), key=lambda P: P.vertices)
     assert enumerate_destabilized_polygons(CurveParams(p, g, r, -d)) == duals
@@ -366,7 +373,7 @@ def test_order_relations_among_the_four(d):
 def test_polygon_of_filtration_examples(d):
     assert polygon_of_filtration([(1, d + 2), (1, d), (1, d - 2)]) == psi_polygon(4, d)
     assert polygon_of_filtration([(2, 2 * d + 1), (1, d - 1)]) == psi_polygon(2, d)
-    assert polygon_of_filtration([(3, 3 * d)]) == make_polygon([(0, 0), (3, 3 * d)])
+    assert polygon_of_filtration([(3, 3 * d)]) == LatticePolygon([(0, 0), (3, 3 * d)])
 
 
 def test_polygon_of_filtration_rejects_non_decreasing_slopes():
@@ -391,16 +398,16 @@ def test_polygon_of_filtration_roundtrip():
 
 
 def test_name_polygon_examples():
-    assert name_polygon(make_polygon([(0, 0), (2, 1), (3, 0)]), REGIME) == PSI2
-    assert name_polygon(make_polygon([(0, 0), (3, 0)]), REGIME) == SEMISTABLE
-    assert name_polygon(make_polygon([(0, 0), (1, 3), (3, 0)]), REGIME) == OTHER
+    assert name_polygon(LatticePolygon([(0, 0), (2, 1), (3, 0)]), REGIME) == PSI2
+    assert name_polygon(LatticePolygon([(0, 0), (3, 0)]), REGIME) == SEMISTABLE
+    assert name_polygon(LatticePolygon([(0, 0), (1, 3), (3, 0)]), REGIME) == OTHER
     for i, lab in enumerate((PSI1, PSI2, PSI3, PSI4), start=1):
         assert name_polygon(psi_polygon(i, -4), CurveParams(3, 2, 3, -4)) == lab
 
 
 def test_name_polygon_regime_errors():
     with pytest.raises(ValueError, match="unclassified regime"):
-        name_polygon(make_polygon([(0, 0), (2, 0)]), CurveParams(2, 2, 2, 0))
+        name_polygon(LatticePolygon([(0, 0), (2, 0)]), CurveParams(2, 2, 2, 0))
     with pytest.raises(ValueError):
         name_polygon(psi_polygon(1, 1), REGIME)  # endpoint (3, 3) vs expected (3, 0)
 
@@ -410,7 +417,7 @@ def test_name_polygon_matches_the_template_polygons():
     psi_polygon gives, on every enumerated polygon and the semistable one."""
     for d in range(-4, 5):
         params = CurveParams(3, 2, 3, d)
-        for P in enumerate_destabilized_polygons(params) + [make_polygon([(0, 0), (3, 3 * d)])]:
+        for P in enumerate_destabilized_polygons(params) + [LatticePolygon([(0, 0), (3, 3 * d)])]:
             want = next((lab for i, lab in enumerate(PSI_LABELS, start=1)
                          if P == psi_polygon(i, d)),
                         SEMISTABLE if P.segment_count == 1 else OTHER)

@@ -15,9 +15,9 @@ from frobstrat.polygon import (  # noqa: E402
     INCOMPARABLE,
     LESS_OR_EQUAL,
     CurveParams,
+    LatticePolygon,
     dominates,
     enumerate_destabilized_polygons,
-    make_polygon,
 )
 from frobstrat.strata import dualize_polygon  # noqa: E402
 
@@ -38,13 +38,13 @@ examples = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 
 def shear(P, p):
-    return make_polygon([(x, y + p * x) for x, y in P.vertices])
+    return LatticePolygon([(x, y + p * x) for x, y in P.vertices])
 
 
 @examples
 @given(polygons)
 def test_make_polygon_round_trips(P):
-    assert make_polygon(P.to_pairs()) == P
+    assert LatticePolygon(P.to_pairs()) == P
 
 
 @examples

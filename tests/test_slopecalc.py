@@ -5,9 +5,9 @@ import pytest
 from frobstrat.gfield import projective_plane
 from frobstrat.localmodel import (
     ModelSpec,
+    SubmoduleV,
     classify_stratum,
     intersection_colength,
-    submodule_from_point,
 )
 from frobstrat.polygon import PSI2, PSI3, PSI4
 from frobstrat.slopecalc import (
@@ -174,7 +174,7 @@ def test_degree_colength_polygon_equivalences_on_the_plane(f3, model3):
     for d in (-1, 0, 2):
         degree_of = {PSI4: d + 2, PSI3: d + 1, PSI2: d}
         for point in projective_plane(f3):
-            V = submodule_from_point(model3, point)
+            V = SubmoduleV(model3, point)
             c = intersection_colength(V)
             label = classify_stratum(V)
             assert label == expected[c]

@@ -6,8 +6,8 @@ from frobstrat.polygon import (
     PSI3,
     PSI4,
     CurveParams,
+    LatticePolygon,
     enumerate_destabilized_polygons,
-    make_polygon,
     name_polygon,
     psi_polygon,
 )
@@ -79,7 +79,7 @@ def test_dualize_swaps_first_two_templates(d):
 
 def test_dualize_is_an_involution():
     for verts in (((0, 0), (1, 1), (3, 0)), ((0, 0), (1, 3), (2, 4), (4, 2))):
-        P = make_polygon(verts)
+        P = LatticePolygon(verts)
         assert dualize_polygon(dualize_polygon(P)) == P
 
 
