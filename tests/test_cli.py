@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from frobstrat import localmodel
+from frobstrat import localmodel, polygon
 from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.polygon import CurveParams, enumerate_destabilized_polygons
@@ -208,10 +208,17 @@ def test_localmodel_M_ceiling_builds_no_model(capsys, monkeypatch, verify):
 
 
 def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("brute-force scan started above the ceiling")
+    walk = next(c for c in polygon.bruteforce_destabilized_polygons.__code__.co_consts
+                if getattr(c, "co_name", None) == "walk")
+    build = polygon.LatticePolygon
 
-    monkeypatch.setattr("frobstrat.polygon.combinations", no_scan)
+    def no_scan(vertices):
+        # the directed search still builds its polygons; the scan's walk may not
+        if sys._getframe(1).f_code is walk:
+            raise AssertionError("brute-force scan started above the ceiling")
+        return build(vertices)
+
+    monkeypatch.setattr("frobstrat.polygon.LatticePolygon", no_scan)
     code, out, err = run(capsys, "enumerate", "--p", "3", "--g", "2", "--r", "6",
                          "--d", "1", "--verify")
     assert (code, out) == (2, "")

@@ -215,12 +215,22 @@ def test_enumeration_agrees_with_bruteforce_at_rank_5(p, d):
     assert polys == bruteforce_destabilized_polygons(params)
 
 
-def _scan_must_not_start(*args):
-    raise AssertionError("brute-force scan started")
+def _nested_code(func, name):
+    """The code object of the function ``name`` defined inside ``func``."""
+    return next(c for c in func.__code__.co_consts
+                if getattr(c, "co_name", None) == name)
+
+
+def _scan_must_not_start(vertices):
+    """Stands in for LatticePolygon: the box scan's walk may not build one,
+    every other caller gets the polygon."""
+    if sys._getframe(1).f_code is _nested_code(bruteforce_destabilized_polygons, "walk"):
+        raise AssertionError("brute-force scan started")
+    return LatticePolygon(vertices)
 
 
 def test_bruteforce_ceiling_refuses_before_scanning(monkeypatch):
-    monkeypatch.setattr(polygon, "combinations", _scan_must_not_start)
+    monkeypatch.setattr(polygon, "LatticePolygon", _scan_must_not_start)
     with pytest.raises(ValueError, match="445588163 candidates"):
         bruteforce_destabilized_polygons(CurveParams(3, 2, 6, 1))
     with pytest.raises(ValueError, match="26840384 candidates"):
@@ -269,10 +279,9 @@ def test_reachability_cuts_lose_no_polygon(p, g, r, d):
     assert polys == _unpruned_search(params)
 
 
-def _search_nodes(params):
-    """Emitted polygons and the number of calls of the search's recursive step."""
-    step = next(c for c in enumerate_destabilized_polygons.__code__.co_consts
-                if getattr(c, "co_name", None) == "extend")
+def _nested_calls(func, name, params):
+    """``func(params)`` and the number of calls of its nested function ``name``."""
+    step = _nested_code(func, name)
     calls = 0
 
     def profile(frame, event, arg):
@@ -283,7 +292,7 @@ def _search_nodes(params):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        polys = enumerate_destabilized_polygons(params)
+        polys = func(params)
     finally:
         sys.setprofile(previous)
     return polys, calls
@@ -303,10 +312,24 @@ def test_search_work_follows_the_polygons_emitted(params):
     cases the search visits at most two nodes per polygon it emits (the
     unpruned search visits 42-70), and exactly the pinned number.  A node
     emits at most one polygon, which bounds the count from below."""
-    polys, nodes = _search_nodes(params)
+    polys, nodes = _nested_calls(enumerate_destabilized_polygons, "extend", params)
     assert len(polys) > 1000
     assert len(polys) <= nodes <= 2 * len(polys), (nodes, len(polys))
     assert nodes == SEARCH_NODES[params]
+
+
+# the box scan's chain checks per case; a walk that also recursed into failing
+# prefixes makes the same list, so only the count shows it
+SCAN_CHECKS = {CurveParams(3, 2, 5, 1): 24315, CurveParams(5, 2, 5, 0): 25967}
+
+
+@pytest.mark.parametrize("params", list(SCAN_CHECKS))
+def test_bruteforce_work_is_pinned(params):
+    """The walk extends each valid prefix once, whatever its abscissae, so a
+    prefix shared by several subsets of abscissae is checked once."""
+    polys, checks = _nested_calls(bruteforce_destabilized_polygons, "valid", params)
+    assert polys == enumerate_destabilized_polygons(params)
+    assert checks == SCAN_CHECKS[params]
 
 
 @pytest.mark.parametrize("d", [0, 1])
