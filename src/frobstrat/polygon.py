@@ -51,10 +51,9 @@ INCOMPARABLE = "incomparable"
 
 # Largest box the brute-force scan may take on.  The box count is an upper
 # bound on the scan's work, which prunes failing prefixes: an r = 5, g = 2 box
-# (2,019,599 candidates at most) costs about 24k prefix checks and 1.1k full
-# checks, under 0.1 s.  g = 3 at r = 5 (over 26 million) and r = 6 at g = 2
-# (445,588,163 for p = 3, d = 1) are refused, although the pruned scan takes
-# about 0.3 s on each.
+# (2,019,599 candidates at most) costs 24-26k segment checks, about 0.01 s.
+# g = 3 at r = 5 (over 26 million) and r = 6 at g = 2 (445,588,163 for p = 3,
+# d = 1) are refused, although the pruned scan takes about 0.05 s on each.
 _MAX_BOX_CANDIDATES = 5_000_000
 
 
@@ -246,15 +245,18 @@ def bruteforce_destabilized_polygons(params):
     """Box-scan cross-check for :func:`enumerate_destabilized_polygons`.
 
     Walks the chains of interior vertices in the slope-bound box, trying
-    abscissae, then heights, in ascending order.  A chain whose newest
-    segment fails the window, or whose last two segments fail the strict
-    decrease or the gap, is dropped with every extension.  A nonempty chain
-    is closed at (r, p*d) after its extensions, so the lists come out sorted,
-    and each closed list is checked in full again.  Each check judges one of
-    the box's prod(1 + |height range|) - 1 chains, at most once as a prefix
-    and once closed, so the box count bounds the work.  All checks are integer
-    cross-multiplications on absolute box heights, so this path shares no
-    code with the directed search.  A box of more than
+    abscissae, then heights, in ascending order.  Each check judges the one
+    segment a new vertex adds: its slope must lie in the window and, after
+    the chain's last segment, fall strictly below it by at most 2g - 2.  A
+    chain that fails is dropped with every extension.  A nonempty chain is
+    closed at (r, p*d) after its extensions, so the lists come out sorted;
+    its closing segment is judged against its predecessor like any other
+    segment, so each segment and each consecutive pair of a closed list is
+    judged once.  A check stands for one of the box's
+    prod(1 + |height range|) - 1 chains, judged at most once as a prefix and
+    once closed, so the box count bounds the work.  All checks are integer
+    cross-multiplications on the chain's rises and widths, so this path
+    shares no code with the directed search.  A box of more than
     ``_MAX_BOX_CANDIDATES`` candidates raises ValueError before the scan
     starts.
     """
@@ -274,19 +276,12 @@ def bruteforce_destabilized_polygons(params):
         hi_h = (x * hi_num) // r       # floor(x * hi_num / r)
         return range(lo_h, hi_h + 1)
 
-    def valid(verts):
-        diffs = [(y1 - y0, x1 - x0)
-                 for (x0, y0), (x1, y1) in zip(verts, verts[1:])]
-        for dy, w in diffs:
-            if dy * r > hi_num * w or dy * r < lo_num * w:
-                return False
-        for (dy1, w1), (dy2, w2) in zip(diffs, diffs[1:]):
-            lhs, rhs = dy1 * w2, dy2 * w1
-            if lhs <= rhs:
-                return False
-            if lhs - rhs > gap * w1 * w2:
-                return False
-        return True
+    def valid(dy, w, pdy, pw):
+        # the new segment dy/w lies in the window and, after a previous
+        # segment pdy/pw, falls strictly below it, by at most 2g - 2
+        if not lo_num * w <= dy * r <= hi_num * w:
+            return False
+        return not pw or 0 < pdy * w - dy * pw <= gap * pw * w
 
     # candidates: every nonempty subset of interior abscissae times every
     # height vector over it, i.e. prod(1 + |height_range(x)|) - 1
@@ -296,17 +291,19 @@ def bruteforce_destabilized_polygons(params):
                          f"ceiling of {_MAX_BOX_CANDIDATES}")
     found = []
 
-    def walk(verts):
-        # the new vertex adds one segment; verts[-2:] brings the one before it
-        for x in range(verts[-1][0] + 1, r):
+    def walk(verts, pdy, pw):
+        # (pdy, pw) is the chain's last segment, pw == 0 before the first
+        x0, y0 = verts[-1]
+        for x in range(x0 + 1, r):
             for y in height_range(x):
-                if valid(verts[-2:] + ((x, y),)):
-                    walk(verts + ((x, y),))
-        # closing after extending keeps the lists in lexicographic order
-        if len(verts) > 1 and valid(verts + ((r, end_y),)):
+                if valid(y - y0, x - x0, pdy, pw):
+                    walk(verts + ((x, y),), y - y0, x - x0)
+        # closing after extending keeps the lists in lexicographic order;
+        # pw: not a single segment
+        if pw and valid(end_y - y0, r - x0, pdy, pw):
             found.append(LatticePolygon(verts + ((r, end_y),)))
 
-    walk(((0, 0),))
+    walk(((0, 0),), 0, 0)
     return found
 
 

@@ -213,6 +213,15 @@ def test_enumeration_agrees_with_bruteforce_at_rank_5(p, d):
     polys = enumerate_destabilized_polygons(params)
     assert polys
     assert polys == bruteforce_destabilized_polygons(params)
+    # _literal_box_scan is out of reach here, so judge each list in full on its
+    # Fraction slopes: all within p*d/r +- (r-1)(2g-2), each gap in (0, 2g-2]
+    gap = 2 * params.g - 2
+    mid, band = Fraction(p * d, params.r), (params.r - 1) * gap
+    for P in polys:
+        ss = P.slopes()
+        assert len(ss) >= 2, P.vertices
+        assert all(abs(s - mid) <= band for s in ss), P.vertices
+        assert all(0 < a - b <= gap for a, b in zip(ss, ss[1:])), P.vertices
 
 
 def _nested_code(func, name):
