@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -272,6 +271,7 @@ def cmd_strata(args):
 
 
 def cmd_certify(args):
+    from fractions import Fraction
     t = args.t if args.t is not None else args.d - 1
     emb = embedding_certificate(args.p, args.g, args.r, args.d, t)
     stab = stability_certificate(args.p, args.g, args.r, args.d, t)

@@ -239,8 +239,8 @@ def _rref(field, rows):
     """Reduced row echelon form over the field; rows are element-index vectors.
 
     Column order is the monomial order baked into the flattening, so the
-    result is the canonical reduced basis.  Returns independent rows sorted
-    by pivot column; input rows are not mutated.
+    result is the canonical reduced basis.  Returns the independent rows
+    sorted by pivot column and those pivot columns; input rows are not mutated.
     """
     mul, inv = field._mul, field._inv
     basis = {}
@@ -258,7 +258,8 @@ def _rref(field, rows):
             if qrow[pc]:
                 _eliminate(field, qrow, row, pc)
         basis[pc] = row
-    return [basis[pc] for pc in sorted(basis)]
+    pivots = sorted(basis)
+    return [basis[pc] for pc in pivots], pivots
 
 
 class SubspaceBasis:
@@ -276,8 +277,7 @@ class SubspaceBasis:
         for e in elements:
             if e.spec != spec:
                 raise ValueError("spanning element belongs to a different local model")
-        mat = _rref(spec.field, [e.dense() for e in elements])
-        return cls(spec, mat, [next(k for k, v in enumerate(r) if v) for r in mat])
+        return cls(spec, *_rref(spec.field, [e.dense() for e in elements]))
 
     @property
     def rows(self):
@@ -435,7 +435,7 @@ def _quotient(V):
 
 def _colength(spec, images):
     """Rank of the images of the tau^2 line modulo W."""
-    return len(_rref(spec.field, [v for v in images if any(v)]))
+    return len(_rref(spec.field, [v for v in images if any(v)])[1])
 
 
 def _claims(V, rows):
@@ -460,7 +460,7 @@ def _full_model(V):
     """The --verify oracle for quotient_classification: (colength, claim results)
     from W itself, pullback_span's rows reducing the tau^2 residues for _rref."""
     residues = list(_tau_square_residues(pullback_span(V)))
-    return len(_rref(V.spec.field, [r for r in residues if any(r)])), _claims(V, residues)
+    return len(_rref(V.spec.field, [r for r in residues if any(r)])[1]), _claims(V, residues)
 
 
 def intersection_colength(V):

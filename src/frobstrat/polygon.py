@@ -10,7 +10,6 @@ enumeration finite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from ._record import Record, _set
@@ -100,6 +99,7 @@ class LatticePolygon(Record):
                     narrow = True
                 # dy/w < pdy/pw by cross-multiplication, widths being positive
                 elif pw and falls is None and dy * pw >= pdy * w:
+                    from fractions import Fraction
                     falls = f"{Fraction(pdy, pw)} then {Fraction(dy, w)}"
                 pdy, pw = dy, w
             x0, y0 = x1, y1
@@ -122,6 +122,7 @@ class LatticePolygon(Record):
 
     def slopes(self):
         """Exact segment slopes, strictly decreasing left to right."""
+        from fractions import Fraction
         return [Fraction(y1 - y0, x1 - x0)
                 for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:])]
 

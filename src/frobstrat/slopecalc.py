@@ -7,8 +7,6 @@ anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record, _set
 from .gfield import _is_prime
 
@@ -41,6 +39,7 @@ class BundleData(Record):
 
     @property
     def slope(self):
+        from fractions import Fraction
         return Fraction(self.degree, self.rank)
 
 
@@ -76,6 +75,7 @@ def sun_upper_bound(subrank, p, g, pushforward_slope):
     """
     if not 1 <= subrank <= p:
         raise ValueError(f"subrank must lie in 1..{p}, got {subrank}")
+    from fractions import Fraction
     return Fraction(pushforward_slope) - Fraction((p - subrank) * (g - 1), p)
 
 
@@ -127,6 +127,7 @@ def _subrank_bounds(p, g, r, d, t):
     if r not in (1, p):
         raise ValueError(
             f"certificates cover the rank-equals-characteristic case; got r={r}, p={p}")
+    from fractions import Fraction
     fl_slope = Fraction(pushforward_degree(BundleData(1, t), p, g), p)
     threshold = Fraction(d, r)
     bounds = [sun_upper_bound(s, p, g, fl_slope) for s in range(1, r)]

@@ -1,6 +1,7 @@
 """The nine value records behave as frozen value types, importing the package
-loads none of the heavy introspection modules, and the package re-exports
-every public name of its modules."""
+loads none of the heavy introspection modules nor ``fractions`` (which only
+``certify`` among the commands loads), and the package re-exports every
+public name of its modules."""
 
 import copy
 import importlib
@@ -199,15 +200,40 @@ def test_equal_model_specs_share_one_cache_entry(lookup):
         (before.hits + 1, before.misses, before.currsize)
 
 
-def test_import_loads_no_introspection_modules():
-    # a fresh isolated interpreter, so nothing the test runner loaded counts
+_FRACTION_MODULES = ("fractions", "decimal", "numbers")
+
+
+def _fresh_modules(watched, *argv):
+    """The modules of ``watched`` loaded by a fresh isolated interpreter (so
+    nothing the test runner loaded counts) after ``import frobstrat,
+    frobstrat.cli`` and, given an argv, one ``frobstrat.cli.main(argv)``."""
     src = str(Path(frobstrat.__file__).resolve().parents[1])
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import frobstrat, frobstrat.cli; "
-             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
-             "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+    probe = ("import sys, io, contextlib; sys.path.insert(0, sys.argv[1]); "
+             "import frobstrat, frobstrat.cli\n"
+             "if sys.argv[3:]:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert frobstrat.cli.main(sys.argv[3:]) == 0\n"
+             "print(' '.join(m for m in sys.argv[2].split() if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src, " ".join(watched), *argv],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_import_loads_no_introspection_modules():
+    watched = ("dataclasses", "inspect", "ast", "dis", "tokenize") + _FRACTION_MODULES
+    assert _fresh_modules(watched) == []
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("enumerate --verify --format json", []),
+    ("localmodel --verify", []),
+    ("strata --verify", []),
+    ("dual --verify", []),
+    # the probe can see them: certify builds the first Fraction
+    ("certify --verify", list(_FRACTION_MODULES)),
+])
+def test_only_certify_loads_fractions(command, loaded):
+    assert _fresh_modules(_FRACTION_MODULES, *command.split()) == loaded
 
 
 _MODULES = ("gfield", "localmodel", "polygon", "slopecalc", "strata")
