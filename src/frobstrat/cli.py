@@ -32,6 +32,7 @@ from .polygon import (
     PSI3,
     PSI4,
     CurveParams,
+    LatticePolygon,
     bruteforce_destabilized_polygons,
     enumerate_destabilized_polygons,
     name_polygon,
@@ -74,11 +75,22 @@ def _fail(message, code):
 _JSON_SCALARS = {None: "null", True: "true", False: "false"}
 
 
+@cache
+def _pair_format(indent):
+    """The %-template of one [rank, degree] pair inside a polygon written at
+    ``indent``, and the text between two pairs."""
+    inner = indent + "  "
+    deeper = inner + "  "
+    return f"[{deeper}%d,{deeper}%d{inner}]", "," + inner
+
+
 def _json_text(value, indent="\n"):
-    """json.dumps(value, indent=2, sort_keys=True) for payloads of str-keyed
-    dicts, lists, tuples and scalars.  The stdlib writes indented JSON through
-    a Python generator per container, which made a JSON request cost about
-    1.7 times the same request's table."""
+    """json.dumps(value, indent=2, sort_keys=True, default=LatticePolygon.to_pairs)
+    for payloads of str-keyed dicts, lists, tuples, polygons and scalars.  The
+    stdlib writes indented JSON through a Python generator per container; this
+    writer makes one call per container and writes a polygon from one template
+    per depth, so a JSON enumerate request takes about 1.2-1.3 times as long
+    as its table."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -94,9 +106,14 @@ def _json_text(value, indent="\n"):
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        # ints inline: the vertex pairs of enumerate are most of its payload
         items = [str(v) if type(v) is int else _json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is LatticePolygon:
+        # the vertex pairs of enumerate and dual are most of their payloads.
+        # %d writes a bool coordinate as 0 or 1 where json.dumps writes false
+        # or true; LatticePolygon admits one, but no command builds it
+        pair, sep = _pair_format(indent)
+        return "[" + inner + sep.join([pair % v for v in value.vertices]) + indent + "]"
     if value is None or kind is bool:
         return _JSON_SCALARS[value]
     return json.dumps(value)
@@ -104,18 +121,6 @@ def _json_text(value, indent="\n"):
 
 def _fmt_vertices(poly):
     return " ".join(f"({r},{dg})" for r, dg in poly.vertices)
-
-
-def _fmt_slopes(poly):
-    """The text of ', '.join(map(str, poly.slopes())), from each segment's integer
-    rise dy and width w > 0: str(Fraction(dy, w)) is dy/g, then "/" and w/g
-    unless w/g is 1, with g = gcd(dy, w)."""
-    out = []
-    for (x0, y0), (x1, y1) in zip(poly.vertices, poly.vertices[1:]):
-        dy, w = y1 - y0, x1 - x0
-        g = gcd(dy, w)
-        out.append(str(dy // g) if w == g else f"{dy // g}/{w // g}")
-    return ", ".join(out)
 
 
 def _render(args, passed, payload, lines, checks):
@@ -148,10 +153,10 @@ def cmd_enumerate(args):
         print(f"verify: brute-force box scan {'agrees' if agrees else 'DISAGREES'} "
               f"({len(oracle)} vs {len(polys)} polygons)", file=sys.stderr)
 
-    # only the requested format is built; the indented JSON takes about 1.7
-    # times as long as the table
+    # only the requested format is built; at (3,2,8,0) and (3,2,10,1) the
+    # JSON took 1.2-1.3 times as long as the table
     if args.format == "json":
-        return agrees, [{"label": lab, "vertices": P.to_pairs()}
+        return agrees, [{"label": lab, "vertices": P}
                         for lab, P in zip(labels, polys)], None, []
     lines = [
         f"destabilized pull-back polygons  p={args.p} g={args.g} r={args.r} d={args.d}",
@@ -159,7 +164,19 @@ def cmd_enumerate(args):
         f"slope-gap bound {2 * args.g - 2}",
     ]
     for lab, P in zip(labels, polys):
-        lines.append(f"  {lab or '-':<5} vertices {_fmt_vertices(P):<30} slopes {_fmt_slopes(P)}")
+        # one pass over the vertices writes both columns; each slope is the
+        # str() of Fraction(dy, w): dy/g, then "/" and w/g unless w/g is 1,
+        # with g = gcd(dy, w) and the width w > 0
+        (x0, y0), *rest = P.vertices
+        verts, slopes = [f"({x0},{y0})"], []
+        for x, y in rest:
+            verts.append(f"({x},{y})")
+            dy, w = y - y0, x - x0
+            g = gcd(dy, w)
+            slopes.append(str(dy // g) if w == g else f"{dy // g}/{w // g}")
+            x0, y0 = x, y
+        lines.append(f"  {lab or '-':<5} vertices {' '.join(verts):<30} "
+                     f"slopes {', '.join(slopes)}")
     return agrees, None, lines, []
 
 
@@ -326,8 +343,8 @@ def cmd_dual(args):
 
     payload = {
         "d": args.d,
-        "pairs": [{"label": l, "vertices": P.to_pairs(),
-                   "dual_label": dl, "dual_vertices": D.to_pairs()}
+        "pairs": [{"label": l, "vertices": P,
+                   "dual_label": dl, "dual_vertices": D}
                   for l, P, dl, D in pairs],
     }
     lines = [f"polygon duality  d={args.d} -> {-args.d}"]

@@ -7,7 +7,12 @@ import pytest
 from frobstrat import localmodel, polygon
 from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
-from frobstrat.polygon import CurveParams, enumerate_destabilized_polygons
+from frobstrat.polygon import (
+    CurveParams,
+    LatticePolygon,
+    enumerate_destabilized_polygons,
+    name_polygon,
+)
 
 
 def run(capsys, *argv):
@@ -37,16 +42,21 @@ def test_enumerate_json_schema(capsys):
 
 @pytest.mark.parametrize("p, g, r", [(3, 2, r) for r in range(1, 9)] + [(5, 3, 6)])
 def test_enumerate_table_slopes_are_the_fraction_strings(capsys, p, g, r):
-    """The table's slope column, printed from integer rises and widths, reads as
-    the str() of each Fraction slopes() returns."""
+    """Each table row, its vertex column and its slope column both printed in
+    one pass over the vertices, reads as the label, the (x,y) vertices and the
+    str() of each Fraction slopes() returns."""
     for d in range(r):
-        polys = enumerate_destabilized_polygons(CurveParams(p, g, r, d))
+        params = CurveParams(p, g, r, d)
+        polys = enumerate_destabilized_polygons(params)
         code, out, _ = run(capsys, "enumerate", *f"--p {p} --g {g} --r {r} --d {d}".split())
         assert code == 0
         rows = out.splitlines()[2:]
         assert len(rows) == len(polys)
         for row, P in zip(rows, polys):
-            assert row.split(" slopes ")[1] == ", ".join(map(str, P.slopes())), row
+            label = name_polygon(P, params) if (p, g, r) == (3, 2, 3) else None
+            vertices = " ".join(f"({x},{y})" for x, y in P.vertices)
+            assert row == (f"  {label or '-':<5} vertices {vertices:<30} "
+                           f"slopes {', '.join(map(str, P.slopes()))}")
 
 
 def test_enumerate_outside_regime_has_no_labels(capsys):
@@ -366,11 +376,14 @@ def test_verify_line_routing(capsys, argv, n_verdicts, fmt):
             assert lines[at - n_verdicts - 1].startswith("membership claims a-d: PASS")
 
 
-def test_an_int_too_long_to_print_exits_2(capsys):
-    # d parses, but p * d has one digit more than str() may write, and the
-    # JSON is rendered only after the command has run
+@pytest.mark.parametrize("command, fmt", [
+    ("enumerate", "table"), ("enumerate", "json"), ("dual", "json"),
+], ids=["enumerate-table", "enumerate-json", "dual-json"])
+def test_an_int_too_long_to_print_exits_2(capsys, command, fmt):
+    # d parses, but a vertex height has one digit more than str() or %d may
+    # write, and the output is rendered only after the command has run
     d = "9" * sys.get_int_max_str_digits()
-    code, out, err = run(capsys, "enumerate", "--d", d, "--format", "json")
+    code, out, err = run(capsys, command, "--d", d, "--format", fmt)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
 
@@ -440,9 +453,19 @@ def test_runs_are_byte_identical(capsys, argv):
     {"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [], "e": {}},
     [{"label": "caf\u00e9 \"q\"\n", "vertices": ((0, 0), (2, 5))}, [[[]]], [{}]],
     [0, [1, True, -2], False, [None, 3]],
+    # polygons: bare, at depths 1 to 3 in lists and dicts, with negative
+    # heights, and with two vertices
+    LatticePolygon([(0, 0), (1, 2), (3, 3)]),
+    [LatticePolygon([(0, 0), (2, -3)])],
+    {"v": LatticePolygon([(0, 0), (1, -1), (3, -5)]), "w": []},
+    [{"label": None, "vertices": LatticePolygon([(0, 0), (1, 1), (3, 0)])}],
+    {"pairs": [{"a": LatticePolygon([(0, 0), (1, -2), (2, -5)]),
+                "b": LatticePolygon([(0, 0), (4, 1)])}]},
+    [[LatticePolygon([(0, 0), (1, 7), (2, 8), (5, 0)])], LatticePolygon([(0, 0), (1, -9)])],
 ])
 def test_json_text_matches_the_stdlib(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,
+                                             default=LatticePolygon.to_pairs)
 
 
 def test_json_text_rejects_keys_the_stdlib_would_convert():

@@ -2,6 +2,7 @@
 JSON writer (needs hypothesis)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -76,15 +77,34 @@ strings = st.text() | st.sampled_from(['"', "\\", "\n\t\r", "\x00\x1f", "caf\u00
 # depends on case or on escaping
 keys = st.text(alphabet='aAbZ_"\u00e9', max_size=3) | strings
 scalars = st.none() | st.booleans() | st.integers() | strings
+
+
+def convex(segments):
+    """The polygon whose segments are the given (rise, width) pairs, one per
+    slope, taken in order of falling slope."""
+    by_slope = {Fraction(dy, w): (dy, w) for dy, w in segments}
+    vertices = [(0, 0)]
+    for slope in sorted(by_slope, reverse=True):
+        (x, y), (dy, w) = vertices[-1], by_slope[slope]
+        vertices.append((x + w, y + dy))
+    return LatticePolygon(vertices)
+
+
+# polygons with plain-int vertices, heights of either sign
+drawn_polygons = st.lists(st.tuples(st.integers(), st.integers(1, 4)),
+                          min_size=1, max_size=5).map(convex)
 payloads = st.recursive(
-    scalars,
+    scalars | drawn_polygons,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(keys, inner, max_size=4)),
     max_leaves=30)
 
 
 def as_loaded(x):
-    """x as json.loads would give it back: tuples become lists."""
+    """x as json.loads would give it back: tuples become lists, polygons their
+    [rank, degree] pairs."""
+    if isinstance(x, LatticePolygon):
+        return x.to_pairs()
     if isinstance(x, (list, tuple)):
         return [as_loaded(v) for v in x]
     if isinstance(x, dict):
@@ -96,5 +116,5 @@ def as_loaded(x):
 @given(payloads)
 def test_json_text_is_the_stdlib_dump_and_round_trips(x):
     text = _json_text(x)
-    assert text == json.dumps(x, indent=2, sort_keys=True)
+    assert text == json.dumps(x, indent=2, sort_keys=True, default=LatticePolygon.to_pairs)
     assert json.loads(text) == as_loaded(x)
