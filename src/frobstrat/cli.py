@@ -109,7 +109,8 @@ def _json_text(value, indent="\n"):
         items = [str(v) if type(v) is int else _json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is LatticePolygon:
-        # the vertex pairs of enumerate and dual are most of their payloads.
+        # the polygons of every payload; their vertex pairs are most of the
+        # enumerate and dual payloads.
         # %d writes a bool coordinate as 0 or 1 where json.dumps writes false
         # or true; LatticePolygon admits one, but no command builds it
         pair, sep = _pair_format(indent)
@@ -117,6 +118,10 @@ def _json_text(value, indent="\n"):
     if value is None or kind is bool:
         return _JSON_SCALARS[value]
     return json.dumps(value)
+
+
+def _rational(x):
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def _fmt_vertices(poly):
@@ -277,14 +282,19 @@ def cmd_strata(args):
         f"Frobenius strata dimensions  p=3 g=2 r=3 d={args.d}",
         f"  {'label':<6} {'vertices':<30} {'fiber':>5} {'quot':>5} {'stratum':>8} {'closed':>7}",
     ]
+    strata = []
     for rec in table.records:
-        fib = "-" if rec.fiber_dim is None else rec.fiber_dim
-        quo = "-" if rec.quot_dim is None else rec.quot_dim
-        lines.append(f"  {rec.label:<6} {_fmt_vertices(rec.polygon):<30} {fib:>5} {quo:>5} "
-                     f"{rec.stratum_dim:>8} {rec.closed_stratum_dim:>7}")
+        fib, quo, dim = rec.fiber_dim, rec.quot_dim, rec.stratum_dim
+        strata.append({"label": rec.label, "vertices": rec.polygon, "fiber_dim": fib,
+                       "quot_dim": quo, "stratum_dim": dim,
+                       "closed_equals_open": dim == rec.closed_stratum_dim})
+        lines.append(f"  {rec.label:<6} {_fmt_vertices(rec.polygon):<30} "
+                     f"{'-' if fib is None else fib:>5} {'-' if quo is None else quo:>5} "
+                     f"{dim:>8} {rec.closed_stratum_dim:>7}")
     lines.append(f"moduli dimension {moduli_dimension(3, 2)}; destabilized locus codimension "
                  f"{table.codimension}; top-dimensional components {table.top_components}")
-    return True, table.to_jsonable(), lines, checks
+    return True, {"strata": strata, "codimension": table.codimension,
+                  "top_components": table.top_components}, lines, checks
 
 
 def cmd_certify(args):
@@ -302,7 +312,6 @@ def cmd_certify(args):
             ok &= closed == row.bound and (closed <= row.threshold) == row.ok
         checks.append(("closed-form bound recomputation", ok))
 
-    payload = {"embedding": emb.to_jsonable(), "stability": stab.to_jsonable()}
     fl_deg = pushforward_degree(BundleData(1, t), args.p, args.g)
     lines = [
         f"certificates for p={args.p} g={args.g} r={args.r} d={args.d}, "
@@ -310,14 +319,18 @@ def cmd_certify(args):
         f"push-forward: rank {args.p}, degree {fl_deg}, "
         f"slope {Fraction(fl_deg, args.p)}",
     ]
+    payload = {}
     for rep, title in ((emb, "embedding certificate (adjoint map injective)"),
                        (stab, "stability certificate (subsheaf slopes below d/r)")):
         lines.append(f"{title}: {'PASS' if rep.passed else 'FAIL'}")
+        witness = []
         for row in rep.bounds:
-            rel = "<=" if row.ok else ">"
-            lines.append(f"  subrank {row.subrank}: bound {row.bound} {rel} "
-                         f"threshold {row.threshold} -> "
-                         f"{'pass' if row.ok else 'fail'}")
+            verdict = "pass" if row.ok else "fail"
+            witness.append({"subrank": row.subrank, "bound": _rational(row.bound),
+                            "threshold": _rational(row.threshold), "verdict": verdict})
+            lines.append(f"  subrank {row.subrank}: bound {row.bound} "
+                         f"{'<=' if row.ok else '>'} threshold {row.threshold} -> {verdict}")
+        payload[rep.kind] = {"kind": rep.kind, "passed": rep.passed, "witness": witness}
     return emb.passed and stab.passed, payload, lines, checks
 
 

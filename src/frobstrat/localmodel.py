@@ -18,6 +18,7 @@ M >= 3 keeps every exponent the classification touches (at most 5) alive.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import takewhile
 
 from ._record import Record, _set
 from .gfield import FieldSpec, ProjectivePoint, projective_plane
@@ -155,10 +156,6 @@ class TensorElement:
 
     def __hash__(self):
         return hash((self.spec, frozenset(self._c.items())))
-
-    def to_triples(self):
-        """Sparse serialization: [{'i', 'j', 'coeff'}] sorted by (i, j)."""
-        return [{"i": i, "j": j, "coeff": c.to_coeffs()} for (i, j), c in self.terms()]
 
     def dense(self):
         """Coefficient indices flattened in monomial order (i asc, then j asc)."""
@@ -389,10 +386,11 @@ def tau_square_span(spec):
 @lru_cache(maxsize=8)
 def _tau_square_blocks(spec):
     """The blocks X_k, the first p^2 coordinates (left exponent i < p) of tau^2 t^k,
-    up to the last nonzero one, past which every tau^2 t^k lies in U (none at p = 2,
-    where tau^2 = 0).  They do not depend on the point: each model builds them once."""
-    blocks = [tuple(e.dense()[:spec.p ** 2]) for e in _tau_square_multiples(spec)]
-    return tuple(blocks[:max((k for k, b in enumerate(blocks) if any(b)), default=-1) + 1])
+    before the first zero one (none at p = 2, where tau^2 = 0).  Right multiplication
+    by t never lowers a left exponent, so from that block on every tau^2 t^k lies
+    in U.  They do not depend on the point: each model builds them once."""
+    p2 = spec.p ** 2
+    return tuple(takewhile(any, (tuple(e.dense()[:p2]) for e in _tau_square_multiples(spec))))
 
 
 def _tau_square_residues(W):
@@ -418,8 +416,8 @@ def _block_entries(spec):
 
 
 def _quotient(V):
-    """Image h^T X_k in S (x) S / W of each tau^2 t^k, k = 0, 1, .. up to the last
-    nonzero block: modulo U, W is ker(h) (x) k^p, so h^T on the left factor maps
+    """Image h^T X_k in S (x) S / W of each tau^2 t^k, k = 0, 1, .. before the first
+    zero block: modulo U, W is ker(h) (x) k^p, so h^T on the left factor maps
     S (x) S / W onto k^p."""
     add, mul = V.spec.field._add, V.spec.field._mul
     h = [x.index for x in V.hyperplane.coords]

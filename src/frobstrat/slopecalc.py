@@ -90,15 +90,6 @@ class SubrankBound(Record):
         _set(self, "threshold", threshold)
         _set(self, "ok", ok)
 
-    def to_jsonable(self):
-        return {
-            "subrank": self.subrank,
-            "bound": {"num": self.bound.numerator, "den": self.bound.denominator},
-            "threshold": {"num": self.threshold.numerator,
-                          "den": self.threshold.denominator},
-            "verdict": "pass" if self.ok else "fail",
-        }
-
 
 class CertificateReport(Record):
     """Outcome of a certificate plus the per-subrank inequalities behind it."""
@@ -109,13 +100,6 @@ class CertificateReport(Record):
         _set(self, "kind", kind)
         _set(self, "passed", passed)
         _set(self, "bounds", bounds)
-
-    def to_jsonable(self):
-        return {
-            "kind": self.kind,
-            "passed": self.passed,
-            "witness": [b.to_jsonable() for b in self.bounds],
-        }
 
 
 def _subrank_bounds(p, g, r, d, t):

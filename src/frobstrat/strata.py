@@ -104,16 +104,6 @@ class StratumRecord(Record):
         _set(self, "fiber_dim", fiber_dim)
         _set(self, "quot_dim", quot_dim)
 
-    def to_jsonable(self):
-        return {
-            "label": self.label,
-            "vertices": self.polygon.to_pairs(),
-            "fiber_dim": self.fiber_dim,
-            "quot_dim": self.quot_dim,
-            "stratum_dim": self.stratum_dim,
-            "closed_equals_open": True,
-        }
-
 
 class StrataTable(Record):
     """The four stratum records plus the headline numbers of the regime."""
@@ -126,13 +116,6 @@ class StrataTable(Record):
         _set(self, "records", records)
         _set(self, "codimension", codimension)
         _set(self, "top_components", top_components)
-
-    def to_jsonable(self):
-        return {
-            "strata": [r.to_jsonable() for r in self.records],
-            "codimension": self.codimension,
-            "top_components": self.top_components,
-        }
 
 
 def strata_table(d):

@@ -75,9 +75,12 @@ def test_payload_matches_the_documented_schema(capsys, argv):
 
 
 def test_the_schemas_pin_the_verdicts_and_labels(capsys):
-    main(["certify", "--d", "0", "--t", "4", "--format", "json"])
-    rows = json.loads(capsys.readouterr().out)["stability"]["witness"]
-    assert {row["verdict"] for row in rows} <= {"pass", "fail"}
+    for t, verdict in (("-1", "pass"), ("4", "fail")):
+        main(["certify", "--d", "0", "--t", t, "--format", "json"])
+        certificates = json.loads(capsys.readouterr().out).values()
+        assert {row["verdict"] for c in certificates for row in c["witness"]} == {verdict}
+        assert all(c["passed"] == all(row["verdict"] == "pass" for row in c["witness"])
+                   for c in certificates)
     main(["localmodel", "--q", "3", "--format", "json"])
     points = json.loads(capsys.readouterr().out)["points"]
     assert {pt["label"] for pt in points} == {"Psi2", "Psi3", "Psi4"}

@@ -417,6 +417,19 @@ def test_a_transposed_quotient_is_the_same_map(monkeypatch):
     assert _disagreements(monkeypatch, _swap_indices) == []
 
 
+def test_the_tau_square_table_is_three_blocks_at_every_M():
+    """At p = 3 the table is the same three blocks for every truncation level,
+    and every tau^2 t^k past them has a zero block; at p = 2, where tau^2 = 0,
+    it is empty."""
+    table = localmodel._tau_square_blocks(ModelSpec(field_make(3), 3, 3))
+    assert len(table) == 3 and all(any(block) for block in table)
+    for M in range(3, 13):
+        spec = ModelSpec(field_make(3), 3, M)
+        assert localmodel._tau_square_blocks(spec) == table
+        assert not any(any(e.dense()[:9]) for e in list(_tau_square_multiples(spec))[3:])
+        assert localmodel._tau_square_blocks(ModelSpec(field_make(2), 2, M)) == ()
+
+
 def test_base_change_has_colength_p_in_the_ambient_module(f3, f9, model3, model9):
     for field, model in ((f3, model3), (f9, model9)):
         for point in projective_plane(field):
@@ -435,14 +448,6 @@ def test_subspace_basis_rows_are_canonical(f3, model3):
     W1 = pullback_span(V)
     W2 = SubspaceBasis.from_spanning(model3, list(reversed(W1.rows)))
     assert W1.rows == W2.rows
-
-
-def test_tensor_serialization(model3):
-    e = elem(model3, [(0, 2, 1), (2, 0, 2)])
-    assert e.to_triples() == [
-        {"i": 0, "j": 2, "coeff": [1]},
-        {"i": 2, "j": 0, "coeff": [2]},
-    ]
 
 
 def test_tensor_repr_and_hash(model3):

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from frobstrat.cli import main
 from frobstrat.gfield import projective_plane
 from frobstrat.localmodel import (
     ModelSpec,
@@ -118,8 +120,9 @@ def test_certificate_can_fail():
     assert any(not b.ok for b in report.bounds)
 
 
-def test_certificate_json_shape():
-    payload = stability_certificate(3, 2, 3, 0, -1).to_jsonable()
+def test_certificate_json_shape(capsys):
+    main(["certify", "--d", "0", "--t", "-1", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)["stability"]
     assert payload["passed"] is True
     row = payload["witness"][0]
     assert set(row) == {"subrank", "bound", "threshold", "verdict"}

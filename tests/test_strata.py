@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from frobstrat.cli import main
 from frobstrat.polygon import (
     PSI1,
     PSI2,
@@ -139,8 +142,9 @@ def test_stratum_record_invariants():
         StratumRecord(PSI2, psi_polygon(2, 0), 5, 5, 2, 6)
 
 
-def test_table_serialization():
-    payload = strata_table(0).to_jsonable()
+def test_table_serialization(capsys):
+    main(["strata", "--d", "0", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"strata", "codimension", "top_components"}
     first = payload["strata"][0]
     assert set(first) == {"label", "vertices", "fiber_dim", "quot_dim",
