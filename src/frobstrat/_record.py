@@ -3,7 +3,7 @@
 from operator import attrgetter
 
 # The records are plain __slots__ classes, not frozen dataclasses: importing
-# dataclasses loads inspect, ast, dis and tokenize, and generating the nine
+# dataclasses loads inspect, ast, dis and tokenize, and generating the
 # classes' methods took longer than the rest of `import frobstrat` together.
 
 # sets a field from __init__, past Record.__setattr__
@@ -12,9 +12,11 @@ _set = object.__setattr__
 
 class Record:
     """A record names its fields, in constructor order, in ``__match_args__``
-    and keeps them in ``__slots__``; its ``__init__`` sets each once with
+    and keeps them in ``__slots__``, with any derived state (a field's tables,
+    a cached hash) in extra slots; its ``__init__`` sets each once with
     ``_set``.  Records compare and hash by their fields, only against the same
-    class, and refuse assignment and deletion."""
+    class, and refuse assignment and deletion.  Every value type of frobstrat
+    is one: fields, their elements, plane points and tensor elements too."""
 
     __slots__ = ()
 
@@ -23,6 +25,8 @@ class Record:
         cls._key = property(attrgetter(*cls.__match_args__))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key == other._key

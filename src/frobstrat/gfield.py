@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from ._record import Record, _set
+
 __all__ = [
     "FieldElement",
     "FieldSpec",
@@ -89,7 +91,7 @@ def _poly_str(coeffs):
     return " + ".join(terms) if terms else "0"
 
 
-class FieldSpec:
+class FieldSpec(Record):
     """A finite field GF(p^m) with interned elements and full lookup tables.
 
     Two specs compare equal iff they have the same characteristic, degree and
@@ -97,21 +99,19 @@ class FieldSpec:
     never a coercion.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_elements", "_coeff_index",
-                 "_add", "_mul", "_neg", "_inv")
+    __match_args__ = ("p", "m", "modulus")
+    __slots__ = __match_args__ + ("q", "_elements", "_coeff_index",
+                                  "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p, m=1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"characteristic must be a prime integer, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m!r}")
-        self.p = p
-        self.m = m
-        self.q = p ** m
         if m == 1:
-            self.modulus = None  # prime field: modulus is irrelevant
+            modulus = None  # prime field: modulus is irrelevant
         elif modulus is None:
-            self.modulus = _default_modulus(p, m)
+            modulus = _default_modulus(p, m)
         else:
             mod = [int(c) % p for c in modulus]
             if len(mod) != m + 1 or mod[-1] == 0:
@@ -119,17 +119,20 @@ class FieldSpec:
             if mod[-1] != 1:
                 lead_inv = pow(mod[-1], -1, p)
                 mod = [(c * lead_inv) % p for c in mod]
-            mod = tuple(mod)
-            if not _is_irreducible(mod, p):
-                raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
-            self.modulus = mod
+            modulus = tuple(mod)
+            if not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
+        _set(self, "p", p)
+        _set(self, "m", m)
+        _set(self, "modulus", modulus)
+        _set(self, "q", p ** m)
         self._build_tables()
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
         coeffs_of = [tuple(i // p ** k % p for k in range(m)) for i in range(q)]
-        self._elements = tuple(FieldElement(self, c, i) for i, c in enumerate(coeffs_of))
-        self._coeff_index = {c: i for i, c in enumerate(coeffs_of)}
+        _set(self, "_elements", tuple(FieldElement(self, c, i) for i, c in enumerate(coeffs_of)))
+        _set(self, "_coeff_index", {c: i for i, c in enumerate(coeffs_of)})
 
         # index a holds the base-p digits of a's coefficients, so addition and
         # negation act on the lowest digit mod p and on the rest by the table
@@ -158,7 +161,10 @@ class FieldSpec:
         exp2 = exp + exp  # log a + log b < 2(q - 1)
         mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         inv = [None] + [exp[-la] for la in logs]  # g^-l is g^(q - 1 - l)
-        self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
+        _set(self, "_add", add)
+        _set(self, "_mul", mul)
+        _set(self, "_neg", neg)
+        _set(self, "_inv", inv)
 
     def element(self, value):
         """Intern an element from an int (constant) or a coefficient sequence."""
@@ -183,31 +189,21 @@ class FieldSpec:
     def elements(self):
         return self._elements
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
     def __repr__(self):
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m}; {_poly_str(self.modulus)})"
 
 
-class FieldElement:
+class FieldElement(Record):
     """Immutable element of a :class:`FieldSpec`; all operations are table lookups."""
 
-    __slots__ = ("spec", "coeffs", "index")
+    __slots__ = __match_args__ = ("spec", "coeffs", "index")
 
     def __init__(self, spec, coeffs, index):
-        self.spec = spec
-        self.coeffs = coeffs
-        self.index = index
+        _set(self, "spec", spec)
+        _set(self, "coeffs", coeffs)
+        _set(self, "index", index)
 
     def __bool__(self):
         return self.index != 0
@@ -284,14 +280,6 @@ class FieldElement:
             n >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.spec == other.spec and self.index == other.index
-
-    def __hash__(self):
-        return hash((self.spec, self.index))
-
     def to_coeffs(self):
         """Serialization form: little-endian list of residues."""
         return list(self.coeffs)
@@ -300,14 +288,14 @@ class FieldElement:
         return f"{_poly_str(self.coeffs)} in {self.spec!r}"
 
 
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """A point of P^2, normalized so the first nonzero coordinate is 1.
 
     Normalization is canonical: two equal points carry identical coordinate
     tuples, so points hash and compare by value.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = __match_args__ = ("coords",)
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -320,7 +308,9 @@ class ProjectivePoint:
         pivot = next((c for c in coords if c), None)
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        self.coords = coords if pivot.index == 1 else tuple(c * pivot.inverse() for c in coords)
+        if pivot.index != 1:
+            coords = tuple(c * pivot.inverse() for c in coords)
+        _set(self, "coords", coords)
 
     @classmethod
     def of(cls, spec, values):
@@ -330,14 +320,6 @@ class ProjectivePoint:
     @property
     def spec(self):
         return self.coords[0].spec
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def to_lists(self):
         """Serialization form: three coefficient lists."""

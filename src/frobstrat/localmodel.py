@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import takewhile
 
 from ._record import Record, _set
-from .gfield import FieldSpec, ProjectivePoint, projective_plane
+from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
 from .polygon import PSI2, PSI3, PSI4
 
 # the stratum of each colength; classify_stratum reads the same labels off
@@ -82,18 +82,24 @@ class ModelSpec(Record):
         return self.p * self.M * self.p
 
 
-class TensorElement:
+class TensorElement(Record):
     """Element of the truncated tensor square in normal form.
 
-    Stored sparsely as {(i, j): coefficient} with 0 <= i < pM, 0 <= j < p,
-    never keeping zero coefficients.
+    ``terms`` holds its nonzero ``((i, j), coefficient)`` pairs, 0 <= i < pM and
+    0 <= j < p, sorted in monomial order (left exponent, then right).  The
+    constructor takes them as a mapping or as pairs, drops zero coefficients and
+    rejects any that is not an element of the model's field.
     """
 
-    __slots__ = ("spec", "_c")
+    __slots__ = __match_args__ = ("spec", "terms")
 
     def __init__(self, spec, terms):
-        self.spec = spec
-        self._c = {k: v for k, v in terms.items() if v}
+        terms = dict(terms)
+        for c in terms.values():
+            if not (isinstance(c, FieldElement) and c.spec == spec.field):
+                raise ValueError(f"coefficient {c!r} is not an element of {spec.field!r}")
+        _set(self, "spec", spec)
+        _set(self, "terms", tuple(sorted(item for item in terms.items() if item[1])))
 
     @classmethod
     def zero(cls, spec):
@@ -112,16 +118,10 @@ class TensorElement:
         # normal form: move whole p-th powers of the right factor to the left
         i += spec.p * (j // spec.p)
         j %= spec.p
-        if i >= spec.left_bound or not coeff:
-            return cls(spec, {})
-        return cls(spec, {(i, j): coeff})
-
-    def terms(self):
-        """Nonzero terms sorted in monomial order (left exponent, then right)."""
-        return sorted(self._c.items())
+        return cls(spec, {(i, j): coeff} if i < spec.left_bound else {})
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self.terms)
 
     def _check(self, other):
         if self.spec != other.spec:
@@ -131,45 +131,33 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check(other)
-        out = dict(self._c)
-        for k, v in other._c.items():
+        out = dict(self.terms)
+        for k, v in other.terms:
             s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = v if s is None else s + v
         return TensorElement(self.spec, out)
 
     def __neg__(self):
-        return TensorElement(self.spec, {k: -v for k, v in self._c.items()})
+        return TensorElement(self.spec, {k: -v for k, v in self.terms})
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
         return self + (-other)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.spec == other.spec and self._c == other._c
-
-    def __hash__(self):
-        return hash((self.spec, frozenset(self._c.items())))
-
     def dense(self):
         """Coefficient indices flattened in monomial order (i asc, then j asc)."""
         p = self.spec.p
         v = [0] * self.spec.dimension
-        for (i, j), c in self._c.items():
+        for (i, j), c in self.terms:
             v[i * p + j] = c.index
         return v
 
     def __repr__(self):
-        if not self._c:
+        if not self.terms:
             return "0"
         parts = []
-        for (i, j), c in self.terms():
+        for (i, j), c in self.terms:
             cs = "" if c == self.spec.field.one else f"[{c!r}]"
             parts.append(f"{cs}t^{i}(x)t^{j}")
         return " + ".join(parts)
@@ -179,7 +167,7 @@ def times_t_left(e):
     """Multiply by t in the left factor; exponents past truncation drop."""
     lim = e.spec.left_bound
     out = {}
-    for (i, j), c in e._c.items():
+    for (i, j), c in e.terms:
         if i + 1 < lim:
             out[(i + 1, j)] = c
     return TensorElement(e.spec, out)
@@ -190,7 +178,7 @@ def times_t_right(e):
     spec = e.spec
     p, lim = spec.p, spec.left_bound
     out = {}
-    for (i, j), c in e._c.items():
+    for (i, j), c in e.terms:
         if j + 1 < p:
             out[(i, j + 1)] = c
         elif i + p < lim:

@@ -108,11 +108,9 @@ class StratumRecord(Record):
 class StrataTable(Record):
     """The four stratum records plus the headline numbers of the regime."""
 
-    __slots__ = __match_args__ = ("degree", "records", "codimension", "top_components")
+    __slots__ = __match_args__ = ("records", "codimension", "top_components")
 
-    def __init__(self, degree: int, records: tuple[StratumRecord, ...], codimension: int,
-                 top_components: int):
-        _set(self, "degree", degree)
+    def __init__(self, records: tuple[StratumRecord, ...], codimension: int, top_components: int):
         _set(self, "records", records)
         _set(self, "codimension", codimension)
         _set(self, "top_components", top_components)
@@ -137,7 +135,6 @@ def strata_table(d):
         records.append(StratumRecord(label, psi_polygon(i, d), dim, dim, fiber, quot))
     top = max(rec.stratum_dim for rec in records)
     return StrataTable(
-        degree=d,
         records=tuple(records),
         codimension=moduli_dimension(3, g) - top,
         top_components=sum(1 for rec in records if rec.stratum_dim == top),

@@ -1,4 +1,5 @@
-"""The nine value records behave as frozen value types, importing the package
+"""The thirteen value records (fields, their elements, plane points and tensor
+elements among them) behave as frozen value types, importing the package
 loads none of the heavy introspection modules nor ``fractions`` (which only
 ``certify`` among the commands loads), and the package re-exports every
 public name of its modules."""
@@ -19,6 +20,8 @@ from frobstrat import (
     BundleData,
     CertificateReport,
     CurveParams,
+    FieldElement,
+    FieldSpec,
     LatticePolygon,
     ModelSpec,
     ProjectivePoint,
@@ -38,15 +41,20 @@ from frobstrat import (
 )
 from frobstrat.localmodel import _block_entries, _tau_square_blocks, _unit_rows
 
-F3, F9 = field_make(3), field_make(3, 2)
+F3, F9, F27 = field_make(3), field_make(3, 2), field_make(3, 3)
 SPEC, SPEC3 = ModelSpec(F9, 3, 3), ModelSpec(F3, 3, 3)
 POINT = projective_plane(F9)[5]
+TERMS = (((0, 1), F9.one), ((4, 2), F9.element([0, 1])))
 TRI = psi_polygon(2, 0)
 BOUND = SubrankBound(1, Fraction(-1, 3), Fraction(0), True)
 REC = StratumRecord("Psi2", TRI, 5, 5, 2, 5)
 
 # (class, positional arguments, the same arguments by keyword)
 CASES = [
+    (FieldSpec, (3, 2, (1, 0, 1)), dict(p=3, m=2, modulus=(1, 0, 1))),
+    (FieldElement, (F9, (1, 2), 7), dict(spec=F9, coeffs=(1, 2), index=7)),
+    (ProjectivePoint, (POINT.coords,), dict(coords=POINT.coords)),
+    (TensorElement, (SPEC, TERMS), dict(spec=SPEC, terms=TERMS)),
     (ModelSpec, (F9, 3, 4), dict(field=F9, p=3, M=4)),
     (SubmoduleV, (SPEC, POINT), dict(spec=SPEC, hyperplane=POINT)),
     (CurveParams, (3, 2, 3, 1), dict(p=3, g=2, r=3, d=1)),
@@ -59,8 +67,7 @@ CASES = [
     (StratumRecord, ("Psi3", TRI, 4, 4, 1, 4),
      dict(label="Psi3", polygon=TRI, stratum_dim=4, closed_stratum_dim=4,
           fiber_dim=1, quot_dim=4)),
-    (StrataTable, (0, (REC,), 5, 2),
-     dict(degree=0, records=(REC,), codimension=5, top_components=2)),
+    (StrataTable, ((REC,), 5, 2), dict(records=(REC,), codimension=5, top_components=2)),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
@@ -111,6 +118,12 @@ def test_copies_and_pickles_are_equal(cls, args, kwargs):
     a = cls(*args)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a) and type(b) is cls
+
+
+def test_copies_of_a_field_rebuild_its_tables():
+    for b in (copy.deepcopy(F9), pickle.loads(pickle.dumps(F9))):
+        assert b is not F9
+        assert (b._add, b._mul, b._inv) == (F9._add, F9._mul, F9._inv)
 
 
 def test_defaults():
@@ -168,6 +181,10 @@ def test_polygon_normalises_its_vertices_to_tuples():
      "spanning element belongs to a different local model"),
     (lambda: TensorElement.zero(SPEC) + TensorElement.zero(SPEC3),
      "elements belong to different local models"),
+    (lambda: TensorElement.monomial(SPEC, 0, 0, F27.element([0, 0, 1])),
+     "coefficient x^2 in GF(3^3; 1 + 2x^2 + x^3) is not an element of GF(3^2; 1 + x^2)"),
+    (lambda: TensorElement(SPEC, {(0, 0): F27.element(2)}),
+     "coefficient 2 in GF(3^3; 1 + 2x^2 + x^3) is not an element of GF(3^2; 1 + x^2)"),
     (lambda: ProjectivePoint((F9.one, F9.one)),
      "projective points here live in P^2: need 3 coordinates"),
     (lambda: ProjectivePoint((F9.one, F3.one, F9.one)),
