@@ -16,7 +16,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from .gfield import field_make, projective_plane
+from .gfield import ProjectivePoint, field_make, projective_plane
 from .localmodel import (
     _COLENGTH_LABEL,
     ModelSpec,
@@ -84,13 +84,23 @@ def _pair_format(indent):
     return f"[{deeper}%d,{deeper}%d{inner}]", "," + inner
 
 
+@cache
+def _point_format(m, indent):
+    """The %-template of a plane point over GF(p^m) written at ``indent``."""
+    inner = indent + "  "
+    deeper = inner + "  "
+    coords = "[" + deeper + ("," + deeper).join(["%d"] * m) + inner + "]"
+    return "[" + inner + ("," + inner).join([coords] * 3) + indent + "]"
+
+
 def _json_text(value, indent="\n"):
-    """json.dumps(value, indent=2, sort_keys=True, default=LatticePolygon.to_pairs)
-    for payloads of str-keyed dicts, lists, tuples, polygons and scalars.  The
-    stdlib writes indented JSON through a Python generator per container; this
-    writer makes one call per container and writes a polygon from one template
-    per depth, so a JSON enumerate request takes about 1.2-1.3 times as long
-    as its table."""
+    """json.dumps(value, indent=2, sort_keys=True, default=...) for payloads of
+    str-keyed dicts, lists, tuples, polygons, plane points and scalars, where
+    the default writes a polygon as its to_pairs() and a point as its
+    to_lists().  The stdlib writes indented JSON through a Python generator per
+    container; this writer makes one call per container and writes a polygon
+    or a point from one template per depth, so a JSON enumerate request takes
+    about 1.2-1.3 times as long as its table."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -117,6 +127,13 @@ def _json_text(value, indent="\n"):
         return "[" + inner + sep.join([pair % v for v in value.vertices]) + indent + "]"
     if value is None or kind is bool:
         return _JSON_SCALARS[value]
+    if kind is ProjectivePoint:
+        # the localmodel payload's points: three lists of m coefficients
+        a, b, c = value.coords
+        return _point_format(a.spec.m, indent) % (a.coeffs + b.coeffs + c.coeffs)
+    if kind is str:
+        # what json.dumps writes for a str
+        return encode_basestring_ascii(value)
     return json.dumps(value)
 
 
@@ -234,7 +251,7 @@ def cmd_localmodel(args):
         ok = all(res.values())
         bad += not ok
         if as_json:
-            entries.append({"point": pt.to_lists(), "label": lab, "colength": col})
+            entries.append({"point": pt, "label": lab, "colength": col})
         else:
             flag = "" if ok else "  CLAIM-FAIL " + ",".join(k for k, v in res.items() if not v)
             entries.append(f"  {pt!r:<24} colength {col}  {lab}{flag}")

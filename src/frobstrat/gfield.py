@@ -101,7 +101,7 @@ class FieldSpec(Record):
 
     __match_args__ = ("p", "m", "modulus")
     __slots__ = __match_args__ + ("q", "_elements", "_coeff_index",
-                                  "_add", "_mul", "_neg", "_inv")
+                                  "_add", "_mul", "_neg", "_inv", "_names")
 
     def __init__(self, p, m=1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -188,6 +188,13 @@ class FieldSpec(Record):
     @property
     def elements(self):
         return self._elements
+
+    @property
+    def names(self):
+        """Each element's polynomial text, by index, built on first use."""
+        if not hasattr(self, "_names"):
+            _set(self, "_names", tuple(_poly_str(c.coeffs) for c in self._elements))
+        return self._names
 
     def __repr__(self):
         if self.m == 1:
@@ -326,8 +333,9 @@ class ProjectivePoint(Record):
         return [c.to_coeffs() for c in self.coords]
 
     def __repr__(self):
-        inner = " : ".join(_poly_str(c.coeffs) for c in self.coords)
-        return f"[{inner}]"
+        a, b, c = self.coords
+        names = a.spec.names
+        return f"[{names[a.index]} : {names[b.index]} : {names[c.index]}]"
 
 
 def field_make(p, m=1, modulus=None):

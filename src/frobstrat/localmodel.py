@@ -82,22 +82,30 @@ class ModelSpec(Record):
         return self.p * self.M * self.p
 
 
+def _check_coefficient(spec, c):
+    if not (isinstance(c, FieldElement) and c.spec == spec.field):
+        raise ValueError(f"coefficient {c!r} is not an element of {spec.field!r}")
+
+
 class TensorElement(Record):
     """Element of the truncated tensor square in normal form.
 
     ``terms`` holds its nonzero ``((i, j), coefficient)`` pairs, 0 <= i < pM and
     0 <= j < p, sorted in monomial order (left exponent, then right).  The
     constructor takes them as a mapping or as pairs, drops zero coefficients and
-    rejects any that is not an element of the model's field.
+    rejects a coefficient that is not an element of the model's field or a
+    monomial outside that normal form.
     """
 
     __slots__ = __match_args__ = ("spec", "terms")
 
     def __init__(self, spec, terms):
         terms = dict(terms)
-        for c in terms.values():
-            if not (isinstance(c, FieldElement) and c.spec == spec.field):
-                raise ValueError(f"coefficient {c!r} is not an element of {spec.field!r}")
+        for (i, j), c in terms.items():
+            _check_coefficient(spec, c)
+            if not (0 <= i < spec.left_bound and 0 <= j < spec.p):
+                raise ValueError(f"t^{i}(x)t^{j} is outside the normal form "
+                                 f"0 <= i < {spec.left_bound}, 0 <= j < {spec.p}")
         _set(self, "spec", spec)
         _set(self, "terms", tuple(sorted(item for item in terms.items() if item[1])))
 
@@ -111,6 +119,8 @@ class TensorElement(Record):
             coeff = spec.field.one
         elif isinstance(coeff, int):
             coeff = spec.field.element(coeff)
+        # checked here too: truncation below can drop the term it sits on
+        _check_coefficient(spec, coeff)
         if i < 0:
             raise ValueError(f"negative left exponent {i}")
         if j < 0:
@@ -199,24 +209,19 @@ def tau_power(spec, n):
     return e
 
 
-def _eliminate(field, target, source, col):
-    """Subtract target[col] times ``source`` from ``target`` in place; ``source``
-    is zero before column ``col``.  A zero target[col] makes it a no-op, so
-    callers skip it."""
-    add, neg, mrow = field._add, field._neg, field._mul[target[col]]
-    for k in range(col, len(target)):
-        sk = source[k]
-        if sk:
-            target[k] = add[target[k]][neg[mrow[sk]]]
-
-
 def _reduce_against(field, mat, pivots, vec):
     """Copy of ``vec`` with every pivot column of the reduced echelon rows ``mat``
     cleared; each row is zero in the others' pivot columns, so their order is free."""
+    add, neg, mul = field._add, field._neg, field._mul
     v = list(vec)
     for prow, pc in zip(mat, pivots):
-        if v[pc]:
-            _eliminate(field, v, prow, pc)
+        x = v[pc]
+        if x:
+            # v -= x * prow; prow is zero before its pivot column pc, and a zero
+            # entry of it adds index 0, the field's zero
+            mrow = mul[neg[x]]
+            for k in range(pc, len(v)):
+                v[k] = add[v[k]][mrow[prow[k]]]
     return v
 
 
@@ -227,22 +232,32 @@ def _rref(field, rows):
     result is the canonical reduced basis.  Returns the independent rows
     sorted by pivot column and those pivot columns; input rows are not mutated.
     """
-    mul, inv = field._mul, field._inv
+    add, neg, mul, inv = field._add, field._neg, field._mul, field._inv
     basis = {}
     for row in rows:
-        row = _reduce_against(field, basis.values(), basis, row)
-        for pc, x in enumerate(row):
+        v = list(row)
+        for pc, prow in basis.items():
+            x = v[pc]
+            if x:
+                mrow = mul[neg[x]]
+                for k in range(pc, len(v)):
+                    v[k] = add[v[k]][mrow[prow[k]]]
+        for pc, x in enumerate(v):
             if x:
                 break
         else:
             continue
         if x != 1:  # index 1 is the field's one
             srow = mul[inv[x]]
-            row = [srow[v] for v in row]
+            v = [srow[a] for a in v]
+        # clear the new pivot column from the earlier rows, copies of their inputs
         for qrow in basis.values():
-            if qrow[pc]:
-                _eliminate(field, qrow, row, pc)
-        basis[pc] = row
+            x = qrow[pc]
+            if x:
+                mrow = mul[neg[x]]
+                for k in range(pc, len(v)):
+                    qrow[k] = add[qrow[k]][mrow[v[k]]]
+        basis[pc] = v
     pivots = sorted(basis)
     return [basis[pc] for pc in pivots], pivots
 
@@ -290,10 +305,12 @@ class SubmoduleV(Record):
 
     The point [a : b : c] encodes V = { f : a f(0-coeff) + b f(1-coeff)
     + c f(2-coeff) = 0 }; all of t^p S lies in V automatically because the
-    maximal ideal kills the one-dimensional quotient.
+    maximal ideal kills the one-dimensional quotient.  ``h`` holds the
+    functional's coordinates as element indices.
     """
 
-    __slots__ = __match_args__ = ("spec", "hyperplane")
+    __match_args__ = ("spec", "hyperplane")
+    __slots__ = __match_args__ + ("h",)
 
     def __init__(self, spec: ModelSpec, hyperplane: ProjectivePoint):
         if spec.p != 3:
@@ -303,6 +320,8 @@ class SubmoduleV(Record):
             raise ValueError("hyperplane point lives over a different field")
         _set(self, "spec", spec)
         _set(self, "hyperplane", hyperplane)
+        a, b, c = hyperplane.coords
+        _set(self, "h", (a.index, b.index, c.index))
 
     def functional(self, coeffs):
         """Apply the defining functional to the coefficients of 1, t, t^2."""
@@ -337,14 +356,14 @@ def pullback_span(V):
     for i != c, j < p, then a unit row per column of U, sorted by pivot, are each
     zero in the others' pivot columns: the unique reduced row echelon form of W,
     which row-reducing the spanning set would also give."""
-    field, p, dim = V.spec.field, V.spec.p, V.spec.dimension
-    one, h = field.one.index, [x.index for x in V.hyperplane.coords]
-    c = max(i for i, x in enumerate(h) if x)
+    field, p, h = V.spec.field, V.spec.p, V.h
+    c = 2 if h[2] else 1 if h[1] else 0  # the last nonzero coordinate
     scale = field._mul[field._neg[field._inv[h[c]]]]  # x -> -x/h_c
     pivots = [i * p + j for i in range(p) if i != c for j in range(p)]
-    mat = [[0] * dim for _ in pivots]
+    zero = [0] * V.spec.dimension
+    mat = [zero.copy() for _ in pivots]
     for row, k in zip(mat, pivots):
-        row[k] = one
+        row[k] = 1  # index 1 is the field's one
         row[c * p + k % p] = scale[h[k // p]]
     unit_rows, unit_pivots = _unit_rows(V.spec)
     return SubspaceBasis(V.spec, mat + unit_rows, pivots + unit_pivots)
@@ -407,8 +426,7 @@ def _quotient(V):
     """Image h^T X_k in S (x) S / W of each tau^2 t^k, k = 0, 1, .. before the first
     zero block: modulo U, W is ker(h) (x) k^p, so h^T on the left factor maps
     S (x) S / W onto k^p."""
-    add, mul = V.spec.field._add, V.spec.field._mul
-    h = [x.index for x in V.hyperplane.coords]
+    add, mul, h = V.spec.field._add, V.spec.field._mul, V.h
     images = []
     for entries in _block_entries(V.spec):
         v = [0] * V.spec.p
@@ -421,14 +439,14 @@ def _quotient(V):
 
 def _colength(spec, images):
     """Rank of the images of the tau^2 line modulo W."""
-    return len(_rref(spec.field, [v for v in images if any(v)])[1])
+    return len(_rref(spec.field, images)[1])
 
 
 def _claims(V, rows):
     """claim_results from the images or residues of tau^2 t^k modulo W: tau^2 t^k
     lies in W iff its row is zero, and rows past the last one given are zero."""
     mem = [not any(r) for r in rows[:4]] + [True] * (4 - len(rows))
-    _, t1, t2 = (not x for x in V.hyperplane.coords)
+    t1, t2 = not V.h[1], not V.h[2]
     return {"a": not mem[0], "b": mem[1] == (t1 and t2), "c": mem[2] == t2, "d": mem[3]}
 
 
@@ -446,7 +464,7 @@ def _full_model(V):
     """The --verify oracle for quotient_classification: (colength, claim results)
     from W itself, pullback_span's rows reducing the tau^2 residues for _rref."""
     residues = list(_tau_square_residues(pullback_span(V)))
-    return len(_rref(V.spec.field, [r for r in residues if any(r)])[1]), _claims(V, residues)
+    return len(_rref(V.spec.field, residues)[1]), _claims(V, residues)
 
 
 def intersection_colength(V):
@@ -460,12 +478,8 @@ def classify_stratum(V):
     """Stratum label of a plane point: both t and t^2 in V gives Psi4, only
     t^2 gives Psi3, t^2 missing gives Psi2.  Matches intersection_colength
     through 1 -> Psi4, 2 -> Psi3, 3 -> Psi2."""
-    t2 = contains_monomial(V, 2)
-    if t2 and contains_monomial(V, 1):
-        return PSI4
-    if t2:
-        return PSI3
-    return PSI2
+    _, h1, h2 = V.h  # t^j lies in V iff h_j = 0 (see contains_monomial)
+    return PSI2 if h2 else PSI3 if h1 else PSI4
 
 
 def claim_results(V):

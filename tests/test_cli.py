@@ -448,6 +448,11 @@ def test_runs_are_byte_identical(capsys, argv):
     assert first == second
 
 
+def _stdlib_form(value):
+    """json.dumps's default for the values _json_text writes itself."""
+    return value.to_lists() if isinstance(value, ProjectivePoint) else value.to_pairs()
+
+
 @pytest.mark.parametrize("payload", [
     [], {}, 0, -7, None, True, "Psi1", 1.5,
     {"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [], "e": {}},
@@ -462,10 +467,19 @@ def test_runs_are_byte_identical(capsys, argv):
     {"pairs": [{"a": LatticePolygon([(0, 0), (1, -2), (2, -5)]),
                 "b": LatticePolygon([(0, 0), (4, 1)])}]},
     [[LatticePolygon([(0, 0), (1, 7), (2, 8), (5, 0)])], LatticePolygon([(0, 0), (1, -9)])],
+    # plane points over GF(3^m), m = 1..4: bare, one and three levels down in
+    # lists and dicts, as a localmodel entry and beside a polygon
+    ProjectivePoint.of(field_make(3), (1, 2, 0)),
+    [ProjectivePoint.of(field_make(3, 2), ((0, 1), (2, 2), 1))],
+    {"colength": 3, "label": "Psi2",
+     "point": ProjectivePoint.of(field_make(3, 3), (0, 1, (1, 0, 2)))},
+    {"points": [{"point": ProjectivePoint.of(field_make(3, 4), ((2, 0, 1, 1), 0, (0, 0, 0, 2)))},
+                [ProjectivePoint.of(field_make(3, 4), (0, 0, 1))]],
+     "v": LatticePolygon([(0, 0), (1, 2), (3, 3)])},
 ])
 def test_json_text_matches_the_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,
-                                             default=LatticePolygon.to_pairs)
+                                             default=_stdlib_form)
 
 
 def test_json_text_rejects_keys_the_stdlib_would_convert():
@@ -479,6 +493,8 @@ def test_json_text_rejects_keys_the_stdlib_would_convert():
     ("strata", "--d", "0"),
     ("certify", "--d", "2"),
     ("dual", "--d", "1"),
+    ("localmodel", "--q", "27", "--verify"),
+    ("localmodel", "--q", "81"),
 ])
 def test_json_output_is_the_stdlib_dump_of_its_payload(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")

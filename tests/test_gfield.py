@@ -186,6 +186,17 @@ def test_spec_repr_mentions_size(f3, f9):
     assert "3^2" in repr(f9)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_point_repr_reads_element_names_built_on_first_use(m):
+    spec = field_make(3, m)
+    assert not hasattr(spec, "_names")  # field_make pays nothing for them
+    # the reference: each coordinate's text built afresh
+    for point in projective_plane(spec):
+        want = " : ".join(gfield._poly_str(c.coeffs) for c in point.coords)
+        assert repr(point) == f"[{want}]"
+    assert spec.names == tuple(gfield._poly_str(e.coeffs) for e in spec.elements)
+
+
 def _poly_index(poly, p):
     return sum(c * p ** k for k, c in enumerate(poly))
 

@@ -185,6 +185,21 @@ def test_polygon_normalises_its_vertices_to_tuples():
      "coefficient x^2 in GF(3^3; 1 + 2x^2 + x^3) is not an element of GF(3^2; 1 + x^2)"),
     (lambda: TensorElement(SPEC, {(0, 0): F27.element(2)}),
      "coefficient 2 in GF(3^3; 1 + 2x^2 + x^3) is not an element of GF(3^2; 1 + x^2)"),
+    # a foreign coefficient where monomial truncates: t^9(x)1, and t^7(x)t^5 = t^10(x)t^2
+    (lambda: TensorElement.monomial(SPEC, 9, 0, F27.element([0, 1])),
+     "coefficient x in GF(3^3; 1 + 2x^2 + x^3) is not an element of GF(3^2; 1 + x^2)"),
+    (lambda: TensorElement.monomial(SPEC, 7, 5, F27.element([1, 1])),
+     "coefficient 1 + x in GF(3^3; 1 + 2x^2 + x^3) is not an element of GF(3^2; 1 + x^2)"),
+    # exponents outside the normal form: t^0(x)t^5 is t^3(x)t^2 unnormalized, and
+    # t^9(x)1 would index past dense()
+    (lambda: TensorElement(SPEC, {(0, 5): F9.one}),
+     "t^0(x)t^5 is outside the normal form 0 <= i < 9, 0 <= j < 3"),
+    (lambda: TensorElement(SPEC, {(0, 3): F9.one}),
+     "t^0(x)t^3 is outside the normal form 0 <= i < 9, 0 <= j < 3"),
+    (lambda: TensorElement(SPEC, {(9, 0): F9.one}),
+     "t^9(x)t^0 is outside the normal form 0 <= i < 9, 0 <= j < 3"),
+    (lambda: TensorElement(SPEC, [((-1, 0), F9.one)]),
+     "t^-1(x)t^0 is outside the normal form 0 <= i < 9, 0 <= j < 3"),
     (lambda: ProjectivePoint((F9.one, F9.one)),
      "projective points here live in P^2: need 3 coordinates"),
     (lambda: ProjectivePoint((F9.one, F3.one, F9.one)),
