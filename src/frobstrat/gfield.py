@@ -310,10 +310,11 @@ class ProjectivePoint(Record):
             raise ValueError("projective points here live in P^2: need 3 coordinates")
         spec = coords[0].spec if isinstance(coords[0], FieldElement) else None
         for c in coords:
-            if not isinstance(c, FieldElement) or c.spec != spec:
+            # identity first: != would run the Python-level Record.__eq__
+            if not isinstance(c, FieldElement) or (c.spec is not spec and c.spec != spec):
                 raise ValueError("coordinates must all belong to one field")
-        pivot = next((c for c in coords if c), None)
-        if pivot is None:
+        pivot = coords[0] or coords[1] or coords[2]
+        if not pivot:
             raise ValueError("projective point needs a nonzero coordinate")
         if pivot.index != 1:
             coords = tuple(c * pivot.inverse() for c in coords)

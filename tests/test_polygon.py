@@ -159,7 +159,7 @@ def test_curve_params_validation():
 
 def test_enumeration_agrees_with_bruteforce_everywhere():
     for p in (2, 3, 5):
-        for g in (2, 3):
+        for g in (2, 3, 4):
             for r in range(1, 5):
                 for d in range(-3, 4):
                     params = CurveParams(p, g, r, d)
@@ -207,7 +207,7 @@ def test_bruteforce_equals_the_literal_box_scan(p, g, r):
         assert bruteforce_destabilized_polygons(params) == _literal_box_scan(params), d
 
 
-@pytest.mark.parametrize("p, d", [(3, 1), (3, 4), (5, 0), (5, 3)])
+@pytest.mark.parametrize("p, d", [*product((2, 3, 5, 7), range(-3, 4)), (3, 4)])
 def test_enumeration_agrees_with_bruteforce_at_rank_5(p, d):
     params = CurveParams(p, 2, 5, d)
     polys = enumerate_destabilized_polygons(params)
@@ -288,8 +288,9 @@ def test_reachability_cuts_lose_no_polygon(p, g, r, d):
     assert polys == _unpruned_search(params)
 
 
-def _nested_calls(func, name, params):
-    """``func(params)`` and the number of calls of its nested function ``name``."""
+def _nested_calls(func, name, params, on_call=None):
+    """``func(params)`` and the number of calls of its nested function ``name``;
+    ``on_call``, if given, sees the frame of each such call as it starts."""
     step = _nested_code(func, name)
     calls = 0
 
@@ -297,6 +298,8 @@ def _nested_calls(func, name, params):
         nonlocal calls
         if event == "call" and frame.f_code is step:
             calls += 1
+            if on_call:
+                on_call(frame)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -327,18 +330,34 @@ def test_search_work_follows_the_polygons_emitted(params):
     assert nodes == SEARCH_NODES[params]
 
 
-# the box scan's chain checks per case; a walk that also recursed into failing
-# prefixes makes the same list, so only the count shows it
+# the box scan's candidate checks and walk calls per case; a walk that also
+# recursed into failing prefixes makes the same list, so only the counts show it
 SCAN_CHECKS = {CurveParams(3, 2, 5, 1): 24315, CurveParams(5, 2, 5, 0): 25967}
+SCAN_WALKS = {CurveParams(3, 2, 5, 1): 1068, CurveParams(5, 2, 5, 0): 1124}
 
 
 @pytest.mark.parametrize("params", list(SCAN_CHECKS))
 def test_bruteforce_work_is_pinned(params):
     """The walk extends each valid prefix once, whatever its abscissae, so a
-    prefix shared by several subsets of abscissae is checked once."""
-    polys, checks = _nested_calls(bruteforce_destabilized_polygons, "valid", params)
+    prefix shared by several subsets of abscissae is checked once.  A walk
+    call from abscissa x0 judges every height of every abscissa x0 < x < r,
+    then, after a first segment, its closing segment; the height ranges come
+    from the slope window p*d/r +- (r-1)(2g-2) here."""
+    p, g, r, d = params.p, params.g, params.r, params.d
+    band = (r - 1) * (2 * g - 2)
+    lo, hi = Fraction(p * d, r) - band, Fraction(p * d, r) + band
+    sizes = [math.floor(hi * x) - math.ceil(lo * x) + 1 for x in range(r)]
+    checks = 0
+
+    def count(frame):
+        nonlocal checks
+        x0 = frame.f_locals["verts"][-1][0]
+        checks += sum(sizes[x0 + 1:r]) + (frame.f_locals["pw"] != 0)
+
+    polys, walks = _nested_calls(bruteforce_destabilized_polygons, "walk", params, count)
     assert polys == enumerate_destabilized_polygons(params)
     assert checks == SCAN_CHECKS[params]
+    assert walks == SCAN_WALKS[params]
 
 
 @pytest.mark.parametrize("d", [0, 1])

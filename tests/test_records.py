@@ -204,6 +204,8 @@ def test_polygon_normalises_its_vertices_to_tuples():
      "projective points here live in P^2: need 3 coordinates"),
     (lambda: ProjectivePoint((F9.one, F3.one, F9.one)),
      "coordinates must all belong to one field"),
+    (lambda: ProjectivePoint((F9.zero, F9.zero, F9.zero)),
+     "projective point needs a nonzero coordinate"),
     (lambda: F9.element([1, 2, 0]), "coefficient vector longer than extension degree 2"),
     (lambda: psi_polygon(5, 0), "template index must be 1..4, got 5"),
     (lambda: bruteforce_destabilized_polygons(CurveParams(3, 1, 3, 0)),
