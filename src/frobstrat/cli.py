@@ -334,7 +334,7 @@ def cmd_certify(args):
         f"certificates for p={args.p} g={args.g} r={args.r} d={args.d}, "
         f"auxiliary line-bundle degree t={t}",
         f"push-forward: rank {args.p}, degree {fl_deg}, "
-        f"slope {Fraction(fl_deg, args.p)}",
+        f"slope {BundleData(args.p, fl_deg).slope}",
     ]
     payload = {}
     for rep, title in ((emb, "embedding certificate (adjoint map injective)"),

@@ -110,10 +110,6 @@ class TensorElement(Record):
         _set(self, "terms", tuple(sorted(item for item in terms.items() if item[1])))
 
     @classmethod
-    def zero(cls, spec):
-        return cls(spec, {})
-
-    @classmethod
     def monomial(cls, spec, i, j, coeff=None):
         if coeff is None:
             coeff = spec.field.one
@@ -306,7 +302,8 @@ class SubmoduleV(Record):
     The point [a : b : c] encodes V = { f : a f(0-coeff) + b f(1-coeff)
     + c f(2-coeff) = 0 }; all of t^p S lies in V automatically because the
     maximal ideal kills the one-dimensional quotient.  ``h`` holds the
-    functional's coordinates as element indices.
+    functional's coordinates as element indices.  Membership is asked of the
+    base change: f lies in V iff pullback_span(V).contains(f (x) 1).
     """
 
     __match_args__ = ("spec", "hyperplane")
@@ -316,25 +313,13 @@ class SubmoduleV(Record):
         if spec.p != 3:
             raise ValueError(
                 "the hyperplane encoding of colength-1 submodules is implemented for p = 3")
-        if hyperplane.spec != spec.field:
+        # identity first: != would run the Python-level Record.__eq__
+        if hyperplane.spec is not spec.field and hyperplane.spec != spec.field:
             raise ValueError("hyperplane point lives over a different field")
         _set(self, "spec", spec)
         _set(self, "hyperplane", hyperplane)
         a, b, c = hyperplane.coords
         _set(self, "h", (a.index, b.index, c.index))
-
-    def functional(self, coeffs):
-        """Apply the defining functional to the coefficients of 1, t, t^2."""
-        field = self.spec.field
-        acc = field.zero
-        for h, a in zip(self.hyperplane.coords, coeffs):
-            acc = acc + h * field.element(a)
-        return acc
-
-    def contains(self, coeffs):
-        """Whether sum_i coeffs[i] t^i lies in V; only coefficients of
-        1, t, t^2 matter since t^3 S is inside V."""
-        return not self.functional(list(coeffs)[:3])
 
 
 def contains_monomial(V, j):
@@ -343,7 +328,7 @@ def contains_monomial(V, j):
     t^2 is in V iff the last coordinate is 0."""
     if j not in (0, 1, 2):
         raise ValueError(f"monomial exponent must be 0, 1 or 2, got {j}")
-    return not V.hyperplane.coords[j]
+    return not V.h[j]
 
 
 def pullback_span(V):

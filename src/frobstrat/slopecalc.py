@@ -111,9 +111,8 @@ def _subrank_bounds(p, g, r, d, t):
     if r not in (1, p):
         raise ValueError(
             f"certificates cover the rank-equals-characteristic case; got r={r}, p={p}")
-    from fractions import Fraction
-    fl_slope = Fraction(pushforward_degree(BundleData(1, t), p, g), p)
-    threshold = Fraction(d, r)
+    fl_slope = BundleData(p, pushforward_degree(BundleData(1, t), p, g)).slope
+    threshold = BundleData(r, d).slope
     bounds = [sun_upper_bound(s, p, g, fl_slope) for s in range(1, r)]
     return tuple(SubrankBound(s, b, threshold, b <= threshold)
                  for s, b in enumerate(bounds, 1))

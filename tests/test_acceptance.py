@@ -136,7 +136,7 @@ def test_criterion_06_tau_calculus():
     ok = not tau_power(spec, 3)
 
     def expand(triples):
-        out = TensorElement.zero(spec)
+        out = TensorElement(spec, {})
         for i, j, c in triples:
             out = out + TensorElement.monomial(spec, i, j, c)
         return out

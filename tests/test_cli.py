@@ -250,6 +250,23 @@ def test_label_colength_mismatch_exits_1(capsys, monkeypatch):
     assert "stratum label Psi2" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_localmodel_verify_fails_on_a_wrong_census(capsys, monkeypatch, fmt):
+    # every Psi3 point counted as Psi2, with label and colength agreeing, so
+    # the census conjunct is the only check that can catch it
+    classify = localmodel.classify_stratum
+    monkeypatch.setattr("frobstrat.cli.classify_stratum",
+                        lambda V: "Psi2" if classify(V) == "Psi3" else classify(V))
+    monkeypatch.setattr("frobstrat.cli._COLENGTH_LABEL", {1: "Psi4", 2: "Psi2", 3: "Psi2"})
+    code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
+    assert code == 1
+    verdicts = out if fmt == "table" else err
+    assert "verify: census matches q^2/q/1 decomposition: FAIL" in verdicts
+    assert "verify: claims and colengths stable at M=4: PASS" in verdicts
+    if fmt == "json":
+        assert json.loads(out)["census"] == {"Psi2": 12, "Psi3": 0, "Psi4": 1}
+
+
 def test_strata_table_output(capsys):
     code, out, _ = run(capsys, "strata", "--d", "0")
     assert code == 0

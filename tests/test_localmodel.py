@@ -1,5 +1,7 @@
+import random
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -35,7 +37,7 @@ def pt(spec_field, *coords):
 
 
 def elem(spec, triples):
-    out = TensorElement.zero(spec)
+    out = TensorElement(spec, {})
     for i, j, c in triples:
         out = out + TensorElement.monomial(spec, i, j, c)
     return out
@@ -94,19 +96,65 @@ def test_truncation_drops_high_left_exponents(model3):
     assert not times_t_right(wrap)
 
 
+def in_W(V, coeffs):
+    """Whether f (x) 1 lies in W = V (x)_R S, f = sum_i coeffs[i] t^i."""
+    field = V.spec.field
+    f = TensorElement(V.spec, {(i, 0): field.element(a) for i, a in enumerate(coeffs)})
+    return pullback_span(V).contains(f)
+
+
 def test_submodule_membership_through_the_functional(f3, model3):
+    # f lies in V iff f (x) 1 lies in W: W contains U, W/U = ker(h) (x) k^p,
+    # and t^3 S (x) 1 lies in U
     V = SubmoduleV(model3, pt(f3, 1, 0, 0))
-    assert V.contains([0, 1, 0]) and V.contains([0, 0, 1])
-    assert not V.contains([1, 0, 0])
+    assert in_W(V, [0, 1, 0]) and in_W(V, [0, 0, 1])
+    assert not in_W(V, [1, 0, 0])
     V = SubmoduleV(model3, pt(f3, 0, 0, 1))
-    assert V.contains([1, 0, 0]) and V.contains([0, 1, 0])
-    assert not V.contains([0, 0, 1])
+    assert in_W(V, [1, 0, 0]) and in_W(V, [0, 1, 0])
+    assert not in_W(V, [0, 0, 1])
     V = SubmoduleV(model3, pt(f3, 0, 1, 1))
-    assert V.contains([0, 1, -1])        # t - t^2 is in the kernel of a1 + a2
-    assert V.contains([1, 0, 0])
-    assert not V.contains([0, 1, 0])
+    assert in_W(V, [0, 1, -1])        # t - t^2 is in the kernel of a1 + a2
+    assert in_W(V, [1, 0, 0])
+    assert not in_W(V, [0, 1, 0])
     # anything supported in degrees >= 3 is always inside
-    assert V.contains([0, 0, 0, 2, 1])
+    assert in_W(V, [0, 0, 0, 2, 1])
+
+
+def _membership_lemma_holds(spec, points):
+    """f (x) t^j lies in W iff a f_0 + b f_1 + c f_2 = 0 for the point [a : b : c].
+    The functional is computed here with FieldElement arithmetic on the point's
+    coordinates.  f runs over the combinations of 1, t, t^2 with coefficients 0,
+    1 and u (u = x outside the prime field, u = 2 in it), j over 0 .. p - 1."""
+    field = spec.field
+    u = field.element([0, 1] if field.m > 1 else 2)
+    for point in points:
+        W = pullback_span(SubmoduleV(spec, point))
+        for coeffs in product((field.zero, field.one, u), repeat=3):
+            want = not sum((h * x for h, x in zip(point.coords, coeffs)), field.zero)
+            for j in range(spec.p):
+                f = TensorElement(spec, {(i, j): x for i, x in enumerate(coeffs)})
+                assert W.contains(f) == want, (point, coeffs, j)
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["GF3", "GF9"])
+@pytest.mark.parametrize("M", [3, 4])
+def test_membership_lemma_on_every_plane_point(m, M):
+    field = field_make(3, m)
+    _membership_lemma_holds(ModelSpec(field, 3, M), projective_plane(field))
+
+
+def test_membership_lemma_on_sampled_points_of_gf27():
+    field = field_make(3, 3)
+    rng = random.Random(27)
+    points = []
+    while len(points) < 40:
+        coords = [field.element([rng.randrange(3) for _ in range(3)]) for _ in range(3)]
+        if any(coords):
+            points.append(ProjectivePoint(coords))
+    # the coordinate points too: few sampled points have a last nonzero coordinate
+    # other than the third, the case split pullback_span makes
+    points += [pt(field, 1, 0, 0), pt(field, 0, 1, 0), pt(field, 0, 0, 1), pt(field, 1, 1, 1)]
+    _membership_lemma_holds(ModelSpec(field, 3, 3), points)
 
 
 def test_submodule_requires_characteristic_three(f3):
@@ -300,7 +348,7 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
 
 def test_membership_trivialities(f3, f9, model3, model9):
     W = pullback_span(SubmoduleV(model3, pt(f3, 1, 1, 1)))
-    assert W.contains(TensorElement.zero(model3))
+    assert W.contains(TensorElement(model3, {}))
     with pytest.raises(ValueError):
         W.contains(TensorElement.monomial(model9, 0, 0))
 
@@ -452,7 +500,7 @@ def test_subspace_basis_rows_are_canonical(f3, model3):
 
 def test_tensor_repr_and_hash(model3):
     assert repr(TensorElement.monomial(model3, 1, 2, 2)) == "[2 in GF(3)]t^1(x)t^2"
-    assert repr(TensorElement.zero(model3)) == "0"
+    assert repr(TensorElement(model3, {})) == "0"
     a = TensorElement.monomial(model3, 1, 2) + TensorElement.monomial(model3, 0, 0)
     b = TensorElement.monomial(model3, 0, 0) + TensorElement.monomial(model3, 1, 2)
     assert a == b and hash(a) == hash(b)

@@ -177,9 +177,9 @@ def test_polygon_normalises_its_vertices_to_tuples():
     (lambda: StratumRecord("Psi2", TRI, 5, 5, 2, 4),
      "parameter-space dimension must be fiber + 1 + g with g = 2"),
     (lambda: tau_power(SPEC, -1), "exponent must be non-negative, got -1"),
-    (lambda: SubspaceBasis.from_spanning(SPEC, [TensorElement.zero(SPEC3)]),
+    (lambda: SubspaceBasis.from_spanning(SPEC, [TensorElement(SPEC3, {})]),
      "spanning element belongs to a different local model"),
-    (lambda: TensorElement.zero(SPEC) + TensorElement.zero(SPEC3),
+    (lambda: TensorElement(SPEC, {}) + TensorElement(SPEC3, {}),
      "elements belong to different local models"),
     (lambda: TensorElement.monomial(SPEC, 0, 0, F27.element([0, 0, 1])),
      "coefficient x^2 in GF(3^3; 1 + 2x^2 + x^3) is not an element of GF(3^2; 1 + x^2)"),
