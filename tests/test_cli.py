@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from frobstrat import localmodel, polygon
+from frobstrat import localmodel, polygon, slopecalc, strata
 from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.polygon import (
@@ -13,12 +13,21 @@ from frobstrat.polygon import (
     enumerate_destabilized_polygons,
     name_polygon,
 )
+from frobstrat.slopecalc import CertificateReport, SubrankBound
+from frobstrat.strata import StrataTable, StratumRecord, dualize_polygon
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_verify(capsys, fmt, *argv):
+    """Run a command with --verify in ``fmt``; return its exit code and the
+    stream its verdicts go to: stdout for a table, stderr for JSON."""
+    code, out, err = run(capsys, *argv, "--format", fmt, "--verify")
+    return code, out if fmt == "table" else err
 
 
 def test_enumerate_default_regime(capsys):
@@ -72,6 +81,19 @@ def test_enumerate_with_verify(capsys):
     code, _, err = run(capsys, "enumerate", "--d", "2", "--verify")
     assert code == 0
     assert "agrees" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_enumerate_verify_disagrees_with_a_scan_of_as_many_polygons(capsys, monkeypatch, fmt):
+    # the box scan finds as many polygons as the search, one of them another
+    def one_polygon_replaced(params):
+        _, *rest = polygon.bruteforce_destabilized_polygons(params)
+        return [LatticePolygon([(0, 0), (params.r, params.p * params.d)]), *rest]
+
+    monkeypatch.setattr("frobstrat.cli.bruteforce_destabilized_polygons", one_polygon_replaced)
+    code, _, err = run(capsys, "enumerate", "--d", "2", "--format", fmt, "--verify")
+    assert code == 1
+    assert "verify: brute-force box scan DISAGREES (4 vs 4 polygons)" in err
 
 
 def test_enumerate_regime_error_exits_2(capsys):
@@ -283,10 +305,12 @@ def test_strata_json_d_independent(capsys):
     assert payload["top_components"] == 2
 
 
-def test_strata_defaults_and_verify(capsys):
-    code, out, _ = run(capsys, "strata", "--verify")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("d", [None, *range(-3, 4)])
+def test_strata_defaults_and_verify(capsys, d, fmt):
+    code, verdicts = run_verify(capsys, fmt, "strata", *(() if d is None else ("--d", str(d))))
     assert code == 0
-    assert "cross-checks: PASS" in out
+    assert "cross-checks: PASS" in verdicts
 
 
 def test_strata_verify_fails_on_a_wrong_fiber_dimension(capsys, monkeypatch):
@@ -294,6 +318,35 @@ def test_strata_verify_fails_on_a_wrong_fiber_dimension(capsys, monkeypatch):
     code, out, _ = run(capsys, "strata", "--verify")
     assert code == 1
     assert "verify: dimension cross-checks: FAIL" in out
+
+
+def _strata_tables_through(change):
+    """A strata_table whose tables are passed through ``change``."""
+    return lambda d: change(strata.strata_table(d))
+
+
+# each fault makes exactly one conjunct of the strata --verify check false
+_STRATA_FAULTS = {
+    "top-components": ("strata_table", _strata_tables_through(
+        lambda t: StrataTable(t.records, t.codimension, 3))),
+    "codimension": ("strata_table", _strata_tables_through(
+        lambda t: StrataTable(t.records, t.codimension - 1, t.top_components))),
+    "dual-label": ("name_polygon", lambda P, params: "Psi1"),
+    # Psi1 one below Psi2, with Psi2 still on top beside Psi1's old dimension
+    "psi1-psi2-dimensions": ("strata_table", _strata_tables_through(
+        lambda t: StrataTable((StratumRecord("Psi1", t.records[0].polygon, 4, 4),
+                               *t.records[1:]), t.codimension, t.top_components))),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("fault", _STRATA_FAULTS)
+def test_strata_verify_fails_on_each_broken_conjunct(capsys, monkeypatch, fault, fmt):
+    target, fake = _STRATA_FAULTS[fault]
+    monkeypatch.setattr(f"frobstrat.cli.{target}", fake)
+    code, verdicts = run_verify(capsys, fmt, "strata", "--d", "1")
+    assert code == 1
+    assert "verify: dimension cross-checks: FAIL" in verdicts
 
 
 def test_certify_main_regime(capsys):
@@ -350,11 +403,33 @@ def test_certify_reports_fail_with_exit_1(capsys):
     assert "FAIL" in out
 
 
-def test_dual_with_verify(capsys):
-    code, out, _ = run(capsys, "dual", "--d", "1", "--verify")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_certify_verify_fails_on_a_flipped_row_verdict(capsys, monkeypatch, fmt):
+    # the first row's verdict contradicts its bound; the certificate still passes
+    def first_row_flipped(*args):
+        report = slopecalc.embedding_certificate(*args)
+        row, *rest = report.bounds
+        flipped = SubrankBound(row.subrank, row.bound, row.threshold, not row.ok)
+        return CertificateReport(report.kind, report.passed, (flipped, *rest))
+
+    monkeypatch.setattr("frobstrat.cli.embedding_certificate", first_row_flipped)
+    code, verdicts = run_verify(capsys, fmt, "certify", "--d", "2")
+    assert code == 1
+    assert "verify: closed-form bound recomputation: FAIL" in verdicts
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("d", range(-3, 4))
+def test_dual_with_verify(capsys, d, fmt):
+    code, out, err = run(capsys, "dual", "--d", str(d), "--format", fmt, "--verify")
     assert code == 0
-    assert "Psi1(1) -> Psi2(-1)" in out
-    assert "PASS" in out
+    if fmt == "table":
+        assert f"Psi1({d}) -> Psi2({-d})" in out
+        assert "PASS" in out
+    else:
+        pairs = {(p["label"], p["dual_label"]) for p in json.loads(out)["pairs"]}
+        assert ("Psi1", "Psi2") in pairs
+        assert "PASS" in err
 
 
 def test_dual_json(capsys):
@@ -363,6 +438,29 @@ def test_dual_json(capsys):
     payload = json.loads(out)
     pairs = {p["label"]: p["dual_label"] for p in payload["pairs"]}
     assert pairs == {"Psi1": "Psi2", "Psi2": "Psi1", "Psi3": "Psi3", "Psi4": "Psi4"}
+
+
+# each fault makes exactly one conjunct of the dual --verify check false at d = 1
+_DUAL_FAULTS = {
+    # the degree -1 polygons dualize to a polygon that is none of the degree 1 ones
+    "involution": ("dualize_polygon", lambda P: dualize_polygon(P) if P.endpoint[1] > 0
+                   else LatticePolygon([(0, 0), (3, 3)])),
+    # the enumeration at degree -1 misses a polygon
+    "set-equality": ("enumerate_destabilized_polygons",
+                     lambda params: enumerate_destabilized_polygons(params)[1:] if params.d < 0
+                     else enumerate_destabilized_polygons(params)),
+    "label-swap": ("name_polygon", lambda P, params: "Psi1"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("fault", _DUAL_FAULTS)
+def test_dual_verify_fails_on_each_broken_conjunct(capsys, monkeypatch, fault, fmt):
+    target, fake = _DUAL_FAULTS[fault]
+    monkeypatch.setattr(f"frobstrat.cli.{target}", fake)
+    code, verdicts = run_verify(capsys, fmt, "dual", "--d", "1")
+    assert code == 1
+    assert "verify: involution and label swap onto degree -1: FAIL" in verdicts
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
