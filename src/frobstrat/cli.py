@@ -7,8 +7,6 @@ an internal invariant breaks, 2 on a usage or parameter error.  Output is
 deterministic: identical inputs produce byte-identical output.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -31,6 +29,7 @@ from .polygon import (
     PSI2,
     PSI3,
     PSI4,
+    REGIME,
     CurveParams,
     LatticePolygon,
     bruteforce_destabilized_polygons,
@@ -56,7 +55,7 @@ __all__ = ["main"]
 _VERDICTS = object()
 
 # largest localmodel --q: time and the plane's points and output entries grow as q^2
-_MAX_Q = 3 ** 5
+_MAX_Q = REGIME[0] ** 5
 
 # largest --p, checked before its primality is tested by trial division up to sqrt(p)
 _MAX_P = 10_000
@@ -164,7 +163,7 @@ def _render(args, passed, payload, lines, checks):
 def cmd_enumerate(args):
     params = CurveParams(args.p, args.g, args.r, args.d)
     polys = enumerate_destabilized_polygons(params)
-    in_regime = (args.p, args.g, args.r) == (3, 2, 3)
+    in_regime = (args.p, args.g, args.r) == REGIME
     labels = [name_polygon(P, params) if in_regime else None for P in polys]
 
     agrees = True
@@ -204,8 +203,8 @@ def cmd_enumerate(args):
 
 def _power_of_three(q):
     m = 0
-    while q > 1 and q % 3 == 0:
-        q //= 3
+    while q > 1 and q % REGIME[0] == 0:
+        q //= REGIME[0]
         m += 1
     return m if q == 1 and m >= 1 else None
 
@@ -213,7 +212,7 @@ def _power_of_three(q):
 def cmd_localmodel(args):
     m = _power_of_three(args.q)
     if m is None:
-        raise ValueError(f"q must be a positive power of 3, got {args.q}")
+        raise ValueError(f"q must be a positive power of {REGIME[0]}, got {args.q}")
     if args.q > _MAX_Q:
         raise ValueError(f"q = {args.q} is above the ceiling {_MAX_Q}: it would classify "
                          f"q^2 + q + 1 = {args.q ** 2 + args.q + 1} plane points with "
@@ -225,8 +224,8 @@ def cmd_localmodel(args):
         raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: the model's unit "
                          f"rows alone would hold (9M - 9) x 9M = "
                          f"{(9 * args.M - 9) * 9 * args.M} entries")
-    spec = ModelSpec(field_make(3, m), 3, args.M)
-    deeper = ModelSpec(spec.field, 3, args.M + 1)
+    spec = ModelSpec(field_make(REGIME[0], m), REGIME[0], args.M)
+    deeper = ModelSpec(spec.field, spec.p, args.M + 1)
 
     # one walk of the plane: a point's quotient gives its colength and claims, the
     # full model W (--verify) recomputes both at M on every point and at M + 1 up
@@ -278,25 +277,26 @@ def cmd_localmodel(args):
 
 
 def cmd_strata(args):
+    p, g, r = REGIME
     table = strata_table(args.d)
     checks = []
     if args.verify:
         # a fiber of dimension n is an affine n-space: over GF(3) the local
         # model's census must put 3^n plane points in its stratum
-        census = stratum_census(ModelSpec(field_make(3), 3))
-        ok = all([census[rec.label] == 3 ** rec.fiber_dim
+        census = stratum_census(ModelSpec(field_make(p), p))
+        ok = all([census[rec.label] == p ** rec.fiber_dim
                   for rec in table.records if rec.label != PSI1])
         # duality transports the first stratum onto the second at degree -d
         dual = dualize_polygon(table.records[0].polygon)
-        ok &= name_polygon(dual, CurveParams(3, 2, 3, -args.d)) == PSI2
+        ok &= name_polygon(dual, CurveParams(*REGIME, -args.d)) == PSI2
         ok &= table.records[0].stratum_dim == table.records[1].stratum_dim
         top = max(r.stratum_dim for r in table.records)
-        ok &= table.codimension == moduli_dimension(3, 2) - top
+        ok &= table.codimension == moduli_dimension(r, g) - top
         ok &= table.top_components == 2
         checks.append(("dimension cross-checks", ok))
 
     lines = [
-        f"Frobenius strata dimensions  p=3 g=2 r=3 d={args.d}",
+        f"Frobenius strata dimensions  p={p} g={g} r={r} d={args.d}",
         f"  {'label':<6} {'vertices':<30} {'fiber':>5} {'quot':>5} {'stratum':>8} {'closed':>7}",
     ]
     strata = []
@@ -308,7 +308,7 @@ def cmd_strata(args):
         lines.append(f"  {rec.label:<6} {_fmt_vertices(rec.polygon):<30} "
                      f"{'-' if fib is None else fib:>5} {'-' if quo is None else quo:>5} "
                      f"{dim:>8} {rec.closed_stratum_dim:>7}")
-    lines.append(f"moduli dimension {moduli_dimension(3, 2)}; destabilized locus codimension "
+    lines.append(f"moduli dimension {moduli_dimension(r, g)}; destabilized locus codimension "
                  f"{table.codimension}; top-dimensional components {table.top_components}")
     return True, {"strata": strata, "codimension": table.codimension,
                   "top_components": table.top_components}, lines, checks
@@ -352,8 +352,8 @@ def cmd_certify(args):
 
 
 def cmd_dual(args):
-    params = CurveParams(3, 2, 3, args.d)
-    dual_params = CurveParams(3, 2, 3, -args.d)
+    params = CurveParams(*REGIME, args.d)
+    dual_params = CurveParams(*REGIME, -args.d)
     polys = enumerate_destabilized_polygons(params)
     pairs = []
     for P in polys:

@@ -10,8 +10,6 @@ are small (q <= 243, the ``localmodel --q`` ceiling), so element arithmetic is a
 table lookup and all linear algebra built on top stays exact.
 """
 
-from __future__ import annotations
-
 from itertools import product
 
 from ._record import Record, _set

@@ -15,14 +15,12 @@ field decide which stratum each plane point belongs to.  The truncation level
 M >= 3 keeps every exponent the classification touches (at most 5) alive.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import takewhile
 
 from ._record import Record, _set
 from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
-from .polygon import PSI2, PSI3, PSI4
+from .polygon import PSI2, PSI3, PSI4, REGIME
 
 # the stratum of each colength; classify_stratum reads the same labels off
 # the point's coordinates
@@ -310,9 +308,9 @@ class SubmoduleV(Record):
     __slots__ = __match_args__ + ("h",)
 
     def __init__(self, spec: ModelSpec, hyperplane: ProjectivePoint):
-        if spec.p != 3:
-            raise ValueError(
-                "the hyperplane encoding of colength-1 submodules is implemented for p = 3")
+        if spec.p != REGIME[0]:
+            raise ValueError("the hyperplane encoding of colength-1 submodules is "
+                             f"implemented for p = {REGIME[0]}")
         # identity first: != would run the Python-level Record.__eq__
         if hyperplane.spec is not spec.field and hyperplane.spec != spec.field:
             raise ValueError("hyperplane point lives over a different field")

@@ -8,8 +8,6 @@ by 2g - 2, which together with the fixed average slope p*d/r makes the
 enumeration finite.
 """
 
-from __future__ import annotations
-
 from math import prod
 
 from ._record import Record, _set
@@ -28,6 +26,7 @@ __all__ = [
     "PSI3",
     "PSI4",
     "PSI_LABELS",
+    "REGIME",
     "SEMISTABLE",
     "bruteforce_destabilized_polygons",
     "dominates",
@@ -40,6 +39,8 @@ __all__ = [
 
 PSI1, PSI2, PSI3, PSI4 = "Psi1", "Psi2", "Psi3", "Psi4"
 PSI_LABELS = (PSI1, PSI2, PSI3, PSI4)
+# (p, g, r) of the one regime the paper classifies, where the Psi templates hold
+REGIME = (3, 2, 3)
 SEMISTABLE = "semistable"
 OTHER = "other"
 
@@ -325,9 +326,9 @@ def polygon_of_filtration(pieces):
 
 def name_polygon(P, params):
     """Match a polygon against the (3, 2, 3) templates at the given degree."""
-    if (params.p, params.g, params.r) != (3, 2, 3):
+    if (params.p, params.g, params.r) != REGIME:
         raise ValueError(
-            "unclassified regime: polygon naming is defined for (p, g, r) = (3, 2, 3)")
+            f"unclassified regime: polygon naming is defined for (p, g, r) = {REGIME}")
     d = params.d
     if P.endpoint != (3, 3 * d):
         raise ValueError(f"polygon ends at {P.endpoint}, expected (3, {3 * d})")

@@ -2,10 +2,8 @@
 a genus-2 curve: fiber, parameter-space and moduli-space dimensions, the
 dual-polygon involution, and the assembled table."""
 
-from __future__ import annotations
-
 from ._record import Record, _set
-from .polygon import PSI1, PSI2, PSI3, PSI4, LatticePolygon, psi_polygon
+from .polygon import PSI1, PSI2, PSI3, PSI4, REGIME, LatticePolygon, psi_polygon
 
 __all__ = [
     "CURVE_DIM",
@@ -48,9 +46,9 @@ def moduli_stratum_dimension(label, g):
     Jacobian, dimension g; Psi1 transports from Psi2 by the duality swapping
     the two labels.
     """
-    if g != 2:
+    if g != REGIME[1]:
         raise ValueError(
-            f"moduli stratum dimensions are established for genus 2 only, got g={g}")
+            f"moduli stratum dimensions are established for genus {REGIME[1]} only, got g={g}")
     if label == PSI1:
         return quot_stratum_dimension(PSI2, g)
     if label in (PSI2, PSI3):
@@ -95,8 +93,8 @@ class StratumRecord(Record):
             raise ValueError("open and closed stratum dimensions must agree")
         if (fiber_dim is None) != (quot_dim is None):
             raise ValueError("fiber and parameter-space dimensions come together")
-        if quot_dim is not None and quot_dim != fiber_dim + CURVE_DIM + 2:
-            raise ValueError("parameter-space dimension must be fiber + 1 + g with g = 2")
+        if quot_dim is not None and quot_dim != fiber_dim + CURVE_DIM + (g := REGIME[1]):
+            raise ValueError(f"parameter-space dimension must be fiber + 1 + g with g = {g}")
         _set(self, "label", label)
         _set(self, "polygon", polygon)
         _set(self, "stratum_dim", stratum_dim)
@@ -123,7 +121,7 @@ def strata_table(d):
     dimension minus the top stratum dimension) and how many strata attain
     the top dimension.
     """
-    g = 2
+    _, g, r = REGIME
     records = []
     for i, label in enumerate((PSI1, PSI2, PSI3, PSI4), start=1):
         dim = moduli_stratum_dimension(label, g)
@@ -136,6 +134,6 @@ def strata_table(d):
     top = max(rec.stratum_dim for rec in records)
     return StrataTable(
         records=tuple(records),
-        codimension=moduli_dimension(3, g) - top,
+        codimension=moduli_dimension(r, g) - top,
         top_components=sum(1 for rec in records if rec.stratum_dim == top),
     )
