@@ -403,16 +403,25 @@ def test_certify_reports_fail_with_exit_1(capsys):
     assert "FAIL" in out
 
 
+# each fault changes the embedding certificate's first row so that exactly one
+# half of the certify --verify check is false; the certificate still passes
+_CERTIFY_FAULTS = {
+    # a bound other than the closed form, with the verdict the closed form gives
+    "bound": lambda row: SubrankBound(row.subrank, row.bound + 1, row.threshold, row.ok),
+    "verdict": lambda row: SubrankBound(row.subrank, row.bound, row.threshold, not row.ok),
+}
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_certify_verify_fails_on_a_flipped_row_verdict(capsys, monkeypatch, fmt):
-    # the first row's verdict contradicts its bound; the certificate still passes
-    def first_row_flipped(*args):
+@pytest.mark.parametrize("fault", _CERTIFY_FAULTS)
+def test_certify_verify_fails_on_each_broken_conjunct(capsys, monkeypatch, fault, fmt):
+    def first_row_broken(*args):
         report = slopecalc.embedding_certificate(*args)
         row, *rest = report.bounds
-        flipped = SubrankBound(row.subrank, row.bound, row.threshold, not row.ok)
-        return CertificateReport(report.kind, report.passed, (flipped, *rest))
+        broken = _CERTIFY_FAULTS[fault](row)
+        return CertificateReport(report.kind, report.passed, (broken, *rest))
 
-    monkeypatch.setattr("frobstrat.cli.embedding_certificate", first_row_flipped)
+    monkeypatch.setattr("frobstrat.cli.embedding_certificate", first_row_broken)
     code, verdicts = run_verify(capsys, fmt, "certify", "--d", "2")
     assert code == 1
     assert "verify: closed-form bound recomputation: FAIL" in verdicts
