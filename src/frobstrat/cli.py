@@ -39,6 +39,7 @@ from .polygon import (
 from .slopecalc import (
     BundleData,
     embedding_certificate,
+    euler_characteristic,
     pushforward_degree,
     stability_certificate,
 )
@@ -221,9 +222,10 @@ def cmd_localmodel(args):
     if args.M < 3:
         raise ValueError(f"truncation level M must be at least 3, got {args.M}")
     if args.M > _MAX_M:
+        p2 = REGIME[0] ** 2
         raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: the model's unit "
-                         f"rows alone would hold (9M - 9) x 9M = "
-                         f"{(9 * args.M - 9) * 9 * args.M} entries")
+                         f"rows alone would hold ({p2}M - {p2}) x {p2}M = "
+                         f"{(p2 * args.M - p2) * p2 * args.M} entries")
     spec = ModelSpec(field_make(REGIME[0], m), REGIME[0], args.M)
     deeper = ModelSpec(spec.field, spec.p, args.M + 1)
 
@@ -319,17 +321,19 @@ def cmd_certify(args):
     t = args.t if args.t is not None else args.d - 1
     emb = embedding_certificate(args.p, args.g, args.r, args.d, t)
     stab = stability_certificate(args.p, args.g, args.r, args.d, t)
+    fl_deg = pushforward_degree(BundleData(1, t), args.p, args.g)
 
     checks = []
     if args.verify:
-        # re-derive each bound from the collapsed closed form (t + (g-1)(s-1))/p
-        ok = True
+        # the push-forward's degree must conserve the Euler characteristic, and
+        # each bound must equal the collapsed closed form (t + (g-1)(s-1))/p
+        ok = (euler_characteristic(args.p, fl_deg, args.g)
+              == euler_characteristic(1, t, args.g))
         for row in emb.bounds + stab.bounds:
             closed = Fraction(t + (args.g - 1) * (row.subrank - 1), args.p)
             ok &= closed == row.bound and (closed <= row.threshold) == row.ok
         checks.append(("closed-form bound recomputation", ok))
 
-    fl_deg = pushforward_degree(BundleData(1, t), args.p, args.g)
     lines = [
         f"certificates for p={args.p} g={args.g} r={args.r} d={args.d}, "
         f"auxiliary line-bundle degree t={t}",
@@ -384,13 +388,14 @@ def cmd_dual(args):
     return True, payload, lines, checks
 
 
-# the integer options, each named by one letter
+# the integer options, each named by one letter; p, g and r default to the
+# classified regime, and q to its smallest field
 _INT_OPTIONS = {
-    "p": dict(default=3, help="characteristic (default 3)"),
-    "g": dict(default=2, help="genus (default 2)"),
-    "r": dict(default=3, help="rank (default 3)"),
+    "p": dict(default=REGIME[0], help=f"characteristic (default {REGIME[0]})"),
+    "g": dict(default=REGIME[1], help=f"genus (default {REGIME[1]})"),
+    "r": dict(default=REGIME[2], help=f"rank (default {REGIME[2]})"),
     "d": dict(default=0, help="degree (default 0)"),
-    "q": dict(default=3, help="field size, a power of 3 (default 3)"),
+    "q": dict(default=REGIME[0], help=f"field size, a power of {REGIME[0]} (default {REGIME[0]})"),
     "M": dict(default=3, help="truncation level (default 3)"),
     "t": dict(default=None, help="auxiliary line-bundle degree (default d-1)"),
 }
@@ -398,7 +403,8 @@ _INT_OPTIONS = {
 # (name, help, handler, its integer options in --help order)
 _COMMANDS = (
     ("enumerate", "enumerate destabilized pull-back polygons", cmd_enumerate, "pgrd"),
-    ("localmodel", "classify the local model over GF(q), q a power of 3", cmd_localmodel, "qM"),
+    ("localmodel", f"classify the local model over GF(q), q a power of {REGIME[0]}",
+     cmd_localmodel, "qM"),
     ("strata", "print the strata dimension table", cmd_strata, "d"),
     ("certify", "run the embedding and stability certificates", cmd_certify, "pgrdt"),
     ("dual", "dualize the enumerated polygons", cmd_dual, "d"),

@@ -33,7 +33,6 @@ __all__ = [
     "TensorElement",
     "claim_results",
     "classify_stratum",
-    "contains_monomial",
     "intersection_colength",
     "pullback_span",
     "quotient_classification",
@@ -320,15 +319,6 @@ class SubmoduleV(Record):
         _set(self, "h", (a.index, b.index, c.index))
 
 
-def contains_monomial(V, j):
-    """Whether t^j (j in {0, 1, 2}) lies in V: the j-th functional coordinate
-    vanishes.  In particular t is in V iff the middle coordinate is 0 and
-    t^2 is in V iff the last coordinate is 0."""
-    if j not in (0, 1, 2):
-        raise ValueError(f"monomial exponent must be 0, 1 or 2, got {j}")
-    return not V.h[j]
-
-
 def pullback_span(V):
     """Reduced echelon basis of the image W of V (x)_R S in the truncated model.
 
@@ -461,7 +451,7 @@ def classify_stratum(V):
     """Stratum label of a plane point: both t and t^2 in V gives Psi4, only
     t^2 gives Psi3, t^2 missing gives Psi2.  Matches intersection_colength
     through 1 -> Psi4, 2 -> Psi3, 3 -> Psi2."""
-    _, h1, h2 = V.h  # t^j lies in V iff h_j = 0 (see contains_monomial)
+    _, h1, h2 = V.h  # t^j (j < 3) lies in V iff h_j = 0
     return PSI2 if h2 else PSI3 if h1 else PSI4
 
 

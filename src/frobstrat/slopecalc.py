@@ -18,8 +18,6 @@ __all__ = [
     "degree_from_colength",
     "embedding_certificate",
     "euler_characteristic",
-    "nonsplit_predicate",
-    "pullback_degree",
     "pushforward_degree",
     "stability_certificate",
     "sun_upper_bound",
@@ -59,11 +57,6 @@ def pushforward_degree(b, p, g):
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
     return b.degree + b.rank * (p - 1) * (g - 1)
-
-
-def pullback_degree(b, p):
-    """Frobenius pull-back: rank unchanged, degree multiplied by p."""
-    return BundleData(b.rank, p * b.degree)
 
 
 def sun_upper_bound(subrank, p, g, pushforward_slope):
@@ -154,18 +147,6 @@ def canonical_filtration_degrees(p, g, t):
     if g < 1:
         raise ValueError(f"genus must be at least 1, got {g}")
     return [t + i * (2 * g - 2) for i in range(p - 1, -1, -1)]
-
-
-def nonsplit_predicate(p, g):
-    """Literal divisibility criterion p | (g - 1) for non-splitting of the
-    canonical filtration of a pulled-back push-forward.
-
-    Exposed verbatim.  Caveat: at (p, g) = (3, 2) this returns False although
-    the non-split behaviour it is meant to capture is known to hold there, so
-    the two directions of the criterion are inconsistent on that instance.
-    Callers must not read the False branch as a proof of splitting.
-    """
-    return (g - 1) % p == 0
 
 
 def degree_from_colength(d, colength):

@@ -8,6 +8,7 @@ from frobstrat import localmodel, polygon, slopecalc, strata
 from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.polygon import (
+    REGIME,
     CurveParams,
     LatticePolygon,
     enumerate_destabilized_polygons,
@@ -428,6 +429,17 @@ def test_certify_verify_fails_on_each_broken_conjunct(capsys, monkeypatch, fault
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
+def test_certify_verify_fails_on_a_pushforward_degree_off_by_one(capsys, monkeypatch, fmt):
+    # the certificates call slopecalc's own pushforward_degree, so only the
+    # Euler characteristic half of the check sees the fault
+    monkeypatch.setattr("frobstrat.cli.pushforward_degree",
+                        lambda *args: slopecalc.pushforward_degree(*args) + 1)
+    code, verdicts = run_verify(capsys, fmt, "certify", "--d", "2")
+    assert code == 1
+    assert "verify: closed-form bound recomputation: FAIL" in verdicts
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("d", range(-3, 4))
 def test_dual_with_verify(capsys, d, fmt):
     code, out, err = run(capsys, "dual", "--d", str(d), "--format", fmt, "--verify")
@@ -545,6 +557,15 @@ _MIXED_ARGV = [
     ("enumerate", "--d", "1"), ("dual", "--d", "2", "--format", "json", "--verify"),
     ("certify", "--d", "0", "--t", "-1", "--format", "json"),
 ]
+
+
+def test_option_defaults_are_the_classified_regime():
+    p, g, r = REGIME
+    expected = {"p": p, "g": g, "r": r, "q": p}
+    for name, *_ in _COMMANDS:
+        args = build_parser().parse_args([name])
+        for option, value in expected.items():
+            assert getattr(args, option, value) == value, (name, option)
 
 
 def test_shared_parser_leaks_no_state_between_requests(capsys):

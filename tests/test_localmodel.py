@@ -19,7 +19,6 @@ from frobstrat.localmodel import (
     _tau_square_residues,
     claim_results,
     classify_stratum,
-    contains_monomial,
     intersection_colength,
     pullback_span,
     quotient_classification,
@@ -166,11 +165,16 @@ def test_submodule_requires_characteristic_three(f3):
 
 
 def test_contains_monomial_examples(f3, model3):
-    assert contains_monomial(SubmoduleV(model3, pt(f3, 1, 0, 0)), 1)
-    assert not contains_monomial(SubmoduleV(model3, pt(f3, 0, 0, 1)), 2)
-    assert not contains_monomial(SubmoduleV(model3, pt(f3, 1, 0, 0)), 0)
-    with pytest.raises(ValueError):
-        contains_monomial(SubmoduleV(model3, pt(f3, 1, 0, 0)), 3)
+    # t^j lies in V iff t^j (x) 1 lies in W = pullback_span(V)
+    def contains(coords, j):
+        W = pullback_span(SubmoduleV(model3, pt(f3, *coords)))
+        return W.contains(TensorElement.monomial(model3, j, 0))
+
+    assert contains((1, 0, 0), 1)
+    assert not contains((0, 0, 1), 2)
+    assert not contains((1, 0, 0), 0)
+    # t^3 S lies in every V
+    assert all(contains(coords, 3) for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 def test_pullback_span_memberships(f3, model3):
@@ -296,7 +300,7 @@ def test_block_residues_are_the_full_residues(m, M):
         assert not any(any(r[p2:]) for r in full), point
         assert intersection_colength(V) == len(_rref(field, full)[0]), point
         mem = [not any(r) for r in full[:4]]
-        t1, t2 = contains_monomial(V, 1), contains_monomial(V, 2)
+        t1, t2 = (W.contains(TensorElement.monomial(spec, j, 0)) for j in (1, 2))
         assert claim_results(V) == {"a": not mem[0], "b": mem[1] == (t1 and t2),
                                     "c": mem[2] == t2, "d": mem[3]}, point
         # the quotient h^T X_k and the full model W give the same classification

@@ -18,8 +18,6 @@ from frobstrat.slopecalc import (
     degree_from_colength,
     embedding_certificate,
     euler_characteristic,
-    nonsplit_predicate,
-    pullback_degree,
     pushforward_degree,
     stability_certificate,
     sun_upper_bound,
@@ -55,10 +53,13 @@ def test_pushforward_conserves_euler_characteristic():
                     ) == euler_characteristic(rank, d, g)
 
 
-def test_pullback_degree():
-    assert pullback_degree(BundleData(3, 4), 3) == BundleData(3, 12)
-    assert pullback_degree(BundleData(1, 0), 7) == BundleData(1, 0)
-    assert pullback_degree(BundleData(2, -1), 2) == BundleData(2, -2)
+def test_pullback_degree(capsys):
+    # the Frobenius pull-back keeps the rank and multiplies the degree by p:
+    # the endpoint in enumerate's header
+    for p, r, d, endpoint in ((3, 3, 4, "(3, 12)"), (7, 1, 0, "(1, 0)"),
+                              (2, 2, -1, "(2, -2)")):
+        assert main(["enumerate", "--p", str(p), "--r", str(r), "--d", str(d)]) == 0
+        assert f"endpoint (r, p*d) = {endpoint};" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("d", range(-4, 5))
@@ -152,16 +153,8 @@ def test_canonical_degrees_match_pullback_of_pushforward():
     for p in PRIMES:
         for g in range(1, 6):
             for t in range(-5, 6):
-                total = pullback_degree(
-                    BundleData(p, pushforward_degree(BundleData(1, t), p, g)), p
-                ).degree
+                total = p * pushforward_degree(BundleData(1, t), p, g)
                 assert sum(canonical_filtration_degrees(p, g, t)) == total
-
-
-def test_nonsplit_predicate_literal_values():
-    assert nonsplit_predicate(3, 4) is True       # 3 | 3
-    assert nonsplit_predicate(3, 3) is False      # 3 does not divide 2
-    assert nonsplit_predicate(3, 2) is False      # literal value; see docstring caveat
 
 
 def test_degree_from_colength():
