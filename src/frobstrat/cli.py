@@ -12,7 +12,7 @@ import json
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, log10
 
 from .gfield import ProjectivePoint, field_make, projective_plane
 from .localmodel import (
@@ -62,9 +62,17 @@ _MAX_Q = REGIME[0] ** 5
 _MAX_P = 10_000
 
 # largest localmodel --M: the --verify oracle's unit rows of U hold (9M - 9) x 9M
-# entries per model and stay cached, at M and at M + 1; with --verify, q = 3
-# peaked at 29 MB resident at M = 100 and at 135 MB at M = 300
+# entries per level M, whatever q, and stay cached, at M and at M + 1; with
+# --verify, q = 3 peaked at 29 MB resident at M = 100 and at 135 MB at M = 300
 _MAX_M = 100
+
+
+def _int_text(n):
+    """str(n), or its order of magnitude where n has more digits than str() writes."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{int((n.bit_length() - 1) * log10(2))}"
 
 
 def _fail(message, code):
@@ -216,8 +224,8 @@ def cmd_localmodel(args):
         raise ValueError(f"q must be a positive power of {REGIME[0]}, got {args.q}")
     if args.q > _MAX_Q:
         raise ValueError(f"q = {args.q} is above the ceiling {_MAX_Q}: it would classify "
-                         f"q^2 + q + 1 = {args.q ** 2 + args.q + 1} plane points with "
-                         f"field tables of q^2 = {args.q ** 2} entries")
+                         f"q^2 + q + 1 = {_int_text(args.q ** 2 + args.q + 1)} plane points "
+                         f"with field tables of q^2 = {_int_text(args.q ** 2)} entries")
     # both M bounds are checked here, before any field table is built
     if args.M < 3:
         raise ValueError(f"truncation level M must be at least 3, got {args.M}")
@@ -225,9 +233,9 @@ def cmd_localmodel(args):
         p2 = REGIME[0] ** 2
         raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: the model's unit "
                          f"rows alone would hold ({p2}M - {p2}) x {p2}M = "
-                         f"{(p2 * args.M - p2) * p2 * args.M} entries")
-    spec = ModelSpec(field_make(REGIME[0], m), REGIME[0], args.M)
-    deeper = ModelSpec(spec.field, spec.p, args.M + 1)
+                         f"{_int_text((p2 * args.M - p2) * p2 * args.M)} entries")
+    spec = ModelSpec(field_make(REGIME[0], m), args.M)
+    deeper = ModelSpec(spec.field, args.M + 1) if args.verify else None
 
     # one walk of the plane: a point's quotient gives its colength and claims, the
     # full model W (--verify) recomputes both at M on every point and at M + 1 up
@@ -285,7 +293,7 @@ def cmd_strata(args):
     if args.verify:
         # a fiber of dimension n is an affine n-space: over GF(3) the local
         # model's census must put 3^n plane points in its stratum
-        census = stratum_census(ModelSpec(field_make(p), p))
+        census = stratum_census(ModelSpec(field_make(p)))
         ok = all([census[rec.label] == p ** rec.fiber_dim
                   for rec in table.records if rec.label != PSI1])
         # duality transports the first stratum onto the second at degree -d

@@ -45,28 +45,18 @@ __all__ = [
 
 
 class ModelSpec(Record):
-    """Field, characteristic and truncation level of one local model."""
+    """Field and truncation level of one local model; ``p`` is the field's
+    characteristic."""
 
-    __match_args__ = ("field", "p", "M")
-    __slots__ = __match_args__ + ("_hash",)
+    __match_args__ = ("field", "M")
+    __slots__ = __match_args__ + ("p",)
 
-    def __init__(self, field: FieldSpec, p: int, M: int = 3):
-        if field.p != p:
-            raise ValueError(f"field characteristic {field.p} does not match p = {p}")
+    def __init__(self, field: FieldSpec, M: int = 3):
         if M < 3:
             raise ValueError(f"truncation level M must be at least 3, got {M}")
         _set(self, "field", field)
-        _set(self, "p", p)
         _set(self, "M", M)
-
-    def __hash__(self):
-        # it keys the per-model caches looked up for every W, so it keeps the
-        # hash of its fields from the first lookup on
-        try:
-            return self._hash
-        except AttributeError:
-            _set(self, "_hash", hash(self._key))
-            return self._hash
+        _set(self, "p", field.p)
 
     @property
     def left_bound(self):
@@ -338,15 +328,17 @@ def pullback_span(V):
     for row, k in zip(mat, pivots):
         row[k] = 1  # index 1 is the field's one
         row[c * p + k % p] = scale[h[k // p]]
-    unit_rows, unit_pivots = _unit_rows(V.spec)
+    unit_rows, unit_pivots = _unit_rows(p * p, V.spec.dimension)
     return SubspaceBasis(V.spec, mat + unit_rows, pivots + unit_pivots)
 
 
 @lru_cache(maxsize=8)
-def _unit_rows(spec):
-    """U's unit rows and their pivots, shared by every W of the model: never mutated."""
-    one, pivots = spec.field.one.index, list(range(spec.p ** 2, spec.dimension))
-    return [[one if k == c else 0 for k in range(spec.dimension)] for c in pivots], pivots
+def _unit_rows(p2, dimension):
+    """U's unit rows, one per column from p^2 on, and their pivots: the same in
+    every field, so shared by every W of every model of that size; never mutated."""
+    pivots = list(range(p2, dimension))
+    # index 1 is the field's one
+    return [[1 if k == c else 0 for k in range(dimension)] for c in pivots], pivots
 
 
 def _tau_square_multiples(spec):
@@ -364,13 +356,15 @@ def tau_square_span(spec):
 
 
 @lru_cache(maxsize=8)
-def _tau_square_blocks(spec):
+def _tau_square_blocks(p):
     """The blocks X_k, the first p^2 coordinates (left exponent i < p) of tau^2 t^k,
     before the first zero one (none at p = 2, where tau^2 = 0).  Right multiplication
     by t never lowers a left exponent, so from that block on every tau^2 t^k lies
-    in U.  They do not depend on the point: each model builds them once."""
-    p2 = spec.p ** 2
-    return tuple(takewhile(any, (tuple(e.dense()[:p2]) for e in _tau_square_multiples(spec))))
+    in U, and truncation at any M >= 3 leaves the blocks whole.  Their entries are
+    integers mod p, whose element indices are the same in every GF(p^m): one
+    build over GF(p) at M = 3 serves every model of characteristic p."""
+    spec = ModelSpec(FieldSpec(p))
+    return tuple(takewhile(any, (tuple(e.dense()[:p * p]) for e in _tau_square_multiples(spec))))
 
 
 def _tau_square_residues(W):
@@ -383,16 +377,16 @@ def _tau_square_residues(W):
     if n < 0 or W._pivots[n] != p2:
         raise RuntimeError("W does not contain U: the block reduction would be wrong")
     field, mat, pivots = W.spec.field, W._mat[:n], W._pivots[:n]
-    for block in _tau_square_blocks(W.spec):
+    for block in _tau_square_blocks(W.spec.p):
         yield _reduce_against(field, mat, pivots, block)
 
 
 @lru_cache(maxsize=8)
-def _block_entries(spec):
+def _block_entries(p):
     """(i, j, x) for each nonzero entry x = X_k[i][j] of the tau^2 blocks X_k;
-    built once per model."""
-    return tuple(tuple(divmod(k, spec.p) + (x,) for k, x in enumerate(b) if x)
-                 for b in _tau_square_blocks(spec))
+    built once per characteristic."""
+    return tuple(tuple(divmod(k, p) + (x,) for k, x in enumerate(b) if x)
+                 for b in _tau_square_blocks(p))
 
 
 def _quotient(V):
@@ -401,7 +395,7 @@ def _quotient(V):
     S (x) S / W onto k^p."""
     add, mul, h = V.spec.field._add, V.spec.field._mul, V.h
     images = []
-    for entries in _block_entries(V.spec):
+    for entries in _block_entries(V.spec.p):
         v = [0] * V.spec.p
         for i, j, x in entries:
             if h[i]:

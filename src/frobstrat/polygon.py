@@ -329,9 +329,10 @@ def name_polygon(P, params):
     if (params.p, params.g, params.r) != REGIME:
         raise ValueError(
             f"unclassified regime: polygon naming is defined for (p, g, r) = {REGIME}")
+    p, _, r = REGIME
     d = params.d
-    if P.endpoint != (3, 3 * d):
-        raise ValueError(f"polygon ends at {P.endpoint}, expected (3, {3 * d})")
+    if P.endpoint != (r, p * d):
+        raise ValueError(f"polygon ends at {P.endpoint}, expected {(r, p * d)}")
     if P.segment_count == 1:
         return SEMISTABLE
     # the templates' vertex tuples, so that no template polygon is built per call

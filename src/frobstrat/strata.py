@@ -79,28 +79,28 @@ def dualize_polygon(P):
 class StratumRecord(Record):
     """One row of the dimension table.
 
-    Open and closed stratum dimensions always agree; Psi1 carries no
-    parameter-space data, so its fiber and quot dims are None together.
+    Psi1 carries no parameter-space data, so its fiber dim is None, and so is
+    its quot dim, which like the closed stratum dimension is derived.
     """
 
-    __slots__ = __match_args__ = ("label", "polygon", "stratum_dim", "closed_stratum_dim",
-                                  "fiber_dim", "quot_dim")
+    __slots__ = __match_args__ = ("label", "polygon", "stratum_dim", "fiber_dim")
 
     def __init__(self, label: str, polygon: LatticePolygon, stratum_dim: int,
-                 closed_stratum_dim: int, fiber_dim: int | None = None,
-                 quot_dim: int | None = None):
-        if stratum_dim != closed_stratum_dim:
-            raise ValueError("open and closed stratum dimensions must agree")
-        if (fiber_dim is None) != (quot_dim is None):
-            raise ValueError("fiber and parameter-space dimensions come together")
-        if quot_dim is not None and quot_dim != fiber_dim + CURVE_DIM + (g := REGIME[1]):
-            raise ValueError(f"parameter-space dimension must be fiber + 1 + g with g = {g}")
+                 fiber_dim: int | None = None):
         _set(self, "label", label)
         _set(self, "polygon", polygon)
         _set(self, "stratum_dim", stratum_dim)
-        _set(self, "closed_stratum_dim", closed_stratum_dim)
         _set(self, "fiber_dim", fiber_dim)
-        _set(self, "quot_dim", quot_dim)
+
+    @property
+    def quot_dim(self):
+        """Parameter-space dimension fiber + dim(curve) + g, or None without a fiber."""
+        return None if self.fiber_dim is None else self.fiber_dim + CURVE_DIM + REGIME[1]
+
+    @property
+    def closed_stratum_dim(self):
+        """Open and closed stratum dimensions agree."""
+        return self.stratum_dim
 
 
 class StrataTable(Record):
@@ -124,13 +124,9 @@ def strata_table(d):
     _, g, r = REGIME
     records = []
     for i, label in enumerate((PSI1, PSI2, PSI3, PSI4), start=1):
-        dim = moduli_stratum_dimension(label, g)
-        if label == PSI1:
-            fiber = quot = None
-        else:
-            fiber = quot_fiber_dimension(label)
-            quot = quot_stratum_dimension(label, g)
-        records.append(StratumRecord(label, psi_polygon(i, d), dim, dim, fiber, quot))
+        fiber = None if label == PSI1 else quot_fiber_dimension(label)
+        records.append(StratumRecord(label, psi_polygon(i, d),
+                                     moduli_stratum_dimension(label, g), fiber))
     top = max(rec.stratum_dim for rec in records)
     return StrataTable(
         records=tuple(records),

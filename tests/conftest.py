@@ -15,9 +15,9 @@ def f9():
 
 @pytest.fixture(scope="session")
 def model3(f3):
-    return ModelSpec(f3, 3, 3)
+    return ModelSpec(f3, 3)
 
 
 @pytest.fixture(scope="session")
 def model9(f9):
-    return ModelSpec(f9, 3, 3)
+    return ModelSpec(f9, 3)

@@ -94,7 +94,7 @@ def test_criterion_03_local_model_claims():
         points = projective_plane(field)
         per_level = []
         for M in (3, 4):
-            spec = ModelSpec(field, 3, M)
+            spec = ModelSpec(field, M)
             results = [claim_results(SubmoduleV(spec, pt)) for pt in points]
             ok &= all(all(r.values()) for r in results)
             per_level.append(results)
@@ -108,7 +108,7 @@ def test_criterion_04_stratum_census():
     t0 = time.monotonic()
     ok = True
     for m, q in ((1, 3), (2, 9)):
-        census = stratum_census(ModelSpec(field_make(3, m), 3, 3))
+        census = stratum_census(ModelSpec(field_make(3, m)))
         ok &= census == {PSI2: q * q, PSI3: q, PSI4: 1}
         ok &= sum(census.values()) == q * q + q + 1
     elapsed = time.monotonic() - t0
@@ -117,7 +117,7 @@ def test_criterion_04_stratum_census():
 
 
 def test_criterion_05_colength_degree_polygon_consistency():
-    spec = ModelSpec(field_make(3), 3, 3)
+    spec = ModelSpec(field_make(3), 3)
     d = 0
     triple_of = {PSI4: (1, d + 2), PSI3: (2, d + 1), PSI2: (3, d)}
     ok = True
@@ -132,7 +132,7 @@ def test_criterion_05_colength_degree_polygon_consistency():
 
 
 def test_criterion_06_tau_calculus():
-    spec = ModelSpec(field_make(3), 3, 3)
+    spec = ModelSpec(field_make(3), 3)
     ok = not tau_power(spec, 3)
 
     def expand(triples):

@@ -240,6 +240,19 @@ def test_localmodel_M_ceiling_builds_no_model(capsys, monkeypatch, verify):
         main(["localmodel", "--q", "3", "--M", str(_MAX_M), *verify])
 
 
+@pytest.mark.parametrize("option, value, ceiling, size", [
+    ("--q", 3 ** 5000, "ceiling 243", "q^2 = about 10^4771 entries"),
+    ("--M", 10 ** 2200, "ceiling 100", "x 9M = about 10^4401 entries"),
+])
+def test_localmodel_refuses_a_size_past_the_digit_limit_at_its_ceiling(
+        capsys, option, value, ceiling, size):
+    # str() cannot write the refused size, so the refusal gives its magnitude
+    code, out, err = run(capsys, "localmodel", option, str(value))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "above the " + ceiling in err and err.endswith(size + "\n")
+
+
 def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
     walk = next(c for c in polygon.bruteforce_destabilized_polygons.__code__.co_consts
                 if getattr(c, "co_name", None) == "walk")
@@ -335,7 +348,7 @@ _STRATA_FAULTS = {
     "dual-label": ("name_polygon", lambda P, params: "Psi1"),
     # Psi1 one below Psi2, with Psi2 still on top beside Psi1's old dimension
     "psi1-psi2-dimensions": ("strata_table", _strata_tables_through(
-        lambda t: StrataTable((StratumRecord("Psi1", t.records[0].polygon, 4, 4),
+        lambda t: StrataTable((StratumRecord("Psi1", t.records[0].polygon, 4),
                                *t.records[1:]), t.codimension, t.top_components))),
 }
 

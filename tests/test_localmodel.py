@@ -44,10 +44,9 @@ def elem(spec, triples):
 
 def test_modelspec_validation(f3, f9):
     with pytest.raises(ValueError):
-        ModelSpec(f3, 3, 2)          # truncation too shallow
-    with pytest.raises(ValueError):
-        ModelSpec(f9, 2, 3)          # characteristic mismatch
-    spec = ModelSpec(f3, 3, 3)
+        ModelSpec(f3, 2)  # truncation too shallow
+    assert ModelSpec(f9).p == 3  # the field's characteristic
+    spec = ModelSpec(f3, 3)
     assert spec.left_bound == 9
     assert spec.dimension == 27
 
@@ -65,7 +64,7 @@ def test_tau_square_char3(model3):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (3, 2)])
 def test_tau_to_the_p_vanishes(p, m):
-    spec = ModelSpec(field_make(p, m), p, 3)
+    spec = ModelSpec(field_make(p, m), 3)
     assert not tau_power(spec, p)
     assert not tau_power(spec, p + 2)
     assert tau_power(spec, p - 1)
@@ -139,7 +138,7 @@ def _membership_lemma_holds(spec, points):
 @pytest.mark.parametrize("M", [3, 4])
 def test_membership_lemma_on_every_plane_point(m, M):
     field = field_make(3, m)
-    _membership_lemma_holds(ModelSpec(field, 3, M), projective_plane(field))
+    _membership_lemma_holds(ModelSpec(field, M), projective_plane(field))
 
 
 def test_membership_lemma_on_sampled_points_of_gf27():
@@ -153,15 +152,15 @@ def test_membership_lemma_on_sampled_points_of_gf27():
     # the coordinate points too: few sampled points have a last nonzero coordinate
     # other than the third, the case split pullback_span makes
     points += [pt(field, 1, 0, 0), pt(field, 0, 1, 0), pt(field, 0, 0, 1), pt(field, 1, 1, 1)]
-    _membership_lemma_holds(ModelSpec(field, 3, 3), points)
+    _membership_lemma_holds(ModelSpec(field, 3), points)
 
 
 def test_submodule_requires_characteristic_three(f3):
-    spec2 = ModelSpec(field_make(2), 2, 3)
+    spec2 = ModelSpec(field_make(2), 3)
     with pytest.raises(ValueError):
         SubmoduleV(spec2, pt(field_make(2), 1, 0, 0))
     with pytest.raises(ValueError):
-        SubmoduleV(ModelSpec(f3, 3, 3), pt(field_make(3, 2), 1, 0, 0))
+        SubmoduleV(ModelSpec(f3, 3), pt(field_make(3, 2), 1, 0, 0))
 
 
 def test_contains_monomial_examples(f3, model3):
@@ -216,7 +215,7 @@ def _spanning_rows(V):
 def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
     """The closed-form basis is the reduced row echelon form of the spanning set."""
     field = field_make(3, m)
-    spec = ModelSpec(field, 3, M)
+    spec = ModelSpec(field, M)
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
         want, _ = _rref(field, _spanning_rows(V))
@@ -287,7 +286,7 @@ def test_block_residues_are_the_full_residues(m, M):
     the colength and claims of the quotient h^T X_k agree with the full residues
     and with the full-model oracle."""
     field = field_make(3, m)
-    spec = ModelSpec(field, 3, M)
+    spec = ModelSpec(field, M)
     p2 = spec.p ** 2
     blocks = [e.dense()[:p2] for e in _tau_square_multiples(spec)]
     for point in projective_plane(field):
@@ -309,7 +308,7 @@ def test_block_residues_are_the_full_residues(m, M):
     # every W shares U's unit rows; nothing above may have written into them
     dim = spec.dimension
     unit = [[int(k == c) for k in range(dim)] for c in range(p2, dim)]
-    assert localmodel._unit_rows(spec) == (unit, list(range(p2, dim)))
+    assert localmodel._unit_rows(p2, dim) == (unit, list(range(p2, dim)))
 
 
 def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
@@ -364,7 +363,7 @@ def test_claims_hold_on_every_point_of_the_small_plane(f3, model3):
 
 
 def test_colength_examples_with_stability_check(f3, model3):
-    deeper = ModelSpec(f3, 3, 4)
+    deeper = ModelSpec(f3, 4)
     for coords, want in (((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3)):
         point = pt(f3, *coords)
         assert intersection_colength(SubmoduleV(model3, point)) == want
@@ -374,7 +373,7 @@ def test_colength_examples_with_stability_check(f3, model3):
 @pytest.mark.parametrize("m", [1, 2], ids=["GF3", "GF9"])
 def test_colength_formula_and_truncation_stability(m):
     field = field_make(3, m)
-    spec, deeper = ModelSpec(field, 3, 3), ModelSpec(field, 3, 4)
+    spec, deeper = ModelSpec(field, 3), ModelSpec(field, 4)
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
         W = pullback_span(V)
@@ -415,7 +414,7 @@ def test_census_counts_colengths_not_coordinate_labels(capsys, monkeypatch, m):
     coordinates play no part in it, so strata --verify still passes."""
     monkeypatch.setattr(localmodel, "classify_stratum", lambda V: PSI2)
     q = 3 ** m
-    assert stratum_census(ModelSpec(field_make(3, m), 3)) == {PSI2: q * q, PSI3: q, PSI4: 1}
+    assert stratum_census(ModelSpec(field_make(3, m))) == {PSI2: q * q, PSI3: q, PSI4: 1}
     assert main(["strata", "--verify"]) == 0
     assert "verify: dimension cross-checks: PASS" in capsys.readouterr().out
 
@@ -436,9 +435,9 @@ def _disagreements(monkeypatch, mutate):
     """Points of GF(9) whose quotient classification, with the tau^2 block
     entries mutated, differs from the full-model oracle."""
     field = field_make(3, 2)
-    spec = ModelSpec(field, 3, 3)
+    spec = ModelSpec(field, 3)
     entries = localmodel._block_entries
-    monkeypatch.setattr(localmodel, "_block_entries", lambda model: mutate(entries(model)))
+    monkeypatch.setattr(localmodel, "_block_entries", lambda p: mutate(entries(p)))
     out = []
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
@@ -462,24 +461,25 @@ def test_a_transposed_quotient_is_the_same_map(monkeypatch):
     every tau^2 block is symmetric (tau^2 = t^2 (x) 1 + t (x) t + 1 (x) t^2, and
     its right multiples keep the block terms t^2 (x) t + t (x) t^2 and
     t^2 (x) t^2), so the transposed mutant is the quotient itself."""
-    for m, M in ((1, 3), (2, 4), (3, 5)):
-        spec = ModelSpec(field_make(3, m), 3, M)
-        for block in localmodel._tau_square_blocks(spec):
-            assert all(block[3 * i + j] == block[3 * j + i] for i in range(3) for j in range(3))
+    for block in localmodel._tau_square_blocks(3):
+        assert all(block[3 * i + j] == block[3 * j + i] for i in range(3) for j in range(3))
     assert _disagreements(monkeypatch, _swap_indices) == []
 
 
 def test_the_tau_square_table_is_three_blocks_at_every_M():
-    """At p = 3 the table is the same three blocks for every truncation level,
-    and every tau^2 t^k past them has a zero block; at p = 2, where tau^2 = 0,
-    it is empty."""
-    table = localmodel._tau_square_blocks(ModelSpec(field_make(3), 3, 3))
-    assert len(table) == 3 and all(any(block) for block in table)
-    for M in range(3, 13):
-        spec = ModelSpec(field_make(3), 3, M)
-        assert localmodel._tau_square_blocks(spec) == table
-        assert not any(any(e.dense()[:9]) for e in list(_tau_square_multiples(spec))[3:])
-        assert localmodel._tau_square_blocks(ModelSpec(field_make(2), 2, M)) == ()
+    """The table keyed by p alone is the one every model would build: over GF(p^m),
+    m = 1..3, and at every truncation level M = 3..12, the first p^2 coordinates
+    of tau^2 t^k are the table's blocks, then zero.  At p = 3 that is three
+    blocks; at p = 2, where tau^2 = 0, none."""
+    for p, count in ((3, 3), (2, 0)):
+        table = localmodel._tau_square_blocks(p)
+        assert len(table) == count and all(any(block) for block in table)
+        for m in (1, 2, 3):
+            for M in range(3, 13):
+                spec = ModelSpec(field_make(p, m), M)
+                blocks = [tuple(e.dense()[:p * p]) for e in _tau_square_multiples(spec)]
+                assert tuple(blocks[:count]) == table, (p, m, M)
+                assert not any(any(block) for block in blocks[count:]), (p, m, M)
 
 
 def test_base_change_has_colength_p_in_the_ambient_module(f3, f9, model3, model9):

@@ -39,15 +39,16 @@ from frobstrat import (
     pushforward_degree,
     tau_power,
 )
-from frobstrat.localmodel import _block_entries, _tau_square_blocks, _unit_rows
+from frobstrat._record import Record
+from frobstrat.cli import main
 
 F3, F9, F27 = field_make(3), field_make(3, 2), field_make(3, 3)
-SPEC, SPEC3 = ModelSpec(F9, 3, 3), ModelSpec(F3, 3, 3)
+SPEC, SPEC3 = ModelSpec(F9, 3), ModelSpec(F3, 3)
 POINT = projective_plane(F9)[5]
 TERMS = (((0, 1), F9.one), ((4, 2), F9.element([0, 1])))
 TRI = psi_polygon(2, 0)
 BOUND = SubrankBound(1, Fraction(-1, 3), Fraction(0), True)
-REC = StratumRecord("Psi2", TRI, 5, 5, 2, 5)
+REC = StratumRecord("Psi2", TRI, 5, 2)
 
 # (class, positional arguments, the same arguments by keyword)
 CASES = [
@@ -55,7 +56,7 @@ CASES = [
     (FieldElement, (F9, (1, 2), 7), dict(spec=F9, coeffs=(1, 2), index=7)),
     (ProjectivePoint, (POINT.coords,), dict(coords=POINT.coords)),
     (TensorElement, (SPEC, TERMS), dict(spec=SPEC, terms=TERMS)),
-    (ModelSpec, (F9, 3, 4), dict(field=F9, p=3, M=4)),
+    (ModelSpec, (F9, 4), dict(field=F9, M=4)),
     (SubmoduleV, (SPEC, POINT), dict(spec=SPEC, hyperplane=POINT)),
     (CurveParams, (3, 2, 3, 1), dict(p=3, g=2, r=3, d=1)),
     (LatticePolygon, (((0, 0), (1, 2), (3, 3)),), dict(vertices=((0, 0), (1, 2), (3, 3)))),
@@ -64,9 +65,8 @@ CASES = [
      dict(subrank=1, bound=Fraction(-1, 3), threshold=Fraction(0), ok=True)),
     (CertificateReport, ("stability", True, (BOUND,)),
      dict(kind="stability", passed=True, bounds=(BOUND,))),
-    (StratumRecord, ("Psi3", TRI, 4, 4, 1, 4),
-     dict(label="Psi3", polygon=TRI, stratum_dim=4, closed_stratum_dim=4,
-          fiber_dim=1, quot_dim=4)),
+    (StratumRecord, ("Psi3", TRI, 4, 1),
+     dict(label="Psi3", polygon=TRI, stratum_dim=4, fiber_dim=1)),
     (StrataTable, ((REC,), 5, 2), dict(records=(REC,), codimension=5, top_components=2)),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
@@ -127,16 +127,16 @@ def test_copies_of_a_field_rebuild_its_tables():
 
 
 def test_defaults():
-    assert ModelSpec(F9, 3).M == 3
-    rec = StratumRecord("Psi1", TRI, 5, 5)
+    assert ModelSpec(F9).M == 3
+    rec = StratumRecord("Psi1", TRI, 5)
     assert rec.fiber_dim is None and rec.quot_dim is None
-    assert rec == StratumRecord("Psi1", TRI, 5, 5, None, None)
+    assert rec == StratumRecord("Psi1", TRI, 5, None)
 
 
 def test_reprs():
     assert repr(BundleData(3, 1)) == "BundleData(rank=3, degree=1)"
     assert repr(CurveParams(3, 2, 3, 1)) == "CurveParams(p=3, g=2, r=3, d=1)"
-    assert repr(ModelSpec(field_make(3), 3)) == "ModelSpec(field=GF(3), p=3, M=3)"
+    assert repr(ModelSpec(field_make(3))) == "ModelSpec(field=GF(3), M=3)"
     assert repr(SubrankBound(2, Fraction(1, 3), Fraction(1), True)) == \
         "SubrankBound(subrank=2, bound=Fraction(1, 3), threshold=Fraction(1, 1), ok=True)"
     assert repr(TRI) == "LatticePolygon[(0,0) (2,1) (3,0)]"
@@ -150,9 +150,8 @@ def test_polygon_normalises_its_vertices_to_tuples():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: ModelSpec(F9, 5), "field characteristic 3 does not match p = 5"),
-    (lambda: ModelSpec(F9, 3, 2), "truncation level M must be at least 3, got 2"),
-    (lambda: SubmoduleV(ModelSpec(field_make(5), 5), projective_plane(field_make(5))[0]),
+    (lambda: ModelSpec(F9, 2), "truncation level M must be at least 3, got 2"),
+    (lambda: SubmoduleV(ModelSpec(field_make(5)), projective_plane(field_make(5))[0]),
      "the hyperplane encoding of colength-1 submodules is implemented for p = 3"),
     (lambda: SubmoduleV(SPEC, projective_plane(field_make(3))[0]),
      "hyperplane point lives over a different field"),
@@ -170,12 +169,6 @@ def test_polygon_normalises_its_vertices_to_tuples():
     (lambda: LatticePolygon(((0, 0), (2, 1), (3, 3))),
      "segment slopes must strictly decrease, got 1/2 then 2"),
     (lambda: BundleData(0, 1), "rank must be positive, got 0"),
-    (lambda: StratumRecord("Psi2", TRI, 5, 4, 2, 5),
-     "open and closed stratum dimensions must agree"),
-    (lambda: StratumRecord("Psi2", TRI, 5, 5, 2),
-     "fiber and parameter-space dimensions come together"),
-    (lambda: StratumRecord("Psi2", TRI, 5, 5, 2, 4),
-     "parameter-space dimension must be fiber + 1 + g with g = 2"),
     (lambda: tau_power(SPEC, -1), "exponent must be non-negative, got -1"),
     (lambda: SubspaceBasis.from_spanning(SPEC, [TensorElement(SPEC3, {})]),
      "spanning element belongs to a different local model"),
@@ -222,16 +215,25 @@ def test_validation_messages(make, message):
         make()
 
 
-@pytest.mark.parametrize("lookup", [_unit_rows, _tau_square_blocks, _block_entries])
-def test_equal_model_specs_share_one_cache_entry(lookup):
-    a, b = ModelSpec(field_make(3, 2), 3, 3), ModelSpec(field_make(3, 2), 3, 3)
-    assert a is not b and a.field is not b.field
-    first = lookup(a)
-    before = lookup.cache_info()
-    assert lookup(b) is first
-    after = lookup.cache_info()
-    assert (after.hits, after.misses, after.currsize) == \
-        (before.hits + 1, before.misses, before.currsize)
+def test_a_repeated_request_compares_no_records(monkeypatch, capsys):
+    """The local model's tables are keyed by the integers they depend on, so a
+    request that repeats an earlier one in the same process finds them without
+    comparing an equal but distinct ModelSpec with the cached one."""
+    eq, calls = Record.__eq__, []
+
+    def counting(self, other):
+        calls.append(type(self).__name__)
+        return eq(self, other)
+
+    monkeypatch.setattr(Record, "__eq__", counting)
+    second = {}
+    for command in ("localmodel --q 27 --verify", "strata --verify"):
+        for _ in range(2):
+            calls.clear()
+            assert main(command.split()) == 0
+        second[command] = len(calls)
+    capsys.readouterr()
+    assert second == {"localmodel --q 27 --verify": 0, "strata --verify": 0}
 
 
 _FRACTION_MODULES = ("fractions", "decimal", "numbers")

@@ -134,12 +134,14 @@ def test_strata_dims_stay_inside_the_moduli_space():
 
 
 def test_stratum_record_invariants():
-    with pytest.raises(ValueError):
-        StratumRecord(PSI2, psi_polygon(2, 0), 5, 4, 2, 5)
-    with pytest.raises(ValueError):
-        StratumRecord(PSI2, psi_polygon(2, 0), 5, 5, 2, None)
-    with pytest.raises(ValueError):
-        StratumRecord(PSI2, psi_polygon(2, 0), 5, 5, 2, 6)
+    """The parameter-space and closed stratum dimensions are derived, so they
+    cannot disagree with the fiber and stratum dimensions."""
+    rec = StratumRecord(PSI2, psi_polygon(2, 0), 5, 2)
+    assert (rec.quot_dim, rec.closed_stratum_dim) == (2 + 1 + 2, 5)
+    assert StratumRecord(PSI1, psi_polygon(1, 0), 5).quot_dim is None
+    for name in ("quot_dim", "closed_stratum_dim"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 6)
 
 
 def test_table_serialization(capsys):
