@@ -41,6 +41,7 @@ from frobstrat import (
 )
 from frobstrat._record import Record
 from frobstrat.cli import main
+from frobstrat.localmodel import _block_entries, _tau_square_blocks, _unit_rows
 
 F3, F9, F27 = field_make(3), field_make(3, 2), field_make(3, 3)
 SPEC, SPEC3 = ModelSpec(F9, 3), ModelSpec(F3, 3)
@@ -213,6 +214,24 @@ def test_polygon_normalises_its_vertices_to_tuples():
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+# the arguments each table is looked up with, derived from a model as its call site does
+_TABLE_KEYS = {_unit_rows: lambda spec: (spec.p ** 2, spec.dimension),
+               _tau_square_blocks: lambda spec: (spec.p,),
+               _block_entries: lambda spec: (spec.p,)}
+
+
+@pytest.mark.parametrize("lookup", [_unit_rows, _tau_square_blocks, _block_entries])
+def test_equal_model_specs_share_one_cache_entry(lookup):
+    a, b = ModelSpec(field_make(3, 2), 3), ModelSpec(field_make(3, 2), 3)
+    assert a is not b and a.field is not b.field
+    first = lookup(*_TABLE_KEYS[lookup](a))
+    before = lookup.cache_info()
+    assert lookup(*_TABLE_KEYS[lookup](b)) is first
+    after = lookup.cache_info()
+    assert (after.hits, after.misses, after.currsize) == \
+        (before.hits + 1, before.misses, before.currsize)
 
 
 def test_a_repeated_request_compares_no_records(monkeypatch, capsys):
