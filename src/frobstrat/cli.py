@@ -254,8 +254,7 @@ def cmd_localmodel(args):
             if (full := _full_model(V)) != (col, res):
                 raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
             if stable:
-                V = SubmoduleV(deeper, pt)
-                stable = quotient_classification(V) == (col, res) == _full_model(V)
+                stable = _full_model(SubmoduleV(deeper, pt)) == (col, res)
         census[lab] += 1
         ok = all(res.values())
         bad += not ok

@@ -92,37 +92,23 @@ def _poly_str(coeffs):
 class FieldSpec(Record):
     """A finite field GF(p^m) with interned elements and full lookup tables.
 
-    Two specs compare equal iff they have the same characteristic, degree and
-    modulus; arithmetic between elements of unequal specs is a hard error,
-    never a coercion.
+    The modulus is derived from (p, m), so two specs compare equal iff they
+    have the same p and m; arithmetic between elements of unequal specs is a
+    hard error, never a coercion.
     """
 
-    __match_args__ = ("p", "m", "modulus")
-    __slots__ = __match_args__ + ("q", "_elements", "_coeff_index",
+    __match_args__ = ("p", "m")
+    __slots__ = __match_args__ + ("modulus", "q", "_elements", "_coeff_index",
                                   "_add", "_mul", "_neg", "_inv", "_names")
 
-    def __init__(self, p, m=1, modulus=None):
+    def __init__(self, p, m=1):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"characteristic must be a prime integer, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m!r}")
-        if m == 1:
-            modulus = None  # prime field: modulus is irrelevant
-        elif modulus is None:
-            modulus = _default_modulus(p, m)
-        else:
-            mod = [int(c) % p for c in modulus]
-            if len(mod) != m + 1 or mod[-1] == 0:
-                raise ValueError(f"modulus must have degree exactly {m}")
-            if mod[-1] != 1:
-                lead_inv = pow(mod[-1], -1, p)
-                mod = [(c * lead_inv) % p for c in mod]
-            modulus = tuple(mod)
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         _set(self, "p", p)
         _set(self, "m", m)
-        _set(self, "modulus", modulus)
+        _set(self, "modulus", None if m == 1 else _default_modulus(p, m))
         _set(self, "q", p ** m)
         self._build_tables()
 
@@ -337,10 +323,10 @@ class ProjectivePoint(Record):
         return f"[{names[a.index]} : {names[b.index]} : {names[c.index]}]"
 
 
-def field_make(p, m=1, modulus=None):
-    """Construct GF(p^m); picks the lexicographically smallest irreducible
-    modulus when none is given, so repeated runs agree."""
-    return FieldSpec(p, m, modulus)
+def field_make(p, m=1):
+    """Construct GF(p^m) over the lexicographically smallest monic irreducible
+    modulus of degree m, so repeated runs agree."""
+    return FieldSpec(p, m)
 
 
 def projective_plane(spec):

@@ -142,10 +142,14 @@ def test_localmodel_verify(capsys):
 
 
 def test_localmodel_verify_fails_on_a_truncation_dependent_colength(capsys, monkeypatch):
-    colength = localmodel._colength
-    monkeypatch.setattr(localmodel, "_colength",
-                        lambda spec, h: colength(spec, h) % 3 + 1 if spec.M == 4
-                        else colength(spec, h))
+    # the fault goes into the full model at M + 1, the only model built there
+    full = localmodel._full_model
+
+    def deeper_colength_shifted(V):
+        col, res = full(V)
+        return (col % 3 + 1 if V.spec.M == 4 else col), res
+
+    monkeypatch.setattr("frobstrat.cli._full_model", deeper_colength_shifted)
     code, out, _ = run(capsys, "localmodel", "--q", "3", "--verify")
     assert code == 1
     assert "stable at M=4: FAIL" in out
@@ -174,15 +178,16 @@ def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, mo
     # a failure at M + 1 on the first point stops only the M + 1 check: the
     # full model still runs at M on every later point and names the last one
     deeper = []
+    full = localmodel._full_model
 
     def also_unstable(V):
-        col, res = one_claim_flipped(V)
+        col, res = full(V)
         if V.spec.M == 4:
             deeper.append(V.hyperplane)
             res = {**res, "a": not res["a"]}
         return col, res
 
-    monkeypatch.setattr("frobstrat.cli.quotient_classification", also_unstable)
+    monkeypatch.setattr("frobstrat.cli._full_model", also_unstable)
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
     assert (code, out) == (1, "")
     assert err.startswith("error: point [0 : 0 : 1]: ")

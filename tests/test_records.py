@@ -53,7 +53,7 @@ REC = StratumRecord("Psi2", TRI, 5, 2)
 
 # (class, positional arguments, the same arguments by keyword)
 CASES = [
-    (FieldSpec, (3, 2, (1, 0, 1)), dict(p=3, m=2, modulus=(1, 0, 1))),
+    (FieldSpec, (3, 2), dict(p=3, m=2)),
     (FieldElement, (F9, (1, 2), 7), dict(spec=F9, coeffs=(1, 2), index=7)),
     (ProjectivePoint, (POINT.coords,), dict(coords=POINT.coords)),
     (TensorElement, (SPEC, TERMS), dict(spec=SPEC, terms=TERMS)),
