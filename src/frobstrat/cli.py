@@ -84,21 +84,12 @@ _JSON_SCALARS = {None: "null", True: "true", False: "false"}
 
 
 @cache
-def _pair_format(indent):
-    """The %-template of one [rank, degree] pair inside a polygon written at
-    ``indent``, and the text between two pairs."""
+def _rows_format(n, width, indent):
+    """The %-template of a list of n lists of ``width`` ints written at ``indent``."""
     inner = indent + "  "
     deeper = inner + "  "
-    return f"[{deeper}%d,{deeper}%d{inner}]", "," + inner
-
-
-@cache
-def _point_format(m, indent):
-    """The %-template of a plane point over GF(p^m) written at ``indent``."""
-    inner = indent + "  "
-    deeper = inner + "  "
-    coords = "[" + deeper + ("," + deeper).join(["%d"] * m) + inner + "]"
-    return "[" + inner + ("," + inner).join([coords] * 3) + indent + "]"
+    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+    return "[" + inner + ("," + inner).join([row] * n) + indent + "]"
 
 
 def _json_text(value, indent="\n"):
@@ -107,8 +98,7 @@ def _json_text(value, indent="\n"):
     the default writes a polygon as its to_pairs() and a point as its
     to_lists().  The stdlib writes indented JSON through a Python generator per
     container; this writer makes one call per container and writes a polygon
-    or a point from one template per depth, so a JSON enumerate request takes
-    about 1.2-1.3 times as long as its table."""
+    or a point with one % on a template cached per shape and depth."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -124,21 +114,21 @@ def _json_text(value, indent="\n"):
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        items = [str(v) if type(v) is int else _json_text(v, inner) for v in value]
+        items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is LatticePolygon:
         # the polygons of every payload; their vertex pairs are most of the
         # enumerate and dual payloads.
         # %d writes a bool coordinate as 0 or 1 where json.dumps writes false
         # or true; LatticePolygon admits one, but no command builds it
-        pair, sep = _pair_format(indent)
-        return "[" + inner + sep.join([pair % v for v in value.vertices]) + indent + "]"
+        verts = value.vertices
+        return _rows_format(len(verts), 2, indent) % sum(verts, ())
     if value is None or kind is bool:
         return _JSON_SCALARS[value]
     if kind is ProjectivePoint:
         # the localmodel payload's points: three lists of m coefficients
         a, b, c = value.coords
-        return _point_format(a.spec.m, indent) % (a.coeffs + b.coeffs + c.coeffs)
+        return _rows_format(3, a.spec.m, indent) % (a.coeffs + b.coeffs + c.coeffs)
     if kind is str:
         # what json.dumps writes for a str
         return encode_basestring_ascii(value)
@@ -183,8 +173,7 @@ def cmd_enumerate(args):
         print(f"verify: brute-force box scan {'agrees' if agrees else 'DISAGREES'} "
               f"({len(oracle)} vs {len(polys)} polygons)", file=sys.stderr)
 
-    # only the requested format is built; at (3,2,8,0) and (3,2,10,1) the
-    # JSON took 1.2-1.3 times as long as the table
+    # only the requested format is built
     if args.format == "json":
         return agrees, [{"label": lab, "vertices": P}
                         for lab, P in zip(labels, polys)], None, []

@@ -639,6 +639,12 @@ def _stdlib_form(value):
     {"points": [{"point": ProjectivePoint.of(field_make(3, 4), ((2, 0, 1, 1), 0, (0, 0, 0, 2)))},
                 [ProjectivePoint.of(field_make(3, 4), (0, 0, 1))]],
      "v": LatticePolygon([(0, 0), (1, 2), (3, 3)])},
+    # a 13-vertex polygon, the shape of r = 12, and two polygons of different
+    # vertex counts at one depth, whose templates are different cache entries
+    LatticePolygon([(k, k * (12 - k)) for k in range(13)]),
+    [LatticePolygon([(0, 0), (1, 4), (3, 5)]), LatticePolygon([(0, 0), (1, 2), (2, 3), (4, 2)])],
+    # a point over GF(3^5), the largest field localmodel accepts
+    [ProjectivePoint.of(field_make(3, 5), ((1, 0, 2, 0, 1), (0, 2, 2, 1, 0), 1))],
 ])
 def test_json_text_matches_the_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,

@@ -4,7 +4,8 @@
 by spaces, to ``[exit code, stdout digest, stderr digest]``, a digest being the
 first 32 hex digits of the text's SHA-256.  The replay here recomputes all
 three through ``main`` in-process and only reads the file, so a change that
-moves any byte of any answer fails tier-1.
+moves any byte of any answer fails tier-1.  The file records no request that
+exits 2, so the refusals' texts are pinned here as well.
 """
 
 import contextlib
@@ -27,6 +28,29 @@ HELP = {
     ("strata", "--help"): "c9ceae4235d33867ea2b0f5837ec8e4a",
     ("certify", "--help"): "6568fb5b9abd159608c1cb7df65b1e0c",
     ("dual", "--help"): "889fccf6fde2cc7741fc333fc79abe38",
+}
+
+# stderr of argv that each exit 2 with empty stdout: localmodel's q and M
+# bounds, the enumerate and certify parameter checks, the p and brute-force
+# ceilings, argparse's invalid int, missing subcommand and unknown option
+REFUSALS = {
+    ("localmodel", "--q", "2"): "acd529ee417f87156cefc9e256b9101d",
+    ("localmodel", "--q", "3", "--M", "2"): "27a80fefb95d9a9dbd6dd9ed2a2ddddb",
+    ("localmodel", "--q", "729"): "d5d8afd6e3cb36b1b4bd341d39d9976e",
+    ("localmodel", "--q", "3", "--M", "101"): "4db5613a850a10a1830d43dc4a12974b",
+    ("enumerate", "--g", "1", "--d", "0"): "a7b968ef42585cced816b0f3b891c41b",
+    ("enumerate", "--p", "4", "--d", "0"): "cb73ef57df4207754bce4a683717aa2c",
+    ("enumerate", "--r", "0"): "421a10e2ca7aa6292efd7d5801c4a4d6",
+    ("enumerate", "--p", "10007"): "1dbf4a9d96215393b685f6c4b263485f",
+    ("enumerate", "--p", "3", "--g", "2", "--r", "6", "--d", "1", "--verify"):
+        "6d0a37ee3029660d52229d0250083354",
+    ("certify", "--r", "2", "--d", "0"): "fc495cf051c836f690c6b377a63acdaa",
+    ("certify", "--p", "4", "--r", "4", "--d", "0"): "cb73ef57df4207754bce4a683717aa2c",
+    ("certify", "--d", "0", "--t", "-5"): "c6e3a76372c065acbe45ba838f8732f9",
+    ("strata", "--d", "x"): "2f0c77b56675149a46d1cc23ade2a47d",
+    ("dual", "--d", "1.5"): "c4c8b2bbbeb129e651efaa5bc57164d9",
+    (): "314c8f824ba8c8ee9271b0d751958f8b",
+    ("strata", "--q", "3"): "f6f80dcb2eac185f5f06d7ec40726565",
 }
 
 _PARTS = ("exit code", "stdout", "stderr")
@@ -63,3 +87,8 @@ def test_every_golden_argv_replays_byte_identically():
 def test_help_texts_are_unchanged():
     assert {argv: _record(argv) for argv in HELP} == \
         {argv: [0, out, _digest("")] for argv, out in HELP.items()}
+
+
+def test_every_refusal_replays_byte_identically():
+    assert {argv: _record(argv) for argv in REFUSALS} == \
+        {argv: [2, _digest(""), err] for argv, err in REFUSALS.items()}
