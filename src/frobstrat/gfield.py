@@ -271,10 +271,6 @@ class FieldElement(Record):
             n >>= 1
         return result
 
-    def to_coeffs(self):
-        """Serialization form: little-endian list of residues."""
-        return list(self.coeffs)
-
     def __repr__(self):
         return f"{_poly_str(self.coeffs)} in {self.spec!r}"
 
@@ -312,10 +308,6 @@ class ProjectivePoint(Record):
     @property
     def spec(self):
         return self.coords[0].spec
-
-    def to_lists(self):
-        """Serialization form: three coefficient lists."""
-        return [c.to_coeffs() for c in self.coords]
 
     def __repr__(self):
         a, b, c = self.coords

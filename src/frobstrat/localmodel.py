@@ -263,15 +263,6 @@ class SubspaceBasis:
         return cls(spec, *_rref(spec.field, [e.dense() for e in elements]))
 
     @property
-    def rows(self):
-        """The basis as tensor elements, sorted by pivot."""
-        p, elems = self.spec.p, self.spec.field._elements
-        return tuple(
-            TensorElement(self.spec, {(k // p, k % p): elems[idx]
-                                      for k, idx in enumerate(row) if idx})
-            for row in self._mat)
-
-    @property
     def dim(self):
         return len(self._mat)
 

@@ -31,7 +31,6 @@ __all__ = [
     "bruteforce_destabilized_polygons",
     "dominates",
     "enumerate_destabilized_polygons",
-    "max_slope_gap",
     "name_polygon",
     "polygon_of_filtration",
     "psi_polygon",
@@ -121,27 +120,9 @@ class LatticePolygon(Record):
     def segment_count(self):
         return len(self.vertices) - 1
 
-    def slopes(self):
-        """Exact segment slopes, strictly decreasing left to right."""
-        from fractions import Fraction
-        return [Fraction(y1 - y0, x1 - x0)
-                for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:])]
-
-    def to_pairs(self):
-        """Serialization form: list of [rank, degree] pairs."""
-        return [[r, dg] for r, dg in self.vertices]
-
     def __repr__(self):
         pts = " ".join(f"({r},{dg})" for r, dg in self.vertices)
         return f"LatticePolygon[{pts}]"
-
-
-def max_slope_gap(P):
-    """Largest difference between consecutive segment slopes."""
-    ss = P.slopes()
-    if len(ss) < 2:
-        raise ValueError("polygon has a single segment; no slope gaps")
-    return max(a - b for a, b in zip(ss, ss[1:]))
 
 
 def _integer_heights(P):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from frobstrat import localmodel, polygon, slopecalc, strata
+from frobstrat import cli, localmodel, polygon, slopecalc, strata
 from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.polygon import (
@@ -16,6 +16,7 @@ from frobstrat.polygon import (
 )
 from frobstrat.slopecalc import CertificateReport, SubrankBound
 from frobstrat.strata import StrataTable, StratumRecord, dualize_polygon
+from oracles import slopes, stdlib_form
 
 
 def run(capsys, *argv):
@@ -66,7 +67,7 @@ def test_enumerate_table_slopes_are_the_fraction_strings(capsys, p, g, r):
             label = name_polygon(P, params) if (p, g, r) == (3, 2, 3) else None
             vertices = " ".join(f"({x},{y})" for x, y in P.vertices)
             assert row == (f"  {label or '-':<5} vertices {vertices:<30} "
-                           f"slopes {', '.join(map(str, P.slopes()))}")
+                           f"slopes {', '.join(map(str, slopes(P)))}")
 
 
 def test_enumerate_outside_regime_has_no_labels(capsys):
@@ -194,13 +195,17 @@ def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, mo
     assert deeper == projective_plane(field_make(3))[:1]
 
 
-@pytest.mark.parametrize("fmt, other_format", [("table", "to_lists"), ("json", "__repr__")])
-def test_localmodel_builds_only_the_requested_format(capsys, monkeypatch, fmt, other_format):
-    # to_lists serves only the JSON points and repr only the table lines
+@pytest.mark.parametrize("fmt, owner, other_format", [
+    pytest.param("table", cli, "_json_text", id="table-_json_text"),
+    pytest.param("json", ProjectivePoint, "__repr__", id="json-__repr__"),
+])
+def test_localmodel_builds_only_the_requested_format(capsys, monkeypatch, fmt, owner,
+                                                     other_format):
+    # _json_text writes only the JSON output and repr only the table lines
     calls = []
-    original = getattr(ProjectivePoint, other_format)
-    monkeypatch.setattr(ProjectivePoint, other_format,
-                        lambda pt: calls.append(pt) or original(pt))
+    original = getattr(owner, other_format)
+    monkeypatch.setattr(owner, other_format,
+                        lambda value, *rest: calls.append(value) or original(value, *rest))
     code, out, _ = run(capsys, "localmodel", "--q", "9", "--format", fmt)
     assert (code, out.count("colength")) == (0, 91)
     assert calls == []
@@ -611,11 +616,6 @@ def test_runs_are_byte_identical(capsys, argv):
     assert first == second
 
 
-def _stdlib_form(value):
-    """json.dumps's default for the values _json_text writes itself."""
-    return value.to_lists() if isinstance(value, ProjectivePoint) else value.to_pairs()
-
-
 @pytest.mark.parametrize("payload", [
     [], {}, 0, -7, None, True, "Psi1", 1.5,
     {"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [], "e": {}},
@@ -648,7 +648,7 @@ def _stdlib_form(value):
 ])
 def test_json_text_matches_the_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,
-                                             default=_stdlib_form)
+                                             default=stdlib_form)
 
 
 def test_json_text_rejects_keys_the_stdlib_would_convert():

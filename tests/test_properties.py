@@ -23,6 +23,7 @@ from frobstrat.polygon import (  # noqa: E402
     enumerate_destabilized_polygons,
 )
 from frobstrat.strata import dualize_polygon  # noqa: E402
+from oracles import stdlib_form, to_pairs  # noqa: E402
 
 # every enumeration with p in {2, 3, 5}, g in {2, 3}, r in 2..4, d in -2..2:
 # (p, polygons sharing the endpoint (r, p*d)), empty ones left out
@@ -47,7 +48,7 @@ def shear(P, p):
 @examples
 @given(polygons)
 def test_make_polygon_round_trips(P):
-    assert LatticePolygon(P.to_pairs()) == P
+    assert LatticePolygon(to_pairs(P)) == P
 
 
 @examples
@@ -148,11 +149,6 @@ payloads = st.recursive(
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(keys, inner, max_size=4)),
     max_leaves=30)
-
-
-def stdlib_form(x):
-    """The json.dumps default for the values _json_text writes itself."""
-    return x.to_lists() if isinstance(x, ProjectivePoint) else x.to_pairs()
 
 
 def as_loaded(x):
