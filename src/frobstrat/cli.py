@@ -25,6 +25,7 @@ from .localmodel import (
     stratum_census,
 )
 from .polygon import (
+    GREATER_OR_EQUAL,
     PSI1,
     PSI2,
     PSI3,
@@ -33,8 +34,10 @@ from .polygon import (
     CurveParams,
     LatticePolygon,
     bruteforce_destabilized_polygons,
+    dominates,
     enumerate_destabilized_polygons,
     name_polygon,
+    regime_polygons,
 )
 from .slopecalc import (
     BundleData,
@@ -95,8 +98,8 @@ def _rows_format(n, width, indent):
 def _json_text(value, indent="\n"):
     """json.dumps(value, indent=2, sort_keys=True, default=...) for payloads of
     str-keyed dicts, lists, tuples, polygons, plane points and scalars, where
-    the default writes a polygon as its to_pairs() and a point as its
-    to_lists().  The stdlib writes indented JSON through a Python generator per
+    the default writes a polygon as its vertex pairs and a point as three
+    coefficient lists.  The stdlib writes indented JSON through a generator per
     container; this writer makes one call per container and writes a polygon
     or a point with one % on a template cached per shape and depth."""
     kind = type(value)
@@ -291,6 +294,13 @@ def cmd_strata(args):
         top = max(r.stratum_dim for r in table.records)
         ok &= table.codimension == moduli_dimension(r, g) - top
         ok &= table.top_components == 2
+        # the named polygons are enumerate's, one per label, and Psi4 is above the
+        # other three: compared with each of the four it is GREATER_OR_EQUAL three times
+        psi = regime_polygons(args.d)
+        listed = enumerate_destabilized_polygons(CurveParams(*REGIME, args.d))
+        ok &= (psi.keys() == {PSI1, PSI2, PSI3, PSI4}
+               and [Q.vertices for Q in psi.values()] == [Q.vertices for Q in listed]
+               and [dominates(psi[PSI4], Q) for Q in listed].count(GREATER_OR_EQUAL) == 3)
         checks.append(("dimension cross-checks", ok))
 
     lines = [

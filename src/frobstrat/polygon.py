@@ -8,10 +8,12 @@ by 2g - 2, which together with the fixed average slope p*d/r makes the
 enumeration finite.
 """
 
+from functools import lru_cache
 from math import prod
 
 from ._record import Record, _set
 from .gfield import _is_prime
+from .slopecalc import canonical_filtration_degrees
 
 __all__ = [
     "CurveParams",
@@ -33,12 +35,12 @@ __all__ = [
     "enumerate_destabilized_polygons",
     "name_polygon",
     "polygon_of_filtration",
-    "psi_polygon",
+    "regime_polygons",
 ]
 
 PSI1, PSI2, PSI3, PSI4 = "Psi1", "Psi2", "Psi3", "Psi4"
 PSI_LABELS = (PSI1, PSI2, PSI3, PSI4)
-# (p, g, r) of the one regime the paper classifies, where the Psi templates hold
+# (p, g, r) of the one regime the paper classifies, where the Psi labels are named
 REGIME = (3, 2, 3)
 SEMISTABLE = "semistable"
 OTHER = "other"
@@ -152,23 +154,6 @@ def dominates(P, Q):
     if below:
         return LESS_OR_EQUAL
     return INCOMPARABLE
-
-
-def _psi_vertices(index, d):
-    if index == 1:
-        return ((0, 0), (1, d + 1), (3, 3 * d))
-    if index == 2:
-        return ((0, 0), (2, 2 * d + 1), (3, 3 * d))
-    if index == 3:
-        return ((0, 0), (1, d + 1), (2, 2 * d + 1), (3, 3 * d))
-    if index == 4:
-        return ((0, 0), (1, d + 2), (2, 2 * d + 2), (3, 3 * d))
-    raise ValueError(f"template index must be 1..4, got {index}")
-
-
-def psi_polygon(index, d):
-    """The four destabilized pull-back polygon templates for (p, g, r) = (3, 2, 3)."""
-    return LatticePolygon(_psi_vertices(index, d))
 
 
 def enumerate_destabilized_polygons(params):
@@ -305,8 +290,28 @@ def polygon_of_filtration(pieces):
     return LatticePolygon(tuple(verts))
 
 
+# a regime polygon's label by the ranks of its interior vertices; of the two with
+# vertices at both ranks, the canonical one is Psi4 (see regime_polygons)
+_BREAK_LABELS = {(1,): PSI1, (2,): PSI2, (1, 2): PSI3}
+
+
+# a sweep over d = -4..4 names polygons at 9 degrees, dual's at d and at -d;
+# the canonical filtration is that of Joshi, Ramanan, Xia and Yu (Compositio 2006)
+@lru_cache(maxsize=16)
+def regime_polygons(d):
+    """Label -> polygon, in enumerate's order, for its polygons at REGIME and degree
+    d; Psi4 is the unit-rank polygon of the canonical filtration of F^*F_*L, deg L =
+    d - (p-1)(g-1).  The dict is cached and shared by every caller: never write it."""
+    p, g, _ = REGIME
+    top = polygon_of_filtration((1, t) for t in
+                                canonical_filtration_degrees(p, g, d - (p - 1) * (g - 1)))
+    return {PSI4 if P == top else _BREAK_LABELS[tuple(x for x, _ in P.vertices[1:-1])]: P
+            for P in enumerate_destabilized_polygons(CurveParams(*REGIME, d))}
+
+
 def name_polygon(P, params):
-    """Match a polygon against the (3, 2, 3) templates at the given degree."""
+    """The label of the regime polygon with P's vertices at the given degree
+    (see regime_polygons), SEMISTABLE for a single segment, else OTHER."""
     if (params.p, params.g, params.r) != REGIME:
         raise ValueError(
             f"unclassified regime: polygon naming is defined for (p, g, r) = {REGIME}")
@@ -316,8 +321,4 @@ def name_polygon(P, params):
         raise ValueError(f"polygon ends at {P.endpoint}, expected {(r, p * d)}")
     if P.segment_count == 1:
         return SEMISTABLE
-    # the templates' vertex tuples, so that no template polygon is built per call
-    for i in (1, 2, 3, 4):
-        if P.vertices == _psi_vertices(i, d):
-            return PSI_LABELS[i - 1]
-    return OTHER
+    return next((lab for lab, Q in regime_polygons(d).items() if Q.vertices == P.vertices), OTHER)

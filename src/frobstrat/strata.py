@@ -1,9 +1,9 @@
 """Dimension ledger of the Frobenius strata for rank 3 in characteristic 3 on
-a genus-2 curve: fiber, parameter-space and moduli-space dimensions, the
-dual-polygon involution, and the assembled table."""
+a genus-2 curve: fiber, parameter-space and moduli-space dimensions, the dual
+involution, and the table of enumerate's polygons named by regime_polygons."""
 
 from ._record import Record, _set
-from .polygon import PSI1, PSI2, PSI3, PSI4, REGIME, LatticePolygon, psi_polygon
+from .polygon import PSI1, PSI2, PSI3, PSI4, PSI_LABELS, REGIME, LatticePolygon, regime_polygons
 
 __all__ = [
     "CURVE_DIM",
@@ -122,14 +122,13 @@ def strata_table(d):
     the top dimension.
     """
     _, g, r = REGIME
-    records = []
-    for i, label in enumerate((PSI1, PSI2, PSI3, PSI4), start=1):
-        fiber = None if label == PSI1 else quot_fiber_dimension(label)
-        records.append(StratumRecord(label, psi_polygon(i, d),
-                                     moduli_stratum_dimension(label, g), fiber))
+    polygons = regime_polygons(d)
+    # Psi1 has no parameter-space fiber
+    records = tuple(StratumRecord(label, polygons[label], moduli_stratum_dimension(label, g),
+                                  _FIBER_DIM.get(label)) for label in PSI_LABELS)
     top = max(rec.stratum_dim for rec in records)
     return StrataTable(
-        records=tuple(records),
+        records=records,
         codimension=moduli_dimension(r, g) - top,
         top_components=sum(1 for rec in records if rec.stratum_dim == top),
     )

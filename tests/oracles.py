@@ -4,12 +4,28 @@ Nothing in ``frobstrat`` computes these: a polygon's exact slopes and their
 largest gap come from its ``vertices``, the list forms ``json.dumps`` writes
 for polygons, plane points and field elements from ``vertices`` and
 ``coeffs``, and a basis's tensor elements from its reduced rows ``_mat``.
+The four (3, 2, 3) polygons are spelled out as the paper's vertex formulas in
+d, which the names ``frobstrat`` computes by rule must match.
 """
 
 from fractions import Fraction
 
 from frobstrat.gfield import ProjectivePoint
 from frobstrat.localmodel import TensorElement
+from frobstrat.polygon import LatticePolygon
+
+
+def psi_polygon(index, d):
+    """The destabilized pull-back polygon Psi<index> at (p, g, r) = (3, 2, 3), degree d."""
+    if index == 1:
+        return LatticePolygon(((0, 0), (1, d + 1), (3, 3 * d)))
+    if index == 2:
+        return LatticePolygon(((0, 0), (2, 2 * d + 1), (3, 3 * d)))
+    if index == 3:
+        return LatticePolygon(((0, 0), (1, d + 1), (2, 2 * d + 1), (3, 3 * d)))
+    if index == 4:
+        return LatticePolygon(((0, 0), (1, d + 2), (2, 2 * d + 2), (3, 3 * d)))
+    raise ValueError(f"template index must be 1..4, got {index}")
 
 
 def slopes(P):

@@ -33,7 +33,6 @@ from frobstrat.polygon import (
     CurveParams,
     dominates,
     enumerate_destabilized_polygons,
-    psi_polygon,
 )
 from frobstrat.slopecalc import (
     BundleData,
@@ -50,7 +49,7 @@ from frobstrat.strata import (
     quot_stratum_dimension,
     strata_table,
 )
-from oracles import max_slope_gap
+from oracles import max_slope_gap, psi_polygon
 
 
 def _report(number, name, ok):

@@ -360,6 +360,11 @@ _STRATA_FAULTS = {
     "psi1-psi2-dimensions": ("strata_table", _strata_tables_through(
         lambda t: StrataTable((StratumRecord("Psi1", t.records[0].polygon, 4),
                                *t.records[1:]), t.codimension, t.top_components))),
+    # Psi3 and Psi4 swap polygons, in enumerate's order still, so that only
+    # Psi4's dominance over the other three fails
+    "regime-polygons": ("regime_polygons", lambda d: {
+        {"Psi3": "Psi4", "Psi4": "Psi3"}.get(lab, lab): P
+        for lab, P in polygon.regime_polygons(d).items()}),
 }
 
 
@@ -371,6 +376,20 @@ def test_strata_verify_fails_on_each_broken_conjunct(capsys, monkeypatch, fault,
     code, verdicts = run_verify(capsys, fmt, "strata", "--d", "1")
     assert code == 1
     assert "verify: dimension cross-checks: FAIL" in verdicts
+
+
+def test_a_repeated_sweep_names_the_regime_polygons_from_the_cache(capsys):
+    """A second pass of strata, dual and regime enumerate over d = -4..4, with
+    and without --verify, builds no regime polygon set again."""
+    argvs = [[command, "--d", str(d), *verify] for d in range(-4, 5)
+             for verify in ((), ("--verify",)) for command in ("strata", "dual", "enumerate")]
+    for argv in argvs:
+        assert main(argv) == 0
+    before = polygon.regime_polygons.cache_info()
+    for argv in argvs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert polygon.regime_polygons.cache_info().misses == before.misses
 
 
 def test_certify_main_regime(capsys):

@@ -32,11 +32,6 @@ IMPORT = "import time"
 
 # module:Qualname -> (group, reason) of each def that no command enters
 UNREACHED = {
-    "polygon:dominates": (PENDING, "the closure order of ROADMAP items 3 and 15"),
-    "polygon:_integer_heights": (PENDING, "dominates' heights"),
-    "polygon:polygon_of_filtration": (PENDING, "the canonical polygon of items 3, 12 and 15"),
-    "slopecalc:canonical_filtration_degrees":
-        (PENDING, "the canonical filtration of items 3, 12 and 15"),
     "slopecalc:degree_from_colength": (PENDING, "the colength-to-degree step of item 2"),
     "localmodel:claim_results": (FROBBENCH, "a traced layer; the CLI calls the quotient"),
     "localmodel:tau_square_span": (FROBBENCH, "a traced layer; the CLI reads the tau^2 blocks"),

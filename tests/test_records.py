@@ -35,13 +35,13 @@ from frobstrat import (
     canonical_filtration_degrees,
     field_make,
     projective_plane,
-    psi_polygon,
     pushforward_degree,
     tau_power,
 )
 from frobstrat._record import Record
 from frobstrat.cli import main
 from frobstrat.localmodel import _block_entries, _tau_square_blocks, _unit_rows
+from oracles import psi_polygon
 
 F3, F9, F27 = field_make(3), field_make(3, 2), field_make(3, 3)
 SPEC, SPEC3 = ModelSpec(F9, 3), ModelSpec(F3, 3)

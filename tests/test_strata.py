@@ -12,7 +12,6 @@ from frobstrat.polygon import (
     LatticePolygon,
     enumerate_destabilized_polygons,
     name_polygon,
-    psi_polygon,
 )
 from frobstrat.strata import (
     StratumRecord,
@@ -23,6 +22,7 @@ from frobstrat.strata import (
     quot_stratum_dimension,
     strata_table,
 )
+from oracles import psi_polygon
 
 LABEL_SWAP = {PSI1: PSI2, PSI2: PSI1, PSI3: PSI3, PSI4: PSI4}
 
