@@ -3,12 +3,14 @@ slope certificates, the strata table and polygon duality as reproducible
 batch commands.
 
 Exit codes: 0 when every check passes, 1 when a self-check reports FAIL or
-an internal invariant breaks, 2 on a usage or parameter error.  Output is
-deterministic: identical inputs produce byte-identical output.
+an internal invariant breaks, 2 on a usage or parameter error, 141 (as for
+SIGPIPE) when the reader closes stdout early.  Output is deterministic:
+identical inputs produce byte-identical output.
 """
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -20,6 +22,7 @@ from .localmodel import (
     ModelSpec,
     SubmoduleV,
     _full_model,
+    _truncation_stable,
     classify_stratum,
     quotient_classification,
     stratum_census,
@@ -65,8 +68,8 @@ _MAX_Q = REGIME[0] ** 5
 _MAX_P = 10_000
 
 # largest localmodel --M: the --verify oracle's unit rows of U hold (9M - 9) x 9M
-# entries per level M, whatever q, and stay cached, at M and at M + 1; with
-# --verify, q = 3 peaked at 29 MB resident at M = 100 and at 135 MB at M = 300
+# entries, whatever q, and stay cached, at M only (the guard at M + 1 builds no
+# W); with --verify, q = 3 peaked at 21 MB resident at M = 100 and at 74 MB at M = 300
 _MAX_M = 100
 
 
@@ -150,15 +153,16 @@ def _render(args, passed, payload, lines, checks):
     """Print a command's result as JSON or as a table with its --verify verdicts;
     return 1 if ``passed`` is false or one of the named ``checks`` failed, else 0."""
     verdicts = [f"verify: {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
+    # stdout is flushed here, so that a reader that has gone is found in main,
+    # not in the interpreter's flush at exit
     if args.format == "json":
-        print(_json_text(payload))
+        print(_json_text(payload), flush=True)
         # verdicts go to stderr so the stdout payload keeps its schema
         for line in verdicts:
             print(line, file=sys.stderr)
     else:
         at = lines.index(_VERDICTS) if _VERDICTS in lines else len(lines)
-        for line in lines[:at] + verdicts + lines[at + 1:]:
-            print(line)
+        print(*lines[:at], *verdicts, *lines[at + 1:], sep="\n", flush=True)
     return 0 if passed and all(ok for _, ok in checks) else 1
 
 
@@ -227,14 +231,16 @@ def cmd_localmodel(args):
                          f"rows alone would hold ({p2}M - {p2}) x {p2}M = "
                          f"{_int_text((p2 * args.M - p2) * p2 * args.M)} entries")
     spec = ModelSpec(field_make(REGIME[0], m), args.M)
-    deeper = ModelSpec(spec.field, args.M + 1) if args.verify else None
+    # the tau^2 table at M + 1, once per request and before the walk, so that a
+    # failing guard still leaves every point to the full model at M
+    stable = args.verify and _truncation_stable(ModelSpec(spec.field, args.M + 1))
 
     # one walk of the plane: a point's quotient gives its colength and claims, the
-    # full model W (--verify) recomputes both at M on every point and at M + 1 up
-    # to the first disagreement, and only the requested format's entry is kept
+    # full model W (--verify) recomputes both at M on every point, and only the
+    # requested format's entry is kept
     as_json = args.format == "json"
     census = {PSI2: 0, PSI3: 0, PSI4: 0}
-    bad, stable = 0, True
+    bad = 0
     entries = []
     for pt in projective_plane(spec.field):
         V = SubmoduleV(spec, pt)
@@ -245,8 +251,6 @@ def cmd_localmodel(args):
         if args.verify:
             if (full := _full_model(V)) != (col, res):
                 raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
-            if stable:
-                stable = _full_model(SubmoduleV(deeper, pt)) == (col, res)
         census[lab] += 1
         ok = all(res.values())
         bad += not ok
@@ -458,6 +462,11 @@ def main(argv=None):
     except RuntimeError as exc:
         # a broken internal invariant: reported, not a traceback
         return _fail(exc, 1)
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to /dev/null, so
+        # the interpreter's flush at exit writes no traceback either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

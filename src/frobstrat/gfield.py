@@ -201,7 +201,8 @@ class FieldElement(Record):
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            # identity first: != would run the Python-level Record.__eq__
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError(
                     f"mixed-field arithmetic between {self.spec!r} and {other.spec!r}")
             return other

@@ -70,7 +70,8 @@ class ModelSpec(Record):
 
 
 def _check_coefficient(spec, c):
-    if not (isinstance(c, FieldElement) and c.spec == spec.field):
+    # identity first: == would run the Python-level Record.__eq__
+    if not (isinstance(c, FieldElement) and (c.spec is spec.field or c.spec == spec.field)):
         raise ValueError(f"coefficient {c!r} is not an element of {spec.field!r}")
 
 
@@ -117,7 +118,7 @@ class TensorElement(Record):
         return bool(self.terms)
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError("elements belong to different local models")
 
     def __add__(self, other):
@@ -356,6 +357,14 @@ def _tau_square_blocks(p):
     build over GF(p) at M = 3 serves every model of characteristic p."""
     spec = ModelSpec(FieldSpec(p))
     return tuple(takewhile(any, (tuple(e.dense()[:p * p]) for e in _tau_square_multiples(spec))))
+
+
+def _truncation_stable(spec):
+    """Whether the tau^2 t^k of ``spec`` cut to their first p^2 coordinates are
+    _tau_square_blocks(p) up to the first zero cut, and zero after it (in U)."""
+    cuts = [tuple(e.dense()[:spec.p ** 2]) for e in _tau_square_multiples(spec)]
+    # the nonzero cuts are the table, and all of them come before the first zero one
+    return tuple(filter(any, cuts)) == _tau_square_blocks(spec.p) == tuple(takewhile(any, cuts))
 
 
 def _tau_square_residues(W):

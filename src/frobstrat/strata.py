@@ -123,6 +123,8 @@ def strata_table(d):
     """
     _, g, r = REGIME
     polygons = regime_polygons(d)
+    if missing := [label for label in PSI_LABELS if label not in polygons]:
+        raise RuntimeError(f"the naming rule names no {', '.join(missing)} polygon at d = {d}")
     # Psi1 has no parameter-space fiber
     records = tuple(StratumRecord(label, polygons[label], moduli_stratum_dimension(label, g),
                                   _FIBER_DIM.get(label)) for label in PSI_LABELS)

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -143,17 +147,44 @@ def test_localmodel_verify(capsys):
 
 
 def test_localmodel_verify_fails_on_a_truncation_dependent_colength(capsys, monkeypatch):
-    # the fault goes into the full model at M + 1, the only model built there
-    full = localmodel._full_model
+    # the fault goes into the guard's input at M + 1, the only level it builds:
+    # there tau^2 is truncated away, so the tau^2 line loses a dimension
+    multiples = localmodel._tau_square_multiples
 
-    def deeper_colength_shifted(V):
-        col, res = full(V)
-        return (col % 3 + 1 if V.spec.M == 4 else col), res
+    def deeper_tau_square_dropped(spec):
+        return islice(multiples(spec), 1 if spec.M == 4 else 0, None)
 
-    monkeypatch.setattr("frobstrat.cli._full_model", deeper_colength_shifted)
+    monkeypatch.setattr(localmodel, "_tau_square_multiples", deeper_tau_square_dropped)
     code, out, _ = run(capsys, "localmodel", "--q", "3", "--verify")
     assert code == 1
     assert "stable at M=4: FAIL" in out
+
+
+@pytest.fixture
+def x2_negated(monkeypatch):
+    """The tau^2 table with X_2 negated mod 3, read by the quotient through
+    _block_entries and by the full model, so that both agree on every point."""
+    blocks = localmodel._tau_square_blocks
+
+    def negated(p):
+        b = blocks(p)
+        return b[:2] + (tuple(-x % p for x in b[2]),) + b[3:]
+
+    monkeypatch.setattr(localmodel, "_tau_square_blocks", negated)
+    localmodel._block_entries.cache_clear()
+    yield
+    # the wrong entries must not outlive the patch
+    localmodel._block_entries.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_localmodel_verify_fails_on_a_wrong_tau_square_table(capsys, x2_negated, fmt):
+    # every point still agrees with the full model, which reads the same table;
+    # only the guard, which builds tau^2 t^k at M + 1, sees the table is wrong
+    code, verdicts = run_verify(capsys, fmt, "localmodel", "--q", "3")
+    assert code == 1
+    assert "verify: census matches q^2/q/1 decomposition: PASS" in verdicts
+    assert "verify: claims and colengths stable at M=4: FAIL" in verdicts
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -176,23 +207,20 @@ def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, mo
     code, out, _ = run(capsys, "localmodel", "--q", "3")
     assert code == 1 and out.endswith(f"  {last!r:<24} colength 3  Psi2  CLAIM-FAIL d\n")
 
-    # a failure at M + 1 on the first point stops only the M + 1 check: the
-    # full model still runs at M on every later point and names the last one
+    # a failing guard at M + 1 stops nothing: the full model still runs at M
+    # on every point and names the last one
     deeper = []
-    full = localmodel._full_model
 
-    def also_unstable(V):
-        col, res = full(V)
-        if V.spec.M == 4:
-            deeper.append(V.hyperplane)
-            res = {**res, "a": not res["a"]}
-        return col, res
+    def also_unstable(spec):
+        deeper.append(spec.M)
+        return False
 
-    monkeypatch.setattr("frobstrat.cli._full_model", also_unstable)
+    monkeypatch.setattr("frobstrat.cli._truncation_stable", also_unstable)
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
     assert (code, out) == (1, "")
     assert err.startswith("error: point [0 : 0 : 1]: ")
-    assert deeper == projective_plane(field_make(3))[:1]
+    # the guard ran once, at M + 1
+    assert deeper == [4]
 
 
 @pytest.mark.parametrize("fmt, owner, other_format", [
@@ -245,7 +273,7 @@ def test_localmodel_M_ceiling_builds_no_model(capsys, monkeypatch, verify):
         code, out, err = run(capsys, "localmodel", "--q", "243", "--M", str(M), *verify)
         assert (code, out) == (2, ""), M
         assert words in err
-    # the ceiling itself is accepted, also when --verify adds a model at M + 1
+    # the ceiling itself is accepted, also when --verify adds its guard at M + 1
     with pytest.raises(_Built):
         main(["localmodel", "--q", "3", "--M", str(_MAX_M), *verify])
 
@@ -376,6 +404,15 @@ def test_strata_verify_fails_on_each_broken_conjunct(capsys, monkeypatch, fault,
     code, verdicts = run_verify(capsys, fmt, "strata", "--d", "1")
     assert code == 1
     assert "verify: dimension cross-checks: FAIL" in verdicts
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_strata_exits_1_naming_a_label_the_naming_rule_misses(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("frobstrat.strata.regime_polygons", lambda d: {
+        lab: P for lab, P in polygon.regime_polygons(d).items() if lab != "Psi3"})
+    code, out, err = run(capsys, "strata", "--d", "1", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: the naming rule names no Psi3 polygon at d = 1\n"
 
 
 def test_a_repeated_sweep_names_the_regime_polygons_from_the_cache(capsys):
@@ -688,3 +725,21 @@ def test_json_output_is_the_stdlib_dump_of_its_payload(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_that_closes_stdout_early_ends_the_run_with_141(unbuffered):
+    """A reader that takes one line and closes the pipe, as `| head -1` does,
+    ends the run with exit 141 and nothing on stderr, whether stdout is
+    buffered or not.  localmodel --q 81 writes about 340 kB, more than a pipe
+    holds, so the run is still writing when the pipe closes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "frobstrat", "localmodel", "--q", "81"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), first, err) == \
+        (141, b"local pull-back model over GF(81), truncation M=3\n", b"")

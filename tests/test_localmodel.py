@@ -260,15 +260,16 @@ def _count_calls(capsys, argv):
 
 def test_localmodel_row_reduces_only_for_colengths(capsys):
     """localmodel classifies each point from its quotient h^T X_k and builds no W;
-    --verify builds one W per point at M and one at M + 1 for the full-model
-    oracle; the quotient's colength is taken once, at M.  _rref runs at most
-    once per colength, of the quotient or of the oracle, and never inside
-    pullback_span, which writes W down without row reduction."""
+    --verify builds one W per point, at M, for the full-model oracle, and checks
+    the tau^2 table at M + 1 once per request without building a W there; the
+    quotient's colength is taken once, at M.  _rref runs at most once per
+    colength, of the quotient or of the oracle, and never inside pullback_span,
+    which writes W down without row reduction."""
     calls = _count_calls(capsys, ["localmodel", "--q", "9"])
     assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 0, calls
     assert calls["rref"] <= calls["colength"], calls
     calls = _count_calls(capsys, ["localmodel", "--q", "9", "--verify"])
-    assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 2 * 91, calls
+    assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 91, calls
     assert calls["rref in span"] == 0
     assert calls["rref"] <= calls["colength"] + calls["oracle"], calls
 
@@ -344,11 +345,11 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     monkeypatch.setattr(localmodel, "_rref", rref_spy)
     assert main(["localmodel", "--q", "9", "--verify"]) == 0
     capsys.readouterr()
-    # the oracle reduces the three nonzero blocks per point at M and at M + 1;
-    # the quotient is ranked once per point and the oracle twice
-    assert len(reduced) == 3 * 2 * 91
+    # the oracle reduces the three nonzero blocks per point, at M only; the
+    # quotient and the oracle are each ranked once per point
+    assert len(reduced) == 3 * 91
     assert all(n <= 6 and length <= 9 for n, length in reduced), max(reduced)
-    assert len(ranked) == 3 * 91 and max(ranked) <= 3, max(ranked)
+    assert len(ranked) == 2 * 91 and max(ranked) <= 3, max(ranked)
 
 
 def test_membership_trivialities(f3, f9, model3, model9):
