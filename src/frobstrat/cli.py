@@ -16,15 +16,12 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
 
-from .gfield import ProjectivePoint, field_make, projective_plane
+from .gfield import ProjectivePoint, field_make
 from .localmodel import (
     _COLENGTH_LABEL,
     ModelSpec,
-    SubmoduleV,
-    _full_model,
+    _plane_classes,
     _truncation_stable,
-    classify_stratum,
-    quotient_classification,
     stratum_census,
 )
 from .polygon import (
@@ -235,22 +232,15 @@ def cmd_localmodel(args):
     # failing guard still leaves every point to the full model at M
     stable = args.verify and _truncation_stable(ModelSpec(spec.field, args.M + 1))
 
-    # one walk of the plane: a point's quotient gives its colength and claims, the
-    # full model W (--verify) recomputes both at M on every point, and only the
-    # requested format's entry is kept
+    # one walk of the plane, the full model W (--verify) rechecking every point
+    # at M; only the requested format's entry is kept
     as_json = args.format == "json"
     census = {PSI2: 0, PSI3: 0, PSI4: 0}
     bad = 0
     entries = []
-    for pt in projective_plane(spec.field):
-        V = SubmoduleV(spec, pt)
-        col, res = quotient_classification(V)
-        lab = classify_stratum(V)
+    for pt, col, res, lab in _plane_classes(spec, args.verify):
         if _COLENGTH_LABEL[col] != lab:
             raise RuntimeError(f"point {pt!r} has colength {col} but stratum label {lab}")
-        if args.verify:
-            if (full := _full_model(V)) != (col, res):
-                raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
         census[lab] += 1
         ok = all(res.values())
         bad += not ok

@@ -443,8 +443,8 @@ def intersection_colength(V):
 
 def classify_stratum(V):
     """Stratum label of a plane point: both t and t^2 in V gives Psi4, only
-    t^2 gives Psi3, t^2 missing gives Psi2.  Matches intersection_colength
-    through 1 -> Psi4, 2 -> Psi3, 3 -> Psi2."""
+    t^2 gives Psi3, t^2 missing gives Psi2.  Matches the colength of
+    quotient_classification through 1 -> Psi4, 2 -> Psi3, 3 -> Psi2."""
     _, h1, h2 = V.h  # t^j (j < 3) lies in V iff h_j = 0
     return PSI2 if h2 else PSI3 if h1 else PSI4
 
@@ -464,13 +464,21 @@ def claim_results(V):
 
 
 def stratum_census(spec):
-    """Classify every point of the projective plane over the model's field by
-    its colength, the rank of the quotient h^T X_k.
-
-    Returns {label: count}; the counts are q^2, q and 1 for Psi2, Psi3 and
-    Psi4, partitioning all q^2 + q + 1 points.
-    """
+    """{label: count} over the plane points, each counted by its colength, the rank
+    of the quotient h^T X_k, never by its coordinate label: q^2, q and 1 for Psi2,
+    Psi3 and Psi4, partitioning all q^2 + q + 1 points."""
     counts = {PSI2: 0, PSI3: 0, PSI4: 0}
-    for pt in projective_plane(spec.field):
-        counts[_COLENGTH_LABEL[intersection_colength(SubmoduleV(spec, pt))]] += 1
+    for _, col, _, _ in _plane_classes(spec):
+        counts[_COLENGTH_LABEL[col]] += 1
     return counts
+
+
+def _plane_classes(spec, verify=False):
+    """(point, colength, claims, label) of each plane point from its quotient, in
+    projective_plane's order; with ``verify`` the full model W must agree on each."""
+    for pt in projective_plane(spec.field):
+        V = SubmoduleV(spec, pt)
+        col, res = quotient_classification(V)
+        if verify and (full := _full_model(V)) != (col, res):
+            raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
+        yield pt, col, res, classify_stratum(V)

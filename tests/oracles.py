@@ -5,10 +5,13 @@ largest gap come from its ``vertices``, the list forms ``json.dumps`` writes
 for polygons, plane points and field elements from ``vertices`` and
 ``coeffs``, and a basis's tensor elements from its reduced rows ``_mat``.
 The four (3, 2, 3) polygons are spelled out as the paper's vertex formulas in
-d, which the names ``frobstrat`` computes by rule must match.
+d, which the names ``frobstrat`` computes by rule must match.  The number of
+destabilized polygons is counted from their definition alone.
 """
 
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 from frobstrat.gfield import ProjectivePoint
 from frobstrat.localmodel import TensorElement
@@ -26,6 +29,41 @@ def psi_polygon(index, d):
     if index == 4:
         return LatticePolygon(((0, 0), (1, d + 2), (2, 2 * d + 2), (3, 3 * d)))
     raise ValueError(f"template index must be 1..4, got {index}")
+
+
+def count_destabilized_polygons(p, g, r, d):
+    """Number of chains from (0, 0) to (r, p*d) with at least two segments whose
+    slopes lie in the window p*d/r +- (r-1)(2g-2) and fall strictly, by at most
+    2g - 2 per step.  Counted by completions from each (x, y, last slope), the
+    slope a reduced fraction, with no bound but the definition's."""
+    end, gap = p * d, 2 * g - 2
+    # dy/w lies in the window iff lo * w <= dy * r <= hi * w
+    lo, hi = end - (r - 1) * gap * r, end + (r - 1) * gap * r
+
+    @cache
+    def completions(x, y, num, den):
+        # num/den is the last slope; den == 0 before the first segment, so a
+        # lone segment never closes
+        total = 0
+        for x1 in range(x + 1, r + 1):
+            w = x1 - x
+            # rises of the window, and after a segment those within gap below it
+            low, high = -(-lo * w // r), hi * w // r
+            if den:
+                low, high = max(low, -(-(num - gap * den) * w // den)), min(high, num * w // den)
+            for dy in [end - y] if x1 == r else range(low, high + 1):
+                if not lo * w <= dy * r <= hi * w:
+                    continue
+                if den and not 0 < num * w - dy * den <= gap * den * w:
+                    continue
+                if x1 == r:
+                    total += den > 0
+                else:
+                    k = gcd(dy, w)
+                    total += completions(x1, y + dy, dy // k, w // k)
+        return total
+
+    return completions(0, 0, 0, 0)
 
 
 def slopes(P):

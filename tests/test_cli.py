@@ -198,7 +198,7 @@ def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, mo
             res = {**res, "d": not res["d"]}
         return col, res
 
-    monkeypatch.setattr("frobstrat.cli.quotient_classification", one_claim_flipped)
+    monkeypatch.setattr("frobstrat.localmodel.quotient_classification", one_claim_flipped)
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
     assert (code, out) == (1, "")
     assert err.startswith("error: point [0 : 0 : 1]: ")
@@ -317,7 +317,7 @@ def test_broken_colength_exits_1(capsys, monkeypatch):
 
 
 def test_label_colength_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("frobstrat.cli.classify_stratum", lambda V: "Psi2")
+    monkeypatch.setattr("frobstrat.localmodel.classify_stratum", lambda V: "Psi2")
     code, out, err = run(capsys, "localmodel", "--q", "3")
     assert (code, out) == (1, "")
     assert err.startswith("error: point ")
@@ -329,7 +329,7 @@ def test_localmodel_verify_fails_on_a_wrong_census(capsys, monkeypatch, fmt):
     # every Psi3 point counted as Psi2, with label and colength agreeing, so
     # the census conjunct is the only check that can catch it
     classify = localmodel.classify_stratum
-    monkeypatch.setattr("frobstrat.cli.classify_stratum",
+    monkeypatch.setattr("frobstrat.localmodel.classify_stratum",
                         lambda V: "Psi2" if classify(V) == "Psi3" else classify(V))
     monkeypatch.setattr("frobstrat.cli._COLENGTH_LABEL", {1: "Psi4", 2: "Psi2", 3: "Psi2"})
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")

@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from collections import Counter
@@ -274,6 +275,13 @@ def test_localmodel_row_reduces_only_for_colengths(capsys):
     assert calls["rref"] <= calls["colength"] + calls["oracle"], calls
 
 
+def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
+    """strata --verify's census walks the plane as localmodel does, without
+    the oracle: GF(3)'s 13 points each take one colength, and no W is built."""
+    calls = _count_calls(capsys, ["strata", "--verify"])
+    assert calls["colength"] == 13 and calls["span"] == calls["oracle"] == 0, calls
+
+
 def _full_residues(W):
     """The reduction the block residues replace: each whole tau^2 t^k row
     reduced against every row of W."""
@@ -511,6 +519,14 @@ def test_tensor_repr_and_hash(model3):
     a = TensorElement.monomial(model3, 1, 2) + TensorElement.monomial(model3, 0, 0)
     b = TensorElement.monomial(model3, 0, 0) + TensorElement.monomial(model3, 1, 2)
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_tensor_arithmetic_with_a_non_tensor_raises_type_error(f3, model3, op):
+    e = TensorElement.monomial(model3, 1, 2)
+    for other in (1, f3.one, e.dense()):
+        with pytest.raises(TypeError):
+            op(e, other)
 
 
 def test_tensor_normal_form_bounds(model3):

@@ -29,7 +29,7 @@ from frobstrat.polygon import (
     polygon_of_filtration,
 )
 from frobstrat.strata import dualize_polygon
-from oracles import max_slope_gap, psi_polygon, slopes
+from oracles import count_destabilized_polygons, max_slope_gap, psi_polygon, slopes
 
 REGIME = CurveParams(3, 2, 3, 0)
 
@@ -371,6 +371,18 @@ def test_enumeration_symmetries_above_the_bruteforce_grid(p, g, r, d):
     assert enumerate_destabilized_polygons(CurveParams(p, g, r, d + r)) == sheared
     duals = sorted((dualize_polygon(P) for P in polys), key=lambda P: P.vertices)
     assert enumerate_destabilized_polygons(CurveParams(p, g, r, -d)) == duals
+
+
+@pytest.mark.parametrize("p, g, r, d", [
+    *product((2, 3, 5, 7), [2], range(2, 8), (0, 1)),
+    *product((3, 5), [3], range(2, 6), (0, 1)),
+    (3, 2, 8, 1),
+])
+def test_enumeration_count_matches_the_definition(p, g, r, d):
+    """The search lists exactly as many polygons as the definition admits, counted
+    by a path that shares no code with it, above the box scan's ceiling too."""
+    params = CurveParams(p, g, r, d)
+    assert len(enumerate_destabilized_polygons(params)) == count_destabilized_polygons(p, g, r, d)
 
 
 def test_enumerated_polygons_satisfy_the_invariants():

@@ -34,6 +34,8 @@ IMPORT = "import time"
 UNREACHED = {
     "slopecalc:degree_from_colength": (PENDING, "the colength-to-degree step of item 2"),
     "localmodel:claim_results": (FROBBENCH, "a traced layer; the CLI calls the quotient"),
+    "localmodel:intersection_colength":
+        (FROBBENCH, "a traced layer; the plane walk ranks the quotient itself"),
     "localmodel:tau_square_span": (FROBBENCH, "a traced layer; the CLI reads the tau^2 blocks"),
     "localmodel:SubspaceBasis.from_spanning":
         (FROBBENCH, "a traced layer; pullback_span writes its basis directly"),
