@@ -5,6 +5,9 @@ from operator import attrgetter
 # The records are plain __slots__ classes, not frozen dataclasses: importing
 # dataclasses loads inspect, ast, dis and tokenize, and generating the
 # classes' methods took longer than the rest of `import frobstrat` together.
+# Each record spells its own __init__: one Record.__init__ binding *args and
+# **kwargs from __match_args__ would drop a few lines, but took about twice as
+# long or more to build a record (SubrankBound, StratumRecord).
 
 # sets a field from __init__, past Record.__setattr__
 _set = object.__setattr__

@@ -87,6 +87,9 @@ class LatticePolygon(Record):
         # one pass over consecutive vertices; faults are reported in a fixed
         # order: a non-integral vertex, too few vertices, the start, a width
         # that is not positive anywhere, then the first slope that fails to fall
+        # (a pass per fault, with the same messages in the same order, took twice
+        # as long to build the 8,779 polygons enumerate emits at (3,2,7), (3,2,8)
+        # and (5,3,6), d = 0..2)
         x0 = y0 = pdy = pw = None
         narrow, falls = False, None
         for v in verts:

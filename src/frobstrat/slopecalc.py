@@ -5,8 +5,6 @@ on strict inequalities with denominator p, so no floating point appears
 anywhere.
 """
 
-from __future__ import annotations
-
 from ._record import Record, _set
 from .gfield import _is_prime
 
@@ -77,7 +75,7 @@ class SubrankBound(Record):
 
     __slots__ = __match_args__ = ("subrank", "bound", "threshold", "ok")
 
-    def __init__(self, subrank: int, bound: Fraction, threshold: Fraction, ok: bool):
+    def __init__(self, subrank: int, bound: "Fraction", threshold: "Fraction", ok: bool):
         _set(self, "subrank", subrank)
         _set(self, "bound", bound)
         _set(self, "threshold", threshold)

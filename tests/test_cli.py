@@ -310,7 +310,7 @@ def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
 
 
 def test_broken_colength_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("frobstrat.localmodel._colength", lambda spec, h: 7)
+    monkeypatch.setattr("frobstrat.localmodel._colength_and_claims", lambda V, rows: (7, {}))
     code, out, err = run(capsys, "localmodel", "--q", "3")
     assert (code, out) == (1, "")
     assert err.startswith("error: colength 7 outside 1..3")

@@ -227,10 +227,12 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
 
 
 def _count_calls(capsys, argv):
-    """Calls of _rref, pullback_span, _colength and the full-model oracle in one
-    CLI run, and the _rref calls made inside pullback_span."""
+    """Calls of _rref, pullback_span, the quotient's colength, the shared
+    colength-and-claims step and the full-model oracle in one CLI run, and the
+    _rref calls made inside pullback_span."""
     names = {_rref.__code__: "rref", pullback_span.__code__: "span",
-             localmodel._colength.__code__: "colength",
+             quotient_classification.__code__: "colength",
+             localmodel._colength_and_claims.__code__: "step",
              localmodel._full_model.__code__: "oracle"}
     calls = Counter()
     depth = 0
@@ -280,6 +282,17 @@ def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
     the oracle: GF(3)'s 13 points each take one colength, and no W is built."""
     calls = _count_calls(capsys, ["strata", "--verify"])
     assert calls["colength"] == 13 and calls["span"] == calls["oracle"] == 0, calls
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["localmodel", "--q", "9"], 91),
+    (["localmodel", "--q", "9", "--verify"], 2 * 91),
+    (["strata", "--verify"], 13),
+], ids=["localmodel", "localmodel-verify", "strata-verify"])
+def test_quotient_and_oracle_share_one_step_per_point(capsys, argv, steps):
+    """The quotient's images and, under localmodel --verify, the full model's
+    residues each go through _colength_and_claims once per point."""
+    assert _count_calls(capsys, argv)["step"] == steps
 
 
 def _full_residues(W):
@@ -344,8 +357,7 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
 
     def rref_spy(field, rows):
         rows = list(rows)
-        if sys._getframe(1).f_code in (localmodel._colength.__code__,
-                                       localmodel._full_model.__code__):
+        if sys._getframe(1).f_code is localmodel._colength_and_claims.__code__:
             ranked.append(len(rows))
         return rref(field, rows)
 
@@ -453,8 +465,7 @@ def _disagreements(monkeypatch, mutate):
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
         images = localmodel._quotient(V)
-        if (localmodel._colength(spec, images), localmodel._claims(V, images)) \
-                != localmodel._full_model(V):
+        if localmodel._colength_and_claims(V, images) != localmodel._full_model(V):
             out.append(point)
     return out
 

@@ -279,6 +279,19 @@ def test_import_loads_no_introspection_modules():
     assert _fresh_modules(watched) == []
 
 
+def test_import_loads_only_the_package():
+    """``import frobstrat`` in a fresh isolated interpreter adds no module from
+    outside the package to what the interpreter loaded at start-up."""
+    src = str(Path(frobstrat.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+             "import frobstrat\n"
+             "print(' '.join(sorted(m for m in set(sys.modules) - before\n"
+             "                      if m.partition('.')[0] != 'frobstrat')))")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == []
+
+
 @pytest.mark.parametrize("command, loaded", [
     ("enumerate --verify --format json", []),
     ("localmodel --verify", []),
