@@ -146,9 +146,10 @@ def _fmt_vertices(poly):
     return " ".join(f"({r},{dg})" for r, dg in poly.vertices)
 
 
-def _render(args, passed, payload, lines, checks):
-    """Print a command's result as JSON or as a table with its --verify verdicts;
-    return 1 if ``passed`` is false or one of the named ``checks`` failed, else 0."""
+def _render(args, passed, payload, lines, checks, note=None):
+    """Print a command's result as JSON or as a table with its --verify verdicts,
+    then ``note``, if given, on stderr; return 1 if ``passed`` is false or one of
+    the named ``checks`` failed, else 0."""
     verdicts = [f"verify: {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
     # stdout is flushed here, so that a reader that has gone is found in main,
     # not in the interpreter's flush at exit
@@ -160,6 +161,8 @@ def _render(args, passed, payload, lines, checks):
     else:
         at = lines.index(_VERDICTS) if _VERDICTS in lines else len(lines)
         print(*lines[:at], *verdicts, *lines[at + 1:], sep="\n", flush=True)
+    if note is not None:
+        print(note, file=sys.stderr)
     return 0 if passed and all(ok for _, ok in checks) else 1
 
 
@@ -169,18 +172,19 @@ def cmd_enumerate(args):
     in_regime = (args.p, args.g, args.r) == REGIME
     labels = [name_polygon(P, params) if in_regime else None for P in polys]
 
-    agrees = True
+    agrees, note = True, None
     if args.verify:
         oracle = bruteforce_destabilized_polygons(params)
         agrees = oracle == polys
-        # stderr in both formats, so the table and the JSON stay the same with --verify
-        print(f"verify: brute-force box scan {'agrees' if agrees else 'DISAGREES'} "
-              f"({len(oracle)} vs {len(polys)} polygons)", file=sys.stderr)
+        # a note on stderr in both formats, so the table and the JSON stay the
+        # same with --verify
+        note = (f"verify: brute-force box scan {'agrees' if agrees else 'DISAGREES'} "
+                f"({len(oracle)} vs {len(polys)} polygons)")
 
     # only the requested format is built
     if args.format == "json":
         return agrees, [{"label": lab, "vertices": P}
-                        for lab, P in zip(labels, polys)], None, []
+                        for lab, P in zip(labels, polys)], None, [], note
     lines = [
         f"destabilized pull-back polygons  p={args.p} g={args.g} r={args.r} d={args.d}",
         f"found {len(polys)} polygon(s); endpoint (r, p*d) = ({args.r}, {args.p * args.d}); "
@@ -200,7 +204,7 @@ def cmd_enumerate(args):
             x0, y0 = x, y
         lines.append(f"  {lab or '-':<5} vertices {' '.join(verts):<30} "
                      f"slopes {', '.join(slopes)}")
-    return agrees, None, lines, []
+    return agrees, None, lines, [], note
 
 
 def _power_of_three(q):
@@ -358,34 +362,24 @@ def cmd_certify(args):
 def cmd_dual(args):
     params = CurveParams(*REGIME, args.d)
     dual_params = CurveParams(*REGIME, -args.d)
-    polys = enumerate_destabilized_polygons(params)
     pairs = []
-    for P in polys:
+    lines = [f"polygon duality  d={args.d} -> {-args.d}"]
+    for P in enumerate_destabilized_polygons(params):
         D = dualize_polygon(P)
-        pairs.append((name_polygon(P, params), P, name_polygon(D, dual_params), D))
+        lab, dual_lab = name_polygon(P, params), name_polygon(D, dual_params)
+        pairs.append({"label": lab, "vertices": P, "dual_label": dual_lab, "dual_vertices": D})
+        lines.append(f"  {lab}({args.d}) -> {dual_lab}({-args.d})   "
+                     f"{_fmt_vertices(P)} -> {_fmt_vertices(D)}")
 
     checks = []
     if args.verify:
-        ok = all(dualize_polygon(D) == P for _, P, _, D in pairs)
-        dual_set = sorted((D.vertices for _, _, _, D in pairs))
-        enum_set = sorted(Q.vertices for Q in
-                          enumerate_destabilized_polygons(dual_params))
-        ok &= dual_set == enum_set
         swap = {PSI1: PSI2, PSI2: PSI1, PSI3: PSI3, PSI4: PSI4}
-        ok &= all(dl == swap[l] for l, _, dl, _ in pairs)
+        ok = all(dualize_polygon(e["dual_vertices"]) == e["vertices"]
+                 and e["dual_label"] == swap[e["label"]] for e in pairs)
+        ok &= (sorted(e["dual_vertices"].vertices for e in pairs)
+               == sorted(Q.vertices for Q in enumerate_destabilized_polygons(dual_params)))
         checks.append((f"involution and label swap onto degree {-args.d}", ok))
-
-    payload = {
-        "d": args.d,
-        "pairs": [{"label": l, "vertices": P,
-                   "dual_label": dl, "dual_vertices": D}
-                  for l, P, dl, D in pairs],
-    }
-    lines = [f"polygon duality  d={args.d} -> {-args.d}"]
-    for l, P, dl, D in pairs:
-        lines.append(f"  {l}({args.d}) -> {dl}({-args.d})   "
-                     f"{_fmt_vertices(P)} -> {_fmt_vertices(D)}")
-    return True, payload, lines, checks
+    return True, {"d": args.d, "pairs": pairs}, lines, checks
 
 
 # the integer options, each named by one letter; p, g and r default to the
@@ -449,6 +443,11 @@ def main(argv=None):
         return _render(args, *args.func(args))
     except ValueError as exc:
         return _fail(exc, 2)
+    except RecursionError:
+        # a RuntimeError, but from the input: only the polygon search and the
+        # box scan recurse, one level per segment, so the rank sets the depth
+        r = getattr(args, "r", REGIME[2])
+        return _fail(f"r = {r} needs a polygon search deeper than Python's recursion limit", 2)
     except RuntimeError as exc:
         # a broken internal invariant: reported, not a traceback
         return _fail(exc, 1)

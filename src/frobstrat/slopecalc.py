@@ -93,7 +93,7 @@ class CertificateReport(Record):
         _set(self, "bounds", bounds)
 
 
-def _subrank_bounds(p, g, r, d, t):
+def _certificate(kind, p, g, r, d, t):
     if not _is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     # r = 1 has no proper subranks, so both certificates hold vacuously
@@ -105,8 +105,8 @@ def _subrank_bounds(p, g, r, d, t):
     fl_slope = BundleData(p, pushforward_degree(BundleData(1, t), p, g)).slope
     threshold = BundleData(r, d).slope
     bounds = [sun_upper_bound(s, p, g, fl_slope) for s in range(1, r)]
-    return tuple(SubrankBound(s, b, threshold, b <= threshold)
-                 for s, b in enumerate(bounds, 1))
+    rows = tuple(SubrankBound(s, b, threshold, b <= threshold) for s, b in enumerate(bounds, 1))
+    return CertificateReport(kind, all(row.ok for row in rows), rows)
 
 
 def stability_certificate(p, g, r, d, t):
@@ -121,8 +121,7 @@ def stability_certificate(p, g, r, d, t):
     if fl_degree < d:
         raise ValueError(
             f"push-forward degree {fl_degree} cannot contain a full-rank subsheaf of degree {d}")
-    bounds = _subrank_bounds(p, g, r, d, t)
-    return CertificateReport("stability", all(b.ok for b in bounds), bounds)
+    return _certificate("stability", p, g, r, d, t)
 
 
 def embedding_certificate(p, g, r, d, t):
@@ -134,8 +133,7 @@ def embedding_certificate(p, g, r, d, t):
     interval (d/r, bound) is empty for every proper subrank, so no such image
     of lower rank can exist.  Vacuously true when r = 1.
     """
-    bounds = _subrank_bounds(p, g, r, d, t)
-    return CertificateReport("embedding", all(b.ok for b in bounds), bounds)
+    return _certificate("embedding", p, g, r, d, t)
 
 
 def canonical_filtration_degrees(p, g, t):

@@ -591,16 +591,40 @@ def test_verify_line_routing(capsys, argv, n_verdicts, fmt):
             assert lines[at - n_verdicts - 1].startswith("membership claims a-d: PASS")
 
 
-@pytest.mark.parametrize("command, fmt", [
-    ("enumerate", "table"), ("enumerate", "json"), ("dual", "json"),
-], ids=["enumerate-table", "enumerate-json", "dual-json"])
-def test_an_int_too_long_to_print_exits_2(capsys, command, fmt):
+@pytest.mark.parametrize("command, fmt, verify", [
+    ("enumerate", "table", ()), ("enumerate", "json", ()), ("dual", "json", ()),
+    ("enumerate", "table", ("--verify",)), ("enumerate", "json", ("--verify",)),
+], ids=["enumerate-table", "enumerate-json", "dual-json",
+        "enumerate-table-verify", "enumerate-json-verify"])
+def test_an_int_too_long_to_print_exits_2(capsys, command, fmt, verify):
     # d parses, but a vertex height has one digit more than str() or %d may
-    # write, and the output is rendered only after the command has run
+    # write, and the output is rendered only after the command has run; the
+    # box scan's verdict is written by the renderer too, so none precedes the error
     d = "9" * sys.get_int_max_str_digits()
-    code, out, err = run(capsys, command, "--d", d, "--format", fmt)
+    code, out, err = run(capsys, command, "--d", d, "--format", fmt, *verify)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_the_box_scan_verdict_follows_the_table(capsys):
+    """With stdout and stderr on one stream, enumerate --verify writes its
+    brute-force verdict after the table's last line."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "frobstrat", "enumerate", "--d", "0", "--verify"],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                          env=env, timeout=60)
+    _, table, _ = run(capsys, "enumerate", "--d", "0")
+    assert done.returncode == 0
+    assert done.stdout == table + "verify: brute-force box scan agrees (4 vs 4 polygons)\n"
+
+
+def test_a_search_deeper_than_the_recursion_limit_exits_2(capsys):
+    # each segment of a chain is one level of the search's recursion
+    code, out, err = run(capsys, "enumerate", "--r", "4" + "0" * 29, "--d", "10007")
+    assert (code, out) == (2, "")
+    assert err == ("error: r = 400000000000000000000000000000 needs a polygon search "
+                   "deeper than Python's recursion limit\n")
 
 
 def test_unknown_arguments_exit_2(capsys):
