@@ -15,9 +15,9 @@ _set = object.__setattr__
 
 class Record:
     """A record names its fields, in constructor order, in ``__match_args__``
-    and keeps them in ``__slots__``, with any derived state (a field's modulus
-    and tables, a model's characteristic) in extra slots; its ``__init__`` sets
-    each once with ``_set``.  Records compare and hash by their fields, only
+    and keeps them in ``__slots__``, with any derived state (a field's modulus,
+    elements and tables, a model's characteristic and sizes) in extra slots; its
+    ``__init__`` sets each once with ``_set``.  Records compare and hash by their fields, only
     against the same class, and refuse assignment and deletion.  Every value
     type of frobstrat is one: fields, their elements, plane points and tensor
     elements too."""

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
 
@@ -41,6 +42,8 @@ from .polygon import (
 )
 from .slopecalc import (
     BundleData,
+    canonical_filtration_degrees,
+    degree_from_colength,
     embedding_certificate,
     euler_characteristic,
     pushforward_degree,
@@ -299,6 +302,12 @@ def cmd_strata(args):
         ok &= (psi.keys() == {PSI1, PSI2, PSI3, PSI4}
                and [Q.vertices for Q in psi.values()] == [Q.vertices for Q in listed]
                and [dominates(psi[PSI4], Q) for Q in listed].count(GREATER_OR_EQUAL) == 3)
+        # the polygon of each colength c has one rank-1 vertex, at degree_from_colength,
+        # when that degree is above d, and none otherwise
+        polys = {rec.label: rec.polygon for rec in table.records}
+        for c, lab in _COLENGTH_LABEL.items():
+            deg = degree_from_colength(args.d, c)
+            ok &= [y for x, y in polys[lab].vertices if x == 1] == ([deg] if deg > args.d else [])
         checks.append(("dimension cross-checks", ok))
 
     lines = [
@@ -330,12 +339,16 @@ def cmd_certify(args):
     checks = []
     if args.verify:
         # the push-forward's degree must conserve the Euler characteristic, and
-        # each bound must equal the collapsed closed form (t + (g-1)(s-1))/p
+        # each bound must equal the collapsed closed form (t + (g-1)(s-1))/p and
+        # the sum of the s lowest canonical graded degrees over ps
         ok = (euler_characteristic(args.p, fl_deg, args.g)
               == euler_characteristic(1, t, args.g))
+        lowest = list(accumulate(sorted(canonical_filtration_degrees(args.p, args.g, t))))
         for row in emb.bounds + stab.bounds:
-            closed = Fraction(t + (args.g - 1) * (row.subrank - 1), args.p)
-            ok &= closed == row.bound and (closed <= row.threshold) == row.ok
+            s, bound = row.subrank, row.bound
+            closed = Fraction(t + (args.g - 1) * (s - 1), args.p)
+            ok &= closed == bound and (closed <= row.threshold) == row.ok
+            ok &= lowest[s - 1] * bound.denominator == args.p * s * bound.numerator
         checks.append(("closed-form bound recomputation", ok))
 
     lines = [

@@ -98,7 +98,7 @@ class FieldSpec(Record):
     """
 
     __match_args__ = ("p", "m")
-    __slots__ = __match_args__ + ("modulus", "q", "_elements", "_coeff_index",
+    __slots__ = __match_args__ + ("modulus", "q", "elements", "zero", "one", "_coeff_index",
                                   "_add", "_mul", "_neg", "_inv", "_names")
 
     def __init__(self, p, m=1):
@@ -115,7 +115,9 @@ class FieldSpec(Record):
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
         coeffs_of = [tuple(i // p ** k % p for k in range(m)) for i in range(q)]
-        _set(self, "_elements", tuple(FieldElement(self, c, i) for i, c in enumerate(coeffs_of)))
+        _set(self, "elements", tuple(FieldElement(self, c, i) for i, c in enumerate(coeffs_of)))
+        _set(self, "zero", self.elements[0])
+        _set(self, "one", self.elements[1])
         _set(self, "_coeff_index", {c: i for i, c in enumerate(coeffs_of)})
 
         # index a holds the base-p digits of a's coefficients, so addition and
@@ -159,25 +161,13 @@ class FieldSpec(Record):
             if len(vals) > self.m:
                 raise ValueError(f"coefficient vector longer than extension degree {self.m}")
             coeffs = tuple(vals) + (0,) * (self.m - len(vals))
-        return self._elements[self._coeff_index[coeffs]]
-
-    @property
-    def zero(self):
-        return self._elements[0]
-
-    @property
-    def one(self):
-        return self._elements[1]
-
-    @property
-    def elements(self):
-        return self._elements
+        return self.elements[self._coeff_index[coeffs]]
 
     @property
     def names(self):
         """Each element's polynomial text, by index, built on first use."""
         if not hasattr(self, "_names"):
-            _set(self, "_names", tuple(_poly_str(c.coeffs) for c in self._elements))
+            _set(self, "_names", tuple(_poly_str(c.coeffs) for c in self.elements))
         return self._names
 
     def __repr__(self):
@@ -214,12 +204,12 @@ class FieldElement(Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.spec._elements[self.spec._add[self.index][o.index]]
+        return self.spec.elements[self.spec._add[self.index][o.index]]
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.spec._elements[self.spec._neg[self.index]]
+        return self.spec.elements[self.spec._neg[self.index]]
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -237,7 +227,7 @@ class FieldElement(Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.spec._elements[self.spec._mul[self.index][o.index]]
+        return self.spec.elements[self.spec._mul[self.index][o.index]]
 
     __rmul__ = __mul__
 
@@ -245,7 +235,7 @@ class FieldElement(Record):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.index == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.spec!r}")
-        return self.spec._elements[self.spec._inv[self.index]]
+        return self.spec.elements[self.spec._inv[self.index]]
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -45,11 +45,11 @@ __all__ = [
 
 
 class ModelSpec(Record):
-    """Field and truncation level of one local model; ``p`` is the field's
-    characteristic."""
+    """Field and truncation level of one local model, with the field's characteristic
+    ``p``, the left exponents' bound ``left_bound`` = pM and ``dimension`` = p^2 M."""
 
     __match_args__ = ("field", "M")
-    __slots__ = __match_args__ + ("p",)
+    __slots__ = __match_args__ + ("p", "left_bound", "dimension")
 
     def __init__(self, field: FieldSpec, M: int = 3):
         if M < 3:
@@ -57,16 +57,8 @@ class ModelSpec(Record):
         _set(self, "field", field)
         _set(self, "M", M)
         _set(self, "p", field.p)
-
-    @property
-    def left_bound(self):
-        """Left exponents run below p*M."""
-        return self.p * self.M
-
-    @property
-    def dimension(self):
-        """k-dimension of the truncated tensor square."""
-        return self.p * self.M * self.p
+        _set(self, "left_bound", field.p * M)
+        _set(self, "dimension", field.p * M * field.p)
 
 
 def _check_coefficient(spec, c):
@@ -253,12 +245,12 @@ def _rref(field, rows):
 class SubspaceBasis:
     """Row-reduced k-basis of a subspace of the truncated tensor square."""
 
-    __slots__ = ("spec", "_mat", "_pivots")
+    __slots__ = ("spec", "_mat", "_pivots", "dim")
 
     def __init__(self, spec, mat, pivots):
         """Wrap reduced echelon rows and their pivot columns.  Rows may be shared
         between bases (see _unit_rows): never write into them."""
-        self.spec, self._mat, self._pivots = spec, mat, pivots
+        self.spec, self._mat, self._pivots, self.dim = spec, mat, pivots, len(mat)
 
     @classmethod
     def from_spanning(cls, spec, elements):
@@ -266,10 +258,6 @@ class SubspaceBasis:
             if e.spec != spec:
                 raise ValueError("spanning element belongs to a different local model")
         return cls(spec, *_rref(spec.field, [e.dense() for e in elements]))
-
-    @property
-    def dim(self):
-        return len(self._mat)
 
     def contains(self, e):
         """Exact membership by reduction against the echelon basis."""

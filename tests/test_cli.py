@@ -393,6 +393,8 @@ _STRATA_FAULTS = {
     "regime-polygons": ("regime_polygons", lambda d: {
         {"Psi3": "Psi4", "Psi4": "Psi3"}.get(lab, lab): P
         for lab, P in polygon.regime_polygons(d).items()}),
+    # each colength's rank-1 vertex one higher than the polygons have it
+    "rank-1-link": ("degree_from_colength", lambda d, colength: d + 4 - colength),
 }
 
 
@@ -513,6 +515,17 @@ def test_certify_verify_fails_on_a_pushforward_degree_off_by_one(capsys, monkeyp
     # Euler characteristic half of the check sees the fault
     monkeypatch.setattr("frobstrat.cli.pushforward_degree",
                         lambda *args: slopecalc.pushforward_degree(*args) + 1)
+    code, verdicts = run_verify(capsys, fmt, "certify", "--d", "2")
+    assert code == 1
+    assert "verify: closed-form bound recomputation: FAIL" in verdicts
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_certify_verify_fails_on_canonical_degrees_off_by_one(capsys, monkeypatch, fmt):
+    # the certificates never read the canonical filtration, so only the half of
+    # the check that sums its lowest pieces sees the fault
+    monkeypatch.setattr("frobstrat.cli.canonical_filtration_degrees",
+                        lambda *args: [x + 1 for x in slopecalc.canonical_filtration_degrees(*args)])
     code, verdicts = run_verify(capsys, fmt, "certify", "--d", "2")
     assert code == 1
     assert "verify: closed-form bound recomputation: FAIL" in verdicts

@@ -24,7 +24,6 @@ from test_goldens import GOLDENS, HELP, REFUSALS, _record as run_argv
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(frobstrat.__file__).parent.glob("*.py"))
 
-PENDING = "pending wiring"
 FROBBENCH = "frobbench LAYERS"
 API = "API boundary"
 GUARD = "misuse guard"
@@ -32,7 +31,6 @@ IMPORT = "import time"
 
 # module:Qualname -> (group, reason) of each def that no command enters
 UNREACHED = {
-    "slopecalc:degree_from_colength": (PENDING, "the colength-to-degree step of item 2"),
     "localmodel:claim_results": (FROBBENCH, "a traced layer; the CLI calls the quotient"),
     "localmodel:intersection_colength":
         (FROBBENCH, "a traced layer; the plane walk ranks the quotient itself"),

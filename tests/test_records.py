@@ -119,12 +119,18 @@ def test_copies_and_pickles_are_equal(cls, args, kwargs):
     a = cls(*args)
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a) and type(b) is cls
+        if cls is ModelSpec:
+            # the derived sizes are rebuilt with the copy
+            assert (b.left_bound, b.dimension) == (a.left_bound, a.dimension) == (12, 36)
 
 
 def test_copies_of_a_field_rebuild_its_tables():
     for b in (copy.deepcopy(F9), pickle.loads(pickle.dumps(F9))):
         assert b is not F9
         assert (b._add, b._mul, b._inv) == (F9._add, F9._mul, F9._inv)
+        # each copy owns its elements, and its zero and one are among them
+        assert b.elements == F9.elements and b.elements is not F9.elements
+        assert b.zero is b.elements[0] and b.one is b.elements[1] and b.one.spec is b
 
 
 def test_defaults():
