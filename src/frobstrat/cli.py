@@ -17,7 +17,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
 
-from .gfield import ProjectivePoint, field_make
+from .gfield import FieldElement, ProjectivePoint, _point_text, field_make
 from .localmodel import (
     _COLENGTH_LABEL,
     ModelSpec,
@@ -99,12 +99,12 @@ def _rows_format(n, width, indent):
 
 
 def _json_text(value, indent="\n"):
-    """json.dumps(value, indent=2, sort_keys=True, default=...) for payloads of
-    str-keyed dicts, lists, tuples, polygons, plane points and scalars, where
-    the default writes a polygon as its vertex pairs and a point as three
-    coefficient lists.  The stdlib writes indented JSON through a generator per
-    container; this writer makes one call per container and writes a polygon
-    or a point with one % on a template cached per shape and depth."""
+    """json.dumps(value, indent=2, sort_keys=True, default=...) for payloads of str-keyed
+    dicts, lists, tuples, polygons, plane points, field elements and scalars, where the
+    default writes a polygon as its vertex pairs and an element as its coefficient list.
+    The stdlib writes indented JSON through a generator per container; this writer makes
+    one call per container and writes a polygon, or a list or tuple of elements such as
+    a point's coordinates, with one % on a template cached per shape and depth."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -116,12 +116,18 @@ def _json_text(value, indent="\n"):
         # the non-str keys that json.dumps would convert
         items = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
                  for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        # one f-string allocates the text once, where a chain of + would copy it
+        # per operand: three 19 MB copies at localmodel --q 243 --format json
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
+        if type(value[0]) is FieldElement:
+            # the localmodel payload's points: their coordinates' coefficient lists
+            return _rows_format(len(value), value[0].spec.m, indent) % sum(
+                [e.coeffs for e in value], ())
         items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
     if kind is LatticePolygon:
         # the polygons of every payload; their vertex pairs are most of the
         # enumerate and dual payloads.
@@ -132,9 +138,7 @@ def _json_text(value, indent="\n"):
     if value is None or kind is bool:
         return _JSON_SCALARS[value]
     if kind is ProjectivePoint:
-        # the localmodel payload's points: three lists of m coefficients
-        a, b, c = value.coords
-        return _rows_format(3, a.spec.m, indent) % (a.coeffs + b.coeffs + c.coeffs)
+        return _json_text(value.coords, indent)
     if kind is str:
         # what json.dumps writes for a str
         return encode_basestring_ascii(value)
@@ -240,22 +244,25 @@ def cmd_localmodel(args):
     stable = args.verify and _truncation_stable(ModelSpec(spec.field, args.M + 1))
 
     # one walk of the plane, the full model W (--verify) rechecking every point
-    # at M; only the requested format's entry is kept
+    # at M; only the requested format's entry is kept, a point as its field's
+    # elements or its text
     as_json = args.format == "json"
     census = {PSI2: 0, PSI3: 0, PSI4: 0}
     bad = 0
     entries = []
-    for pt, col, res, lab in _plane_classes(spec, args.verify):
+    elements, names = spec.field.elements, spec.field.names
+    for h, col, res, lab in _plane_classes(spec, args.verify):
         if _COLENGTH_LABEL[col] != lab:
-            raise RuntimeError(f"point {pt!r} has colength {col} but stratum label {lab}")
+            raise RuntimeError(f"point {_point_text(names, h)} has colength {col} "
+                               f"but stratum label {lab}")
         census[lab] += 1
         ok = all(res.values())
         bad += not ok
         if as_json:
-            entries.append({"point": pt, "label": lab, "colength": col})
+            entries.append({"point": [elements[i] for i in h], "label": lab, "colength": col})
         else:
             flag = "" if ok else "  CLAIM-FAIL " + ",".join(k for k, v in res.items() if not v)
-            entries.append(f"  {pt!r:<24} colength {col}  {lab}{flag}")
+            entries.append(f"  {_point_text(names, h):<24} colength {col}  {lab}{flag}")
 
     checks = []
     if args.verify:

@@ -10,7 +10,7 @@ are small (q <= 243, the ``localmodel --q`` ceiling), so element arithmetic is a
 table lookup and all linear algebra built on top stays exact.
 """
 
-from itertools import product
+from itertools import chain, product
 
 from ._record import Record, _set
 
@@ -301,9 +301,12 @@ class ProjectivePoint(Record):
         return self.coords[0].spec
 
     def __repr__(self):
-        a, b, c = self.coords
-        names = a.spec.names
-        return f"[{names[a.index]} : {names[b.index]} : {names[c.index]}]"
+        return _point_text(self.spec.names, [c.index for c in self.coords])
+
+
+def _point_text(names, h):
+    """The text of the plane point whose coordinates have element indices h."""
+    return f"[{names[h[0]]} : {names[h[1]]} : {names[h[2]]}]"
 
 
 def field_make(p, m=1):
@@ -312,15 +315,12 @@ def field_make(p, m=1):
     return FieldSpec(p, m)
 
 
+def _plane_indices(q):
+    """Element-index triples of the q^2 + q + 1 points of P^2 over GF(q), each with
+    first nonzero index 1: (1, y, z), then (0, 1, z), then (0, 0, 1), y and z ascending."""
+    return chain(product((1,), range(q), range(q)), product((0,), (1,), range(q)), [(0, 0, 1)])
+
+
 def projective_plane(spec):
-    """All q^2 + q + 1 points of P^2 over the field, in a fixed enumeration
-    order: [1 : y : z] by element index, then [0 : 1 : z], then [0 : 0 : 1]."""
-    one, zero = spec.one, spec.zero
-    points = []
-    for y in spec.elements:
-        for z in spec.elements:
-            points.append(ProjectivePoint((one, y, z)))
-    for z in spec.elements:
-        points.append(ProjectivePoint((zero, one, z)))
-    points.append(ProjectivePoint((zero, zero, one)))
-    return points
+    """All q^2 + q + 1 points of P^2 over the field, in _plane_indices's order."""
+    return [ProjectivePoint([spec.elements[i] for i in h]) for h in _plane_indices(spec.q)]

@@ -19,10 +19,10 @@ from functools import lru_cache
 from itertools import takewhile
 
 from ._record import Record, _set
-from .gfield import FieldElement, FieldSpec, ProjectivePoint, projective_plane
+from .gfield import FieldElement, FieldSpec, ProjectivePoint, _plane_indices, _point_text
 from .polygon import PSI2, PSI3, PSI4, REGIME
 
-# the stratum of each colength; classify_stratum reads the same labels off
+# the stratum of each colength; _coordinate_label reads the same labels off
 # the point's coordinates
 _COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
 
@@ -381,14 +381,14 @@ def _block_entries(p):
                  for b in _tau_square_blocks(p))
 
 
-def _quotient(V):
+def _quotient(field, h):
     """Image h^T X_k in S (x) S / W of each tau^2 t^k, k = 0, 1, .. before the first
-    zero block: modulo U, W is ker(h) (x) k^p, so h^T on the left factor maps
-    S (x) S / W onto k^p."""
-    add, mul, h = V.spec.field._add, V.spec.field._mul, V.h
+    zero block, for the point whose coordinates have element indices h: modulo U, W
+    is ker(h) (x) k^p, so h^T on the left factor maps S (x) S / W onto k^p."""
+    add, mul = field._add, field._mul
     images = []
-    for entries in _block_entries(V.spec.p):
-        v = [0] * V.spec.p
+    for entries in _block_entries(field.p):
+        v = [0] * field.p
         for i, j, x in entries:
             if h[i]:
                 v[j] = add[v[j]][mul[h[i]][x]]
@@ -396,29 +396,34 @@ def _quotient(V):
     return images
 
 
-def _colength_and_claims(V, rows):
-    """(colength, claim_results) of V from the images or residues of tau^2 t^k
-    modulo W: the colength is their rank, and tau^2 t^k lies in W iff its row is
-    zero; rows past the last one given are zero."""
+def _colength_and_claims(field, h, rows):
+    """(colength, claim_results) of the point h from the images or residues of
+    tau^2 t^k modulo W: the colength is their rank, and tau^2 t^k lies in W iff its
+    row is zero; rows past the last one given are zero."""
     mem = [not any(r) for r in rows[:4]] + [True] * (4 - len(rows))
-    t1, t2 = not V.h[1], not V.h[2]
-    return len(_rref(V.spec.field, rows)[1]), {
+    t1, t2 = not h[1], not h[2]
+    return len(_rref(field, rows)[1]), {
         "a": not mem[0], "b": mem[1] == (t1 and t2), "c": mem[2] == t2, "d": mem[3]}
 
 
-def quotient_classification(V):
-    """(colength, claim results) of V from one quotient h^T X_k; no W is built.
-    A colength outside {1, 2, 3} is an internal invariant break and raises hard."""
-    c, claims = _colength_and_claims(V, _quotient(V))
+def _classify(field, h):
+    """(colength, claim results) of the point h from its quotient h^T X_k; no W is built."""
+    c, claims = _colength_and_claims(field, h, _quotient(field, h))
     if not 1 <= c <= 3:
         raise RuntimeError(f"colength {c} outside 1..3: local-model invariant broken")
     return c, claims
 
 
-def _full_model(V):
-    """The --verify oracle for quotient_classification: (colength, claim results)
-    from W itself, the tau^2 residues reduced against pullback_span's rows."""
-    return _colength_and_claims(V, list(_tau_square_residues(pullback_span(V))))
+def quotient_classification(V):
+    """(colength, claim results) of V from its quotient h^T X_k, as _classify."""
+    return _classify(V.spec.field, V.h)
+
+
+def _full_model(spec, h):
+    """The --verify oracle for _classify: (colength, claim results) of the point h from
+    W itself, the tau^2 residues reduced against the rows of its submodule's pullback_span."""
+    V = SubmoduleV(spec, ProjectivePoint([spec.field.elements[i] for i in h]))
+    return _colength_and_claims(spec.field, h, list(_tau_square_residues(pullback_span(V))))
 
 
 def intersection_colength(V):
@@ -428,12 +433,15 @@ def intersection_colength(V):
     return quotient_classification(V)[0]
 
 
+def _coordinate_label(h):
+    """Stratum label of the point h from its coordinates: both t and t^2 in V gives Psi4,
+    only t^2 Psi3, t^2 missing Psi2, as _COLENGTH_LABEL gives for _classify's colength."""
+    return PSI2 if h[2] else PSI3 if h[1] else PSI4  # t^j (j < 3) lies in V iff h_j = 0
+
+
 def classify_stratum(V):
-    """Stratum label of a plane point: both t and t^2 in V gives Psi4, only
-    t^2 gives Psi3, t^2 missing gives Psi2.  Matches the colength of
-    quotient_classification through 1 -> Psi4, 2 -> Psi3, 3 -> Psi2."""
-    _, h1, h2 = V.h  # t^j (j < 3) lies in V iff h_j = 0
-    return PSI2 if h2 else PSI3 if h1 else PSI4
+    """Stratum label of V's point read off its coordinates, as _coordinate_label."""
+    return _coordinate_label(V.h)
 
 
 def claim_results(V):
@@ -461,11 +469,12 @@ def stratum_census(spec):
 
 
 def _plane_classes(spec, verify=False):
-    """(point, colength, claims, label) of each plane point from its quotient, in
-    projective_plane's order; with ``verify`` the full model W must agree on each."""
-    for pt in projective_plane(spec.field):
-        V = SubmoduleV(spec, pt)
-        col, res = quotient_classification(V)
-        if verify and (full := _full_model(V)) != (col, res):
-            raise RuntimeError(f"point {pt!r}: quotient gives {(col, res)}, full model {full}")
-        yield pt, col, res, classify_stratum(V)
+    """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
+    with ``verify`` the full model W of the point's submodule must agree on each."""
+    field = spec.field
+    for h in _plane_indices(field.q):
+        col, res = _classify(field, h)
+        if verify and (full := _full_model(spec, h)) != (col, res):
+            raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "
+                               f"{(col, res)}, full model {full}")
+        yield h, col, res, _coordinate_label(h)

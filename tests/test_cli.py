@@ -189,16 +189,16 @@ def test_localmodel_verify_fails_on_a_wrong_tau_square_table(capsys, x2_negated,
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, monkeypatch, fmt):
-    classify = localmodel.quotient_classification
+    classify = localmodel._classify
     last = ProjectivePoint.of(field_make(3), (0, 0, 1))
 
-    def one_claim_flipped(V):
-        col, res = classify(V)
-        if V.spec.M == 3 and V.hyperplane == last:
+    def one_claim_flipped(field, h):
+        col, res = classify(field, h)
+        if h == tuple(c.index for c in last.coords):
             res = {**res, "d": not res["d"]}
         return col, res
 
-    monkeypatch.setattr("frobstrat.localmodel.quotient_classification", one_claim_flipped)
+    monkeypatch.setattr("frobstrat.localmodel._classify", one_claim_flipped)
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
     assert (code, out) == (1, "")
     assert err.startswith("error: point [0 : 0 : 1]: ")
@@ -310,14 +310,15 @@ def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
 
 
 def test_broken_colength_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("frobstrat.localmodel._colength_and_claims", lambda V, rows: (7, {}))
+    monkeypatch.setattr("frobstrat.localmodel._colength_and_claims",
+                        lambda field, h, rows: (7, {}))
     code, out, err = run(capsys, "localmodel", "--q", "3")
     assert (code, out) == (1, "")
     assert err.startswith("error: colength 7 outside 1..3")
 
 
 def test_label_colength_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("frobstrat.localmodel.classify_stratum", lambda V: "Psi2")
+    monkeypatch.setattr("frobstrat.localmodel._coordinate_label", lambda h: "Psi2")
     code, out, err = run(capsys, "localmodel", "--q", "3")
     assert (code, out) == (1, "")
     assert err.startswith("error: point ")
@@ -328,9 +329,9 @@ def test_label_colength_mismatch_exits_1(capsys, monkeypatch):
 def test_localmodel_verify_fails_on_a_wrong_census(capsys, monkeypatch, fmt):
     # every Psi3 point counted as Psi2, with label and colength agreeing, so
     # the census conjunct is the only check that can catch it
-    classify = localmodel.classify_stratum
-    monkeypatch.setattr("frobstrat.localmodel.classify_stratum",
-                        lambda V: "Psi2" if classify(V) == "Psi3" else classify(V))
+    classify = localmodel._coordinate_label
+    monkeypatch.setattr("frobstrat.localmodel._coordinate_label",
+                        lambda h: "Psi2" if classify(h) == "Psi3" else classify(h))
     monkeypatch.setattr("frobstrat.cli._COLENGTH_LABEL", {1: "Psi4", 2: "Psi2", 3: "Psi2"})
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
     assert code == 1

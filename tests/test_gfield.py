@@ -92,11 +92,19 @@ def test_projective_plane_count(p, m, expected):
     assert len(pts) == expected == spec.q ** 2 + spec.q + 1
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
 def test_projective_plane_complete_without_duplicates(p, m):
     spec = field_make(p, m)
     pts = projective_plane(spec)
     assert len(set(pts)) == len(pts)
+    # the plane walk's index triples are the points' own, in the documented
+    # order; ProjectivePoint rescales a triple whose first nonzero index is not
+    # 1, so they also come normalized
+    q = spec.q
+    order = ([(1, y, z) for y in range(q) for z in range(q)]
+             + [(0, 1, z) for z in range(q)] + [(0, 0, 1)])
+    assert [tuple(c.index for c in pt.coords) for pt in pts] == \
+        list(gfield._plane_indices(q)) == order
     # oracle: every nonzero coordinate triple normalizes to a listed point
     listed = set(pts)
     for a in spec.elements:

@@ -228,12 +228,15 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
 
 def _count_calls(capsys, argv):
     """Calls of _rref, pullback_span, the quotient's colength, the shared
-    colength-and-claims step and the full-model oracle in one CLI run, and the
-    _rref calls made inside pullback_span."""
+    colength-and-claims step, the full-model oracle and the constructors of
+    ProjectivePoint and SubmoduleV in one CLI run, and the _rref calls made inside
+    pullback_span."""
     names = {_rref.__code__: "rref", pullback_span.__code__: "span",
-             quotient_classification.__code__: "colength",
+             localmodel._classify.__code__: "colength",
              localmodel._colength_and_claims.__code__: "step",
-             localmodel._full_model.__code__: "oracle"}
+             localmodel._full_model.__code__: "oracle",
+             ProjectivePoint.__init__.__code__: "point",
+             SubmoduleV.__init__.__code__: "submodule"}
     calls = Counter()
     depth = 0
 
@@ -267,21 +270,27 @@ def test_localmodel_row_reduces_only_for_colengths(capsys):
     the tau^2 table at M + 1 once per request without building a W there; the
     quotient's colength is taken once, at M.  _rref runs at most once per
     colength, of the quotient or of the oracle, and never inside pullback_span,
-    which writes W down without row reduction."""
+    which writes W down without row reduction.  The walk runs on index triples:
+    only --verify builds a plane point and its submodule, one each per point,
+    for the oracle."""
     calls = _count_calls(capsys, ["localmodel", "--q", "9"])
     assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 0, calls
     assert calls["rref"] <= calls["colength"], calls
+    assert calls["point"] == calls["submodule"] == 0, calls
     calls = _count_calls(capsys, ["localmodel", "--q", "9", "--verify"])
     assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 91, calls
     assert calls["rref in span"] == 0
     assert calls["rref"] <= calls["colength"] + calls["oracle"], calls
+    assert calls["point"] == calls["submodule"] == 91, calls
 
 
 def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
     """strata --verify's census walks the plane as localmodel does, without
-    the oracle: GF(3)'s 13 points each take one colength, and no W is built."""
+    the oracle: GF(3)'s 13 points each take one colength, and no W, plane point
+    or submodule is built."""
     calls = _count_calls(capsys, ["strata", "--verify"])
     assert calls["colength"] == 13 and calls["span"] == calls["oracle"] == 0, calls
+    assert calls["point"] == calls["submodule"] == 0, calls
 
 
 @pytest.mark.parametrize("argv, steps", [
@@ -326,7 +335,7 @@ def test_block_residues_are_the_full_residues(m, M):
         assert claim_results(V) == {"a": not mem[0], "b": mem[1] == (t1 and t2),
                                     "c": mem[2] == t2, "d": mem[3]}, point
         # the quotient h^T X_k and the full model W give the same classification
-        assert quotient_classification(V) == localmodel._full_model(V) == \
+        assert quotient_classification(V) == localmodel._full_model(spec, V.h) == \
             (intersection_colength(V), claim_results(V)), point
     # every W shares U's unit rows; nothing above may have written into them
     dim = spec.dimension
@@ -435,7 +444,7 @@ def test_census_counts(model3, model9):
 def test_census_counts_colengths_not_coordinate_labels(capsys, monkeypatch, m):
     """The census ranks each point's quotient; the labels read off the
     coordinates play no part in it, so strata --verify still passes."""
-    monkeypatch.setattr(localmodel, "classify_stratum", lambda V: PSI2)
+    monkeypatch.setattr(localmodel, "_coordinate_label", lambda h: PSI2)
     q = 3 ** m
     assert stratum_census(ModelSpec(field_make(3, m))) == {PSI2: q * q, PSI3: q, PSI4: 1}
     assert main(["strata", "--verify"]) == 0
@@ -464,8 +473,9 @@ def _disagreements(monkeypatch, mutate):
     out = []
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
-        images = localmodel._quotient(V)
-        if localmodel._colength_and_claims(V, images) != localmodel._full_model(V):
+        images = localmodel._quotient(field, V.h)
+        if (localmodel._colength_and_claims(field, V.h, images)
+                != localmodel._full_model(spec, V.h)):
             out.append(point)
     return out
 

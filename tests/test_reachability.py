@@ -37,6 +37,11 @@ UNREACHED = {
     "localmodel:tau_square_span": (FROBBENCH, "a traced layer; the CLI reads the tau^2 blocks"),
     "localmodel:SubspaceBasis.from_spanning":
         (FROBBENCH, "a traced layer; pullback_span writes its basis directly"),
+    "localmodel:classify_stratum":
+        (FROBBENCH, "a traced layer; the plane walk labels each index triple itself"),
+    "localmodel:quotient_classification":
+        (API, "a submodule's classification; the plane walk classifies index triples"),
+    "gfield:projective_plane": (FROBBENCH, "a traced layer; the plane walk runs on index triples"),
     "localmodel:SubspaceBasis.contains": (API, "exact membership, the lemma the tests check"),
     "gfield:FieldSpec.element": (API, "an element from an int or coefficients"),
     "gfield:ProjectivePoint.of": (API, "a point from ints or coefficient lists"),
@@ -50,6 +55,8 @@ UNREACHED = {
     "gfield:FieldElement.inverse": (API, "element arithmetic; commands use the index tables"),
     "gfield:FieldSpec.__repr__": (API, "repr; a mixed-field error names its fields"),
     "gfield:FieldElement.__repr__": (API, "repr"),
+    "gfield:ProjectivePoint.__repr__":
+        (API, "repr; commands write a point's text from its indices"),
     "localmodel:TensorElement.__repr__": (API, "repr"),
     "polygon:LatticePolygon.__repr__": (API, "repr"),
     "_record:Record.__repr__": (API, "repr of the records without their own"),
