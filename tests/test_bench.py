@@ -1,0 +1,65 @@
+"""Every committed BENCH_*.json has the layout tools/bench.py writes: its rows,
+units and metadata.  No time or peak is judged, so a slow host fails nothing."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+_spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def _load(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
+def test_a_committed_bench_file_has_the_scripts_layout(path):
+    bench.check(_load(path))
+
+
+def test_each_parent_file_lists_the_rows_of_its_change():
+    """BENCH_<n>_parent.json, written at the parent commit, and BENCH_<n>.json
+    time the same rows, so that they can be compared row by row."""
+    parents = [path for path in FILES if path.stem.endswith("_parent")]
+    assert parents
+    for parent in parents:
+        change = parent.with_name(parent.name.replace("_parent", ""))
+        assert [row["name"] for row in _load(parent)["rows"]] == \
+            [row["name"] for row in _load(change)["rows"]], parent.name
+
+
+# one fault each, put into a committed file's layout
+FAULTS = {
+    "a missing metadata key": lambda doc: doc["meta"].pop("commit"),
+    "a cpu count as text": lambda doc: doc["meta"].update(cpu_count="4"),
+    "another unit": lambda doc: doc["units"].update(time_s="ms"),
+    "no rows": lambda doc: doc["rows"].clear(),
+    "a row named apart from its argv": lambda doc: doc["rows"][0].update(name="x"),
+    "a run short": lambda doc: doc["rows"][0]["runs"].pop(),
+    "an unexpected exit": lambda doc: doc["rows"][0]["runs"][0].update(exit=2),
+    "a time as text": lambda doc: doc["rows"][0]["runs"][0].update(time_s="0.1"),
+    "a row listed twice": lambda doc: doc["rows"].append(doc["rows"][0]),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+def test_the_check_refuses_a_broken_layout(fault):
+    doc = _load(FILES[-1])
+    fault(doc)
+    with pytest.raises(ValueError):
+        bench.check(doc)
+
+
+def test_the_check_holds_a_file_to_the_rows_it_names():
+    doc = _load(FILES[-1])
+    names = [row["name"] for row in doc["rows"]]
+    bench.check(doc, names)
+    with pytest.raises(ValueError):
+        bench.check(doc, names[1:])

@@ -1,0 +1,148 @@
+"""Time frobstrat's command-line workloads end to end and write them as JSON.
+
+    python tools/bench.py --out BENCH_<n>.json
+
+Each row runs ``python -m frobstrat <argv>`` from this checkout's ``src/`` as a
+fresh process with stdout and stderr sent to /dev/null, once in each of RUNS
+rounds over all rows, one process at a time: a host whose speed drifts then
+slows one run of many rows rather than every run of one.  A row records each
+run's wall time (interpreter start-up included), the peak resident set size
+that ``os.wait4`` reports for the child (``ru_maxrss``, in KiB on Linux) and its
+exit code, and the median of the times and of the peaks.  The rows are
+ROADMAP's Baseline CLI rows and the local model at q = 81 and 243 in both
+formats and with --verify.  The file also records the Python version, the
+platform, ``os.cpu_count()``, the commit and the date.  A shared host's speed
+varies from minute to minute, so compare only files written in one session.
+
+``check`` is the file's layout: its rows, units and metadata, never its times.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from datetime import datetime, timezone
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RUNS = 3
+UNITS = {"time_s": "s", "peak_rss_mb": "MB"}
+META = {"python": str, "platform": str, "cpu_count": int, "commit": str, "dirty": bool,
+        "date": str}
+
+# (argv, its exit code).  certify exits 1: at p = r = 9973 and d = 0 both
+# certificates FAIL, as the mathematics says.  The Baseline's
+# enumerate --g 1000 --r 3 --d 0 is left out: it has no ceiling yet and passes
+# 380 MB within 4 s, so a row would only time how long it ran until stopped.
+ROWS = (
+    ("localmodel --q 81", 0),
+    ("localmodel --q 81 --format json", 0),
+    ("localmodel --q 81 --verify", 0),
+    ("localmodel --q 243", 0),
+    ("localmodel --q 243 --format json", 0),
+    ("localmodel --q 243 --verify", 0),
+    ("enumerate --p 3 --g 2 --r 10 --d 1", 0),
+    ("enumerate --p 3 --g 2 --r 12 --d 1", 0),
+    ("enumerate --p 3 --g 2 --r 12 --d 1 --format json", 0),
+    ("enumerate --p 5 --g 3 --r 8 --d 1", 0),
+    ("enumerate --r 5 --d 1 --verify", 0),
+    ("strata --d 0 --verify", 0),
+    ("certify --p 9973 --r 9973 --verify", 1),
+)
+
+
+def _run(argv):
+    """{time_s, peak_rss_mb, exit} of one fresh frobstrat process."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "frobstrat", *argv], cwd=ROOT,
+                             env={**os.environ, "PYTHONPATH": path},
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    elapsed = time.perf_counter() - start
+    # reaped here, so Popen must not wait for it again
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return {"time_s": elapsed, "peak_rss_mb": usage.ru_maxrss / 1024, "exit": child.returncode}
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _meta():
+    return {"python": platform.python_version(), "platform": platform.platform(),
+            "cpu_count": os.cpu_count(), "commit": _git("rev-parse", "HEAD"),
+            "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+            "date": datetime.now(timezone.utc).isoformat(timespec="seconds")}
+
+
+def check(doc, names=None):
+    """Raise ValueError unless ``doc`` is laid out as this script writes it: META's
+    keys and types, UNITS, and rows each named by its argv with RUNS runs that all
+    exit with the row's expected code; with ``names``, exactly those rows in that
+    order.  Times and peaks must be numbers; their values are never judged."""
+    def need(ok, what):
+        if not ok:
+            raise ValueError(f"bench file: {what}")
+
+    def number(x):
+        return type(x) in (int, float) and x >= 0
+
+    need(type(doc) is dict and set(doc) == {"meta", "runs", "units", "rows"}, "top-level keys")
+    meta = doc["meta"]
+    need(type(meta) is dict and set(meta) == set(META), "metadata keys")
+    for key, kind in META.items():
+        need(type(meta[key]) is kind, f"metadata {key} is not a {kind.__name__}")
+    need(doc["units"] == UNITS, f"units are not {UNITS}")
+    need(type(doc["runs"]) is int and doc["runs"] >= 1, "runs per row")
+    rows = doc["rows"]
+    need(type(rows) is list and rows, "no rows")
+    for row in rows:
+        need(type(row) is dict and set(row) == {"name", "argv", "expect", "runs", *UNITS},
+             f"keys of row {row!r}")
+        argv, name = row["argv"], row["name"]
+        need(type(argv) is list and all(type(a) is str for a in argv) and name == " ".join(argv),
+             f"row {name!r} is not named by its argv")
+        need(type(row["runs"]) is list and len(row["runs"]) == doc["runs"],
+             f"row {name!r} has not {doc['runs']} runs")
+        for run in row["runs"]:
+            need(type(run) is dict and set(run) == {"exit", *UNITS}, f"keys of a run of {name!r}")
+            need(run["exit"] == row["expect"],
+                 f"row {name!r} exited {run['exit']}, not {row['expect']}")
+            need(all(number(run[unit]) for unit in UNITS), f"a run of {name!r} has no figures")
+        need(all(number(row[unit]) for unit in UNITS), f"row {name!r} has no medians")
+    listed = [row["name"] for row in rows]
+    need(len(set(listed)) == len(listed), "a row is listed twice")
+    need(names is None or listed == list(names), "rows are not the script's")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    out = Path(parser.parse_args(argv).out)
+    runs = {text: [] for text, _ in ROWS}
+    for _ in range(RUNS):
+        for text, _ in ROWS:
+            runs[text].append(_run(text.split()))
+    rows = []
+    for text, expect in ROWS:
+        medians = {unit: statistics.median(run[unit] for run in runs[text]) for unit in UNITS}
+        rows.append({"name": text, "argv": text.split(), "expect": expect, "runs": runs[text],
+                     **medians})
+        print(f"{text}: {medians['time_s']:.3f} s, {medians['peak_rss_mb']:.1f} MB",
+              file=sys.stderr)
+    doc = {"meta": _meta(), "runs": RUNS, "units": UNITS, "rows": rows}
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    try:
+        check(doc, [text for text, _ in ROWS])
+    except ValueError as exc:
+        sys.exit(str(exc))
+
+
+if __name__ == "__main__":
+    main()
