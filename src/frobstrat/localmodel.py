@@ -208,10 +208,8 @@ def _rref(field, rows):
     result is the canonical reduced basis.  Returns the independent rows
     sorted by pivot column and those pivot columns; input rows are not mutated.
     """
-    # the forward step and the back-substitution stay inline: through
-    # _reduce_against they made a census-like pass (localmodel at q = 9, 27 and
-    # 81, both formats, with and without --verify) about 40% slower, in every
-    # alternating pair timed
+    # no command calls this: it builds SubspaceBasis.from_spanning and is the
+    # tests' oracle for pullback_span and _rank
     add, neg, mul, inv = field._add, field._neg, field._mul, field._inv
     basis = {}
     for row in rows:
@@ -240,6 +238,31 @@ def _rref(field, rows):
         basis[pc] = v
     pivots = sorted(basis)
     return [basis[pc] for pc in pivots], pivots
+
+
+def _rank(field, rows):
+    """Rank of the element-index rows by forward elimination; a row is copied only
+    to be reduced, so input rows are not mutated."""
+    add, neg, mul, inv = field._add, field._neg, field._mul, field._inv
+    # (pivot column, pivot row, inverse of its entry there): the rows stay
+    # unscaled, each zero in the pivot columns of the rows before it
+    basis = []
+    for row in rows:
+        v = row
+        for pc, prow, lead in basis:
+            x = v[pc]
+            if x:
+                if v is row:
+                    v = list(row)
+                # v -= (x / prow[pc]) * prow; prow is zero before pc
+                mrow = mul[mul[neg[x]][lead]]
+                for k in range(pc, len(v)):
+                    v[k] = add[v[k]][mrow[prow[k]]]
+        for pc, x in enumerate(v):
+            if x:
+                basis.append((pc, v, inv[x]))
+                break
+    return len(basis)
 
 
 class SubspaceBasis:
@@ -402,7 +425,7 @@ def _colength_and_claims(field, h, rows):
     row is zero; rows past the last one given are zero."""
     mem = [not any(r) for r in rows[:4]] + [True] * (4 - len(rows))
     t1, t2 = not h[1], not h[2]
-    return len(_rref(field, rows)[1]), {
+    return _rank(field, rows), {
         "a": not mem[0], "b": mem[1] == (t1 and t2), "c": mem[2] == t2, "d": mem[3]}
 
 

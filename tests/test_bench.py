@@ -63,3 +63,32 @@ def test_the_check_holds_a_file_to_the_rows_it_names():
     bench.check(doc, names)
     with pytest.raises(ValueError):
         bench.check(doc, names[1:])
+
+
+def test_a_parent_session_alternates_the_trees_run_by_run(tmp_path, monkeypatch):
+    """With --parent, each run of a row in one checkout sits beside one in the
+    other, which goes first alternates, and each file names its own tree."""
+    expect = dict(bench.ROWS)
+    order = []
+
+    def run(argv, root):
+        order.append(root)
+        return {"time_s": 0.1, "peak_rss_mb": 10.0, "exit": expect[" ".join(argv)]}
+
+    monkeypatch.setattr(bench, "_run", run)
+    monkeypatch.setattr(bench, "_git", lambda root, *args: str(root) if "HEAD" in args else "")
+    parent = tmp_path / "parent"
+    bench.main(["--out", str(tmp_path / "BENCH_9.json"), "--parent", str(parent)])
+    pairs = [tuple(order[k:k + 2]) for k in range(0, len(order), 2)]
+    assert len(pairs) == bench.RUNS * len(bench.ROWS)
+    assert all(set(pair) == {bench.ROOT, parent} for pair in pairs)
+    # the first tree differs from row to row within a round and from round to
+    # round within a row
+    firsts = [[pair[0] for pair in pairs[k:k + len(bench.ROWS)]]
+              for k in range(0, len(pairs), len(bench.ROWS))]
+    assert all(a != b for round_ in firsts for a, b in zip(round_, round_[1:]))
+    assert all(a != b for row in zip(*firsts) for a, b in zip(row, row[1:]))
+    for name, root in [("BENCH_9.json", bench.ROOT), ("BENCH_9_parent.json", parent)]:
+        doc = _load(tmp_path / name)
+        bench.check(doc, [text for text, _ in bench.ROWS])
+        assert doc["meta"]["commit"] == str(root)

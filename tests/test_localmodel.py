@@ -227,11 +227,12 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
 
 
 def _count_calls(capsys, argv):
-    """Calls of _rref, pullback_span, the quotient's colength, the shared
+    """Calls of _rank, pullback_span, the quotient's colength, the shared
     colength-and-claims step, the full-model oracle and the constructors of
     ProjectivePoint and SubmoduleV in one CLI run, and the _rref calls made inside
     pullback_span."""
-    names = {_rref.__code__: "rref", pullback_span.__code__: "span",
+    names = {localmodel._rank.__code__: "rank", _rref.__code__: "rref",
+             pullback_span.__code__: "span",
              localmodel._classify.__code__: "colength",
              localmodel._colength_and_claims.__code__: "step",
              localmodel._full_model.__code__: "oracle",
@@ -268,19 +269,19 @@ def test_localmodel_row_reduces_only_for_colengths(capsys):
     """localmodel classifies each point from its quotient h^T X_k and builds no W;
     --verify builds one W per point, at M, for the full-model oracle, and checks
     the tau^2 table at M + 1 once per request without building a W there; the
-    quotient's colength is taken once, at M.  _rref runs at most once per
-    colength, of the quotient or of the oracle, and never inside pullback_span,
+    quotient's colength is taken once, at M.  _rank runs at most once per
+    colength, of the quotient or of the oracle, and _rref never inside pullback_span,
     which writes W down without row reduction.  The walk runs on index triples:
     only --verify builds a plane point and its submodule, one each per point,
     for the oracle."""
     calls = _count_calls(capsys, ["localmodel", "--q", "9"])
     assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 0, calls
-    assert calls["rref"] <= calls["colength"], calls
+    assert calls["rank"] <= calls["colength"], calls
     assert calls["point"] == calls["submodule"] == 0, calls
     calls = _count_calls(capsys, ["localmodel", "--q", "9", "--verify"])
     assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 91, calls
     assert calls["rref in span"] == 0
-    assert calls["rref"] <= calls["colength"] + calls["oracle"], calls
+    assert calls["rank"] <= calls["colength"] + calls["oracle"], calls
     assert calls["point"] == calls["submodule"] == 91, calls
 
 
@@ -356,7 +357,7 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     """At q = 9 the oracle of --verify reduces each tau^2 block against the
     p(p-1) = 6 block rows of W alone, and each colength, of the quotient or of
     the oracle, ranks at most p = 3 rows."""
-    reduce_against, rref = localmodel._reduce_against, localmodel._rref
+    reduce_against, rank = localmodel._reduce_against, localmodel._rank
     reduced, ranked = [], []
 
     def reduce_spy(field, mat, pivots, vec):
@@ -364,14 +365,14 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
             reduced.append((len(mat), len(vec)))
         return reduce_against(field, mat, pivots, vec)
 
-    def rref_spy(field, rows):
+    def rank_spy(field, rows):
         rows = list(rows)
         if sys._getframe(1).f_code is localmodel._colength_and_claims.__code__:
             ranked.append(len(rows))
-        return rref(field, rows)
+        return rank(field, rows)
 
     monkeypatch.setattr(localmodel, "_reduce_against", reduce_spy)
-    monkeypatch.setattr(localmodel, "_rref", rref_spy)
+    monkeypatch.setattr(localmodel, "_rank", rank_spy)
     assert main(["localmodel", "--q", "9", "--verify"]) == 0
     capsys.readouterr()
     # the oracle reduces the three nonzero blocks per point, at M only; the

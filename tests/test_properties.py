@@ -3,6 +3,7 @@ reduction over GF(3^m) and on the CLI's JSON writer (needs hypothesis)."""
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from frobstrat.cli import _json_text  # noqa: E402
 from frobstrat.gfield import ProjectivePoint, field_make  # noqa: E402
-from frobstrat.localmodel import _reduce_against, _rref  # noqa: E402
+from frobstrat.localmodel import _rank, _reduce_against, _rref  # noqa: E402
 from frobstrat.polygon import (  # noqa: E402
     EQUAL,
     GREATER_OR_EQUAL,
@@ -115,6 +116,33 @@ def test_rref_is_the_reduced_echelon_form_of_its_rows(case):
     for row in rows:
         assert not any(_reduce_against(field, out, pivots, row))
     assert _rref(field, out) == (out, pivots)
+
+
+def _span_size(field, rows):
+    """The number of distinct linear combinations of the rows, listed one
+    coefficient vector at a time: no elimination of any kind."""
+    add, mul = field._add, field._mul
+    span = set()
+    for coeffs in product(range(field.q), repeat=len(rows)):
+        v = [0] * (len(rows[0]) if rows else 0)
+        for c, row in zip(coeffs, rows):
+            v = [add[a][mul[c][b]] for a, b in zip(v, row)]
+        span.add(tuple(v))
+    return len(span)
+
+
+@examples
+@given(index_matrices())
+def test_rank_counts_the_pivots_of_the_reduced_form(case):
+    field, rows = case
+    before = [list(r) for r in rows]
+    rank = _rank(field, rows)
+    assert rows == before
+    assert rank == len(_rref(field, rows)[1])
+    assert _rank(field, rows[::-1]) == rank
+    assert rows == before
+    if field.q ** len(rows) <= 10_000:
+        assert field.q ** rank == _span_size(field, rows)
 
 
 # strings that need escaping or are not ASCII, beside arbitrary text

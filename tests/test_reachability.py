@@ -37,6 +37,8 @@ UNREACHED = {
     "localmodel:tau_square_span": (FROBBENCH, "a traced layer; the CLI reads the tau^2 blocks"),
     "localmodel:SubspaceBasis.from_spanning":
         (FROBBENCH, "a traced layer; pullback_span writes its basis directly"),
+    "localmodel:_rref": (FROBBENCH, "the reduced form behind the traced from_spanning, and "
+                         "the tests' oracle for pullback_span and _rank"),
     "localmodel:classify_stratum":
         (FROBBENCH, "a traced layer; the plane walk labels each index triple itself"),
     "localmodel:quotient_classification":

@@ -1,18 +1,24 @@
 """Time frobstrat's command-line workloads end to end and write them as JSON.
 
-    python tools/bench.py --out BENCH_<n>.json
+    python tools/bench.py --out BENCH_<n>.json [--parent DIR]
 
 Each row runs ``python -m frobstrat <argv>`` from this checkout's ``src/`` as a
 fresh process with stdout and stderr sent to /dev/null, once in each of RUNS
 rounds over all rows, one process at a time: a host whose speed drifts then
-slows one run of many rows rather than every run of one.  A row records each
+slows one run of many rows rather than every run of one.  With ``--parent``,
+a git checkout of the parent commit (a ``git worktree`` or a ``git clone``),
+each run of a row in this checkout sits beside one in DIR, timed from DIR's
+``src/``; which tree goes first alternates from row to row and from round to
+round.  DIR's rows go to ``BENCH_<n>_parent.json`` beside ``--out``, with
+DIR's own commit in their metadata.  A row records each
 run's wall time (interpreter start-up included), the peak resident set size
 that ``os.wait4`` reports for the child (``ru_maxrss``, in KiB on Linux) and its
 exit code, and the median of the times and of the peaks.  The rows are
 ROADMAP's Baseline CLI rows and the local model at q = 81 and 243 in both
 formats and with --verify.  The file also records the Python version, the
 platform, ``os.cpu_count()``, the commit and the date.  A shared host's speed
-varies from minute to minute, so compare only files written in one session.
+varies from minute to minute, so compare only the two files of one
+``--parent`` session.
 
 ``check`` is the file's layout: its rows, units and metadata, never its times.
 """
@@ -55,11 +61,12 @@ ROWS = (
 )
 
 
-def _run(argv):
-    """{time_s, peak_rss_mb, exit} of one fresh frobstrat process."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def _run(argv, root):
+    """{time_s, peak_rss_mb, exit} of one fresh frobstrat process run from the
+    ``src/`` of the checkout ``root``."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "frobstrat", *argv], cwd=ROOT,
+    child = subprocess.Popen([sys.executable, "-m", "frobstrat", *argv], cwd=root,
                              env={**os.environ, "PYTHONPATH": path},
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
@@ -69,15 +76,15 @@ def _run(argv):
     return {"time_s": elapsed, "peak_rss_mb": usage.ru_maxrss / 1024, "exit": child.returncode}
 
 
-def _git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+def _git(root, *args):
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
-def _meta():
+def _meta(root):
     return {"python": platform.python_version(), "platform": platform.platform(),
-            "cpu_count": os.cpu_count(), "commit": _git("rev-parse", "HEAD"),
-            "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+            "cpu_count": os.cpu_count(), "commit": _git(root, "rev-parse", "HEAD"),
+            "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds")}
 
 
@@ -124,22 +131,39 @@ def check(doc, names=None):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    out = Path(parser.parse_args(argv).out)
-    runs = {text: [] for text, _ in ROWS}
-    for _ in range(RUNS):
-        for text, _ in ROWS:
-            runs[text].append(_run(text.split()))
-    rows = []
-    for text, expect in ROWS:
-        medians = {unit: statistics.median(run[unit] for run in runs[text]) for unit in UNITS}
-        rows.append({"name": text, "argv": text.split(), "expect": expect, "runs": runs[text],
-                     **medians})
-        print(f"{text}: {medians['time_s']:.3f} s, {medians['peak_rss_mb']:.1f} MB",
-              file=sys.stderr)
-    doc = {"meta": _meta(), "runs": RUNS, "units": UNITS, "rows": rows}
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    parser.add_argument("--parent", metavar="DIR", type=Path,
+                        help="a git checkout of the parent commit, timed alternately "
+                             "with this one into BENCH_<n>_parent.json beside --out")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    # output file -> the checkout its rows run from
+    trees = {out: ROOT}
+    if args.parent:
+        trees[out.with_name(f"{out.stem}_parent{out.suffix}")] = args.parent.resolve()
+    runs = {(path, text): [] for path in trees for text, _ in ROWS}
+    for k in range(RUNS):
+        for i, (text, _) in enumerate(ROWS):
+            order = list(trees.items())
+            if (k + i) % 2:
+                order.reverse()
+            for path, root in order:
+                runs[path, text].append(_run(text.split(), root))
+    docs = []
+    for path, root in trees.items():
+        rows = []
+        for text, expect in ROWS:
+            medians = {unit: statistics.median(run[unit] for run in runs[path, text])
+                       for unit in UNITS}
+            rows.append({"name": text, "argv": text.split(), "expect": expect,
+                         "runs": runs[path, text], **medians})
+            print(f"{path.name}: {text}: {medians['time_s']:.3f} s, "
+                  f"{medians['peak_rss_mb']:.1f} MB", file=sys.stderr)
+        doc = {"meta": _meta(root), "runs": RUNS, "units": UNITS, "rows": rows}
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        docs.append(doc)
     try:
-        check(doc, [text for text, _ in ROWS])
+        for doc in docs:
+            check(doc, [text for text, _ in ROWS])
     except ValueError as exc:
         sys.exit(str(exc))
 
