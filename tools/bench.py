@@ -140,6 +140,8 @@ def main(argv=None):
     trees = {out: ROOT}
     if args.parent:
         trees[out.with_name(f"{out.stem}_parent{out.suffix}")] = args.parent.resolve()
+    # read before any run, so that a DIR that is no git checkout fails at once
+    metas = {path: _meta(root) for path, root in trees.items()}
     runs = {(path, text): [] for path in trees for text, _ in ROWS}
     for k in range(RUNS):
         for i, (text, _) in enumerate(ROWS):
@@ -149,7 +151,7 @@ def main(argv=None):
             for path, root in order:
                 runs[path, text].append(_run(text.split(), root))
     docs = []
-    for path, root in trees.items():
+    for path in trees:
         rows = []
         for text, expect in ROWS:
             medians = {unit: statistics.median(run[unit] for run in runs[path, text])
@@ -158,7 +160,7 @@ def main(argv=None):
                          "runs": runs[path, text], **medians})
             print(f"{path.name}: {text}: {medians['time_s']:.3f} s, "
                   f"{medians['peak_rss_mb']:.1f} MB", file=sys.stderr)
-        doc = {"meta": _meta(root), "runs": RUNS, "units": UNITS, "rows": rows}
+        doc = {"meta": metas[path], "runs": RUNS, "units": UNITS, "rows": rows}
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         docs.append(doc)
     try:
