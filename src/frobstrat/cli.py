@@ -98,13 +98,72 @@ def _rows_format(n, width, indent):
     return "[" + inner + ("," + inner).join([row] * n) + indent + "]"
 
 
+@cache
+def _entry_format(keys, shape, indent):
+    """The %-template of a dict with the sorted ``keys`` written at ``indent``, a value per
+    part of ``shape``: "%d", "%s" or a literal as written, n for a polygon of n vertices,
+    (n, m) for n field elements of m coefficients."""
+    inner = indent + "  "
+    items = []
+    for key, part in zip(keys, shape):
+        if type(part) is int:
+            part = _rows_format(part, 2, inner)
+        elif type(part) is tuple:
+            part = _rows_format(*part, inner)
+        # a % in a key is text, not a conversion
+        items.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {part}")
+    return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+
+
+def _entry_texts(entries, indent):
+    """The texts of a list's entries at ``indent``, the first a non-empty str-keyed dict.
+    An entry with the first's keys whose values are ints, strs, None, bools, polygons or
+    lists of field elements fills the template of its shape; any other goes to _json_text."""
+    keys = tuple(sorted(entries[0]))
+    same = entries[0].keys()
+    texts = []
+    for entry in entries:
+        if type(entry) is dict and entry.keys() == same:
+            shape, fill = [], []
+            for key in keys:
+                v = entry[key]
+                kind = type(v)
+                if kind is LatticePolygon:
+                    shape.append(len(v.vertices))
+                    fill += sum(v.vertices, ())
+                elif kind is str:
+                    shape.append("%s")
+                    fill.append(encode_basestring_ascii(v))
+                elif kind is int:
+                    shape.append("%d")
+                    fill.append(v)
+                elif v is None or kind is bool:
+                    shape.append(_JSON_SCALARS[v])
+                elif (kind is list or kind is tuple) and v and type(v[0]) is FieldElement:
+                    shape.append((len(v), v[0].spec.m))
+                    fill += sum([e.coeffs for e in v], ())
+                else:
+                    break
+            else:
+                text = _entry_format(keys, tuple(shape), indent) % tuple(fill)
+                # % sizes its result for the template plus 100 characters and
+                # shrinks it in place; a join copies it to its exact size, since
+                # the kept tails raised enumerate (3,2,12,1)'s JSON peak by 14 MB
+                texts.append("".join((text, "")))
+                continue
+        texts.append(_json_text(entry, indent))
+    return texts
+
+
 def _json_text(value, indent="\n"):
     """json.dumps(value, indent=2, sort_keys=True, default=...) for payloads of str-keyed
     dicts, lists, tuples, polygons, plane points, field elements and scalars, where the
     default writes a polygon as its vertex pairs and an element as its coefficient list.
     The stdlib writes indented JSON through a generator per container; this writer makes
     one call per container and writes a polygon, or a list or tuple of elements such as
-    a point's coordinates, with one % on a template cached per shape and depth."""
+    a point's coordinates, with one % on a template cached per shape and depth.  A list
+    of dicts that share their keys, such as the entries of enumerate, localmodel and
+    dual, takes one % per entry (_entry_texts)."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -122,17 +181,19 @@ def _json_text(value, indent="\n"):
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if type(value[0]) is FieldElement:
+        first = value[0]
+        if type(first) is FieldElement:
             # the localmodel payload's points: their coordinates' coefficient lists
-            return _rows_format(len(value), value[0].spec.m, indent) % sum(
+            return _rows_format(len(value), first.spec.m, indent) % sum(
                 [e.coeffs for e in value], ())
-        items = [_json_text(v, inner) for v in value]
+        if type(first) is dict and first and all(type(k) is str for k in first):
+            items = _entry_texts(value, inner)
+        else:
+            items = [_json_text(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
     if kind is LatticePolygon:
         # the polygons of every payload; their vertex pairs are most of the
-        # enumerate and dual payloads.
-        # %d writes a bool coordinate as 0 or 1 where json.dumps writes false
-        # or true; LatticePolygon admits one, but no command builds it
+        # enumerate and dual payloads
         verts = value.vertices
         return _rows_format(len(verts), 2, indent) % sum(verts, ())
     if value is None or kind is bool:
@@ -149,8 +210,33 @@ def _rational(x):
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _fmt_vertices(poly):
-    return " ".join(f"({r},{dg})" for r, dg in poly.vertices)
+class _Texts(dict):
+    """The text of each key, made by ``make`` at its first lookup and kept for the
+    rest of one answer, whose rows repeat the same vertices and segments."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+def _vertex_text(vertex):
+    return f"({vertex[0]},{vertex[1]})"
+
+
+def _slope_text(segment):
+    """str(Fraction(rise, width)) of a (rise, width) segment, width > 0: rise/g, then
+    "/" and width/g unless width/g is 1, with g = gcd(rise, width)."""
+    dy, w = segment
+    g = gcd(dy, w)
+    return str(dy // g) if w == g else f"{dy // g}/{w // g}"
+
+
+def _fmt_vertices(poly, texts):
+    # texts: a _Texts(_vertex_text) shared by one answer's rows
+    return " ".join(map(texts.__getitem__, poly.vertices))
 
 
 def _render(args, passed, payload, lines, checks, note=None):
@@ -197,19 +283,14 @@ def cmd_enumerate(args):
         f"found {len(polys)} polygon(s); endpoint (r, p*d) = ({args.r}, {args.p * args.d}); "
         f"slope-gap bound {2 * args.g - 2}",
     ]
+    vertex, slope = _Texts(_vertex_text), _Texts(_slope_text)
     for lab, P in zip(labels, polys):
-        # one pass over the vertices writes both columns; each slope is the
-        # str() of Fraction(dy, w): dy/g, then "/" and w/g unless w/g is 1,
-        # with g = gcd(dy, w) and the width w > 0
         (x0, y0), *rest = P.vertices
-        verts, slopes = [f"({x0},{y0})"], []
+        slopes = []
         for x, y in rest:
-            verts.append(f"({x},{y})")
-            dy, w = y - y0, x - x0
-            g = gcd(dy, w)
-            slopes.append(str(dy // g) if w == g else f"{dy // g}/{w // g}")
+            slopes.append(slope[y - y0, x - x0])
             x0, y0 = x, y
-        lines.append(f"  {lab or '-':<5} vertices {' '.join(verts):<30} "
+        lines.append(f"  {lab or '-':<5} vertices {_fmt_vertices(P, vertex):<30} "
                      f"slopes {', '.join(slopes)}")
     return agrees, None, lines, [], note
 
@@ -317,6 +398,7 @@ def cmd_strata(args):
             ok &= [y for x, y in polys[lab].vertices if x == 1] == ([deg] if deg > args.d else [])
         checks.append(("dimension cross-checks", ok))
 
+    vertex = _Texts(_vertex_text)
     lines = [
         f"Frobenius strata dimensions  p={p} g={g} r={r} d={args.d}",
         f"  {'label':<6} {'vertices':<30} {'fiber':>5} {'quot':>5} {'stratum':>8} {'closed':>7}",
@@ -327,7 +409,7 @@ def cmd_strata(args):
         strata.append({"label": rec.label, "vertices": rec.polygon, "fiber_dim": fib,
                        "quot_dim": quo, "stratum_dim": dim,
                        "closed_equals_open": dim == rec.closed_stratum_dim})
-        lines.append(f"  {rec.label:<6} {_fmt_vertices(rec.polygon):<30} "
+        lines.append(f"  {rec.label:<6} {_fmt_vertices(rec.polygon, vertex):<30} "
                      f"{'-' if fib is None else fib:>5} {'-' if quo is None else quo:>5} "
                      f"{dim:>8} {rec.closed_stratum_dim:>7}")
     lines.append(f"moduli dimension {moduli_dimension(r, g)}; destabilized locus codimension "
@@ -383,13 +465,14 @@ def cmd_dual(args):
     params = CurveParams(*REGIME, args.d)
     dual_params = CurveParams(*REGIME, -args.d)
     pairs = []
+    vertex = _Texts(_vertex_text)
     lines = [f"polygon duality  d={args.d} -> {-args.d}"]
     for P in enumerate_destabilized_polygons(params):
         D = dualize_polygon(P)
         lab, dual_lab = name_polygon(P, params), name_polygon(D, dual_params)
         pairs.append({"label": lab, "vertices": P, "dual_label": dual_lab, "dual_vertices": D})
         lines.append(f"  {lab}({args.d}) -> {dual_lab}({-args.d})   "
-                     f"{_fmt_vertices(P)} -> {_fmt_vertices(D)}")
+                     f"{_fmt_vertices(P, vertex)} -> {_fmt_vertices(D, vertex)}")
 
     checks = []
     if args.verify:

@@ -94,9 +94,10 @@ class LatticePolygon(Record):
         narrow, falls = False, None
         for v in verts:
             x1, y1 = v if len(v) == 2 else (None, None)
-            # exact ints first; isinstance admits bool and other int subclasses
-            if not ((type(x1) is int or isinstance(x1, int))
-                    and (type(y1) is int or isinstance(y1, int))):
+            # exact ints first; isinstance admits other int subclasses but not
+            # bool, which JSON writes as false or true
+            if not ((type(x1) is int or isinstance(x1, int) and type(x1) is not bool)
+                    and (type(y1) is int or isinstance(y1, int) and type(y1) is not bool)):
                 raise ValueError(f"vertices must be integral lattice points, got {v!r}")
             if x0 is not None:
                 dy, w = y1 - y0, x1 - x0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from frobstrat.gfield import ProjectivePoint
+from frobstrat.gfield import FieldElement, ProjectivePoint
 from frobstrat.localmodel import TensorElement
 from frobstrat.polygon import LatticePolygon
 
@@ -97,7 +97,11 @@ def to_lists(pt):
 
 def stdlib_form(value):
     """The json.dumps default for the values _json_text writes itself."""
-    return to_lists(value) if isinstance(value, ProjectivePoint) else to_pairs(value)
+    if isinstance(value, ProjectivePoint):
+        return to_lists(value)
+    if isinstance(value, FieldElement):
+        return to_coeffs(value)
+    return to_pairs(value)
 
 
 def basis_rows(W):

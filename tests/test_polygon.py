@@ -83,10 +83,24 @@ def test_validation_accepts_int_subclasses_and_lists():
     class Rank(int):
         pass
 
-    P = LatticePolygon([[False, False], [True, 2], [Rank(2), True]])
+    P = LatticePolygon([[Rank(0), 0], [1, Rank(2)], [Rank(2), 1]])
     assert P.vertices == ((0, 0), (1, 2), (2, 1))
     assert all(type(v) is tuple for v in P.vertices)
     assert slopes(P) == [2, -1]
+
+
+@pytest.mark.parametrize("verts", [
+    [(False, 0), (1, 2), (2, 1)],
+    [(0, 0), (True, 2), (2, 1)],
+    [(0, 0), (1, 2), (2, True)],
+])
+def test_validation_rejects_bool_coordinates(verts):
+    """A bool is an int subclass, but the JSON writers would write it as false
+    or true where a lattice point needs an integer."""
+    bad = next(v for v in verts if any(type(c) is bool for c in v))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'vertices must be integral lattice points, got {bad!r}')}$"):
+        LatticePolygon(verts)
 
 
 @pytest.mark.parametrize("d", [-3, 0, 5])

@@ -1,6 +1,8 @@
 """Property tests on polygons drawn from small enumerations, on exact row
 reduction over GF(3^m) and on the CLI's JSON writer (needs hypothesis)."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 from itertools import product
@@ -10,21 +12,22 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from frobstrat.cli import _json_text  # noqa: E402
-from frobstrat.gfield import ProjectivePoint, field_make  # noqa: E402
+from frobstrat.cli import _json_text, main  # noqa: E402
+from frobstrat.gfield import FieldElement, ProjectivePoint, field_make  # noqa: E402
 from frobstrat.localmodel import _rank, _reduce_against, _rref  # noqa: E402
 from frobstrat.polygon import (  # noqa: E402
     EQUAL,
     GREATER_OR_EQUAL,
     INCOMPARABLE,
     LESS_OR_EQUAL,
+    REGIME,
     CurveParams,
     LatticePolygon,
     dominates,
     enumerate_destabilized_polygons,
 )
 from frobstrat.strata import dualize_polygon  # noqa: E402
-from oracles import stdlib_form, to_pairs  # noqa: E402
+from oracles import slopes, stdlib_form, to_pairs  # noqa: E402
 
 # every enumeration with p in {2, 3, 5}, g in {2, 3}, r in 2..4, d in -2..2:
 # (p, polygons sharing the endpoint (r, p*d)), empty ones left out
@@ -172,8 +175,12 @@ drawn_polygons = st.lists(st.tuples(st.integers(), st.integers(1, 4)),
 drawn_points = st.sampled_from(list(FIELDS.values())).flatmap(
     lambda field: st.tuples(*[st.sampled_from(field.elements)] * 3)).filter(any).map(
         ProjectivePoint)
+# lists and tuples of one field's elements, as localmodel writes a point
+drawn_elements = st.sampled_from(list(FIELDS.values())).flatmap(
+    lambda field: st.lists(st.sampled_from(field.elements), min_size=1, max_size=4)).flatmap(
+        lambda elems: st.sampled_from([elems, tuple(elems)]))
 payloads = st.recursive(
-    scalars | drawn_polygons | drawn_points,
+    scalars | drawn_polygons | drawn_points | drawn_elements,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(keys, inner, max_size=4)),
     max_leaves=30)
@@ -181,8 +188,8 @@ payloads = st.recursive(
 
 def as_loaded(x):
     """x as json.loads would give it back: tuples become lists, polygons their
-    [rank, degree] pairs and points their coefficient lists."""
-    if isinstance(x, (LatticePolygon, ProjectivePoint)):
+    [rank, degree] pairs, and points and elements their coefficient lists."""
+    if isinstance(x, (LatticePolygon, ProjectivePoint, FieldElement)):
         return stdlib_form(x)
     if isinstance(x, (list, tuple)):
         return [as_loaded(v) for v in x]
@@ -197,3 +204,84 @@ def test_json_text_is_the_stdlib_dump_and_round_trips(x):
     text = _json_text(x)
     assert text == json.dumps(x, indent=2, sort_keys=True, default=stdlib_form)
     assert json.loads(text) == as_loaded(x)
+
+
+# keys and strings holding %, which an entry's template must keep as text
+percent = st.sampled_from(["%", "%d", "%s", "%%", "100%", "%(x)s", "caf\u00e9 %d"])
+entry_values = (st.integers() | st.booleans() | st.none() | strings | percent
+                | drawn_polygons | drawn_polygons.map(lambda P: P.vertices)
+                | st.sampled_from([FIELDS[1], FIELDS[2]]).flatmap(
+                    lambda field: st.lists(st.sampled_from(field.elements),
+                                           min_size=1, max_size=3)))
+
+
+@st.composite
+def same_keyed_entries(draw):
+    """A list of dicts on one key set, as the enumerate, localmodel and dual
+    payloads hold; sometimes one entry lacks a key or has one more."""
+    shared = draw(st.lists(keys | percent, min_size=1, max_size=4, unique=True))
+    entries = [{k: draw(entry_values) for k in shared}
+               for _ in range(draw(st.integers(1, 5)))]
+    odd = draw(st.sampled_from(("none", "missing", "extra")))
+    entry = draw(st.sampled_from(entries))
+    if odd == "missing":
+        del entry[draw(st.sampled_from(shared))]
+    elif odd == "extra":
+        entry[draw((keys | percent).filter(lambda k: k not in shared))] = draw(entry_values)
+    return entries
+
+
+@examples
+@given(same_keyed_entries(), st.sampled_from([lambda x: x, lambda x: {"%d": [x]}]))
+def test_json_text_writes_same_keyed_entries_as_the_stdlib(entries, nest):
+    payload = nest(entries)
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,
+                                             default=stdlib_form)
+
+
+def _columns(row, *separators):
+    """The text of a table row between each separator and the next."""
+    cols = []
+    for sep in separators:
+        head, row = row.split(sep, 1)
+        cols.append(head.rstrip())
+    return cols[1:] + [row]
+
+
+def _pairs_text(P):
+    return " ".join(f"({x},{y})" for x, y in P.vertices)
+
+
+small_cases = st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(2, 3), st.integers(1, 5),
+                        st.integers(-3, 3))
+
+
+@examples
+@given(small_cases)
+def test_enumerate_rows_write_the_vertices_and_the_exact_slopes(case):
+    p, g, r, d = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["enumerate", *[f"--{k}={v}" for k, v in zip("pgrd", case)]]) == 0
+    polys = enumerate_destabilized_polygons(CurveParams(p, g, r, d))
+    rows = out.getvalue().splitlines()[2:]
+    assert len(rows) == len(polys)
+    for row, P in zip(rows, polys):
+        verts, slopes_text = _columns(row, " vertices ", " slopes ")
+        assert verts == _pairs_text(P)
+        assert slopes_text == ", ".join(str(s) for s in slopes(P))
+
+
+@examples
+@given(st.integers(-8, 8))
+def test_dual_rows_write_the_vertices_of_both_polygons(d):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["dual", f"--d={d}"]) == 0
+    polys = enumerate_destabilized_polygons(CurveParams(*REGIME, d))
+    rows = out.getvalue().splitlines()[1:]
+    assert len(rows) == len(polys)
+    for row, P in zip(rows, polys):
+        verts, dual_verts = _columns(row, "   ", " -> ")
+        assert verts == _pairs_text(P)
+        assert dual_verts == _pairs_text(dualize_polygon(P))

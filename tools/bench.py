@@ -14,8 +14,8 @@ DIR's own commit in their metadata.  A row records each
 run's wall time (interpreter start-up included), the peak resident set size
 that ``os.wait4`` reports for the child (``ru_maxrss``, in KiB on Linux) and its
 exit code, and the median of the times and of the peaks.  The rows are
-ROADMAP's Baseline CLI rows and the local model at q = 81 and 243 in both
-formats and with --verify.  The file also records the Python version, the
+ROADMAP's Baseline CLI rows, every enumerate size in both formats, and the
+local model at q = 81 and 243 in both formats and with --verify.  The file also records the Python version, the
 platform, ``os.cpu_count()``, the commit and the date.  A shared host's speed
 varies from minute to minute, so compare only the two files of one
 ``--parent`` session.
@@ -52,9 +52,11 @@ ROWS = (
     ("localmodel --q 243 --format json", 0),
     ("localmodel --q 243 --verify", 0),
     ("enumerate --p 3 --g 2 --r 10 --d 1", 0),
+    ("enumerate --p 3 --g 2 --r 10 --d 1 --format json", 0),
     ("enumerate --p 3 --g 2 --r 12 --d 1", 0),
     ("enumerate --p 3 --g 2 --r 12 --d 1 --format json", 0),
     ("enumerate --p 5 --g 3 --r 8 --d 1", 0),
+    ("enumerate --p 5 --g 3 --r 8 --d 1 --format json", 0),
     ("enumerate --r 5 --d 1 --verify", 0),
     ("strata --d 0 --verify", 0),
     ("certify --p 9973 --r 9973 --verify", 1),
