@@ -116,7 +116,7 @@ def _entry_format(keys, shape, indent):
 
 
 def _entry_texts(entries, indent):
-    """The texts of a list's entries at ``indent``, the first a non-empty str-keyed dict.
+    """The texts of a list's entries at ``indent``, the first a non-empty dict.
     An entry with the first's keys whose values are ints, strs, None, bools, polygons or
     lists of field elements fills the template of its shape; any other goes to _json_text."""
     keys = tuple(sorted(entries[0]))
@@ -162,8 +162,8 @@ def _json_text(value, indent="\n"):
     The stdlib writes indented JSON through a generator per container; this writer makes
     one call per container and writes a polygon, or a list or tuple of elements such as
     a point's coordinates, with one % on a template cached per shape and depth.  A list
-    of dicts that share their keys, such as the entries of enumerate, localmodel and
-    dual, takes one % per entry (_entry_texts)."""
+    of dicts that share their keys, such as the entries of enumerate, localmodel, strata
+    and dual, takes one % per entry (_entry_texts)."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -186,7 +186,7 @@ def _json_text(value, indent="\n"):
             # the localmodel payload's points: their coordinates' coefficient lists
             return _rows_format(len(value), first.spec.m, indent) % sum(
                 [e.coeffs for e in value], ())
-        if type(first) is dict and first and all(type(k) is str for k in first):
+        if type(first) is dict and first:
             items = _entry_texts(value, inner)
         else:
             items = [_json_text(v, inner) for v in value]

@@ -248,8 +248,9 @@ def _columns(row, *separators):
     return cols[1:] + [row]
 
 
-def _pairs_text(P):
-    return " ".join(f"({x},{y})" for x, y in P.vertices)
+def _pairs(column):
+    """The (x, y) pairs of a vertex column, one "(x,y)" per space."""
+    return tuple(tuple(map(int, token[1:-1].split(","))) for token in column.split(" "))
 
 
 small_cases = st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(2, 3), st.integers(1, 5),
@@ -268,7 +269,7 @@ def test_enumerate_rows_write_the_vertices_and_the_exact_slopes(case):
     assert len(rows) == len(polys)
     for row, P in zip(rows, polys):
         verts, slopes_text = _columns(row, " vertices ", " slopes ")
-        assert verts == _pairs_text(P)
+        assert _pairs(verts) == P.vertices
         assert slopes_text == ", ".join(str(s) for s in slopes(P))
 
 
@@ -283,5 +284,5 @@ def test_dual_rows_write_the_vertices_of_both_polygons(d):
     assert len(rows) == len(polys)
     for row, P in zip(rows, polys):
         verts, dual_verts = _columns(row, "   ", " -> ")
-        assert verts == _pairs_text(P)
-        assert dual_verts == _pairs_text(dualize_polygon(P))
+        assert _pairs(verts) == P.vertices
+        assert _pairs(dual_verts) == dualize_polygon(P).vertices

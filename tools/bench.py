@@ -15,10 +15,10 @@ run's wall time (interpreter start-up included), the peak resident set size
 that ``os.wait4`` reports for the child (``ru_maxrss``, in KiB on Linux) and its
 exit code, and the median of the times and of the peaks.  The rows are
 ROADMAP's Baseline CLI rows, every enumerate size in both formats, and the
-local model at q = 81 and 243 in both formats and with --verify.  The file also records the Python version, the
-platform, ``os.cpu_count()``, the commit and the date.  A shared host's speed
-varies from minute to minute, so compare only the two files of one
-``--parent`` session.
+local model at q = 81 and 243 in both formats and with --verify.  The file
+also records the Python version, the platform, ``os.cpu_count()``, the commit
+and the date.  A shared host's speed varies from minute to minute, so compare
+only the two files of one ``--parent`` session.
 
 ``check`` is the file's layout: its rows, units and metadata, never its times.
 """
