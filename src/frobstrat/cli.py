@@ -19,13 +19,13 @@ from math import gcd, log10
 
 from .gfield import FieldElement, ProjectivePoint, _point_text, field_make
 from .localmodel import (
-    _COLENGTH_LABEL,
     ModelSpec,
     _plane_classes,
     _truncation_stable,
     stratum_census,
 )
 from .polygon import (
+    _COLENGTH_LABEL,
     GREATER_OR_EQUAL,
     PSI1,
     PSI2,

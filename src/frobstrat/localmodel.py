@@ -15,16 +15,12 @@ field decide which stratum each plane point belongs to.  The truncation level
 M >= 3 keeps every exponent the classification touches (at most 5) alive.
 """
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import takewhile
 
 from ._record import Record, _set
 from .gfield import FieldElement, FieldSpec, ProjectivePoint, _plane_indices, _point_text
-from .polygon import PSI2, PSI3, PSI4, REGIME
-
-# the stratum of each colength; _coordinate_label reads the same labels off
-# the point's coordinates
-_COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
+from .polygon import _COLENGTH_LABEL, PSI2, PSI3, PSI4, REGIME
 
 __all__ = [
     "ModelSpec",
@@ -362,7 +358,7 @@ def tau_square_span(spec):
     return SubspaceBasis.from_spanning(spec, list(_tau_square_multiples(spec)))
 
 
-@lru_cache(maxsize=8)
+@cache
 def _tau_square_blocks(p):
     """The blocks X_k, the first p^2 coordinates (left exponent i < p) of tau^2 t^k,
     before the first zero one (none at p = 2, where tau^2 = 0).  Right multiplication
@@ -396,7 +392,7 @@ def _tau_square_residues(W):
         yield _reduce_against(field, mat, pivots, block)
 
 
-@lru_cache(maxsize=8)
+@cache
 def _block_entries(p):
     """(i, j, x) for each nonzero entry x = X_k[i][j] of the tau^2 blocks X_k;
     built once per characteristic."""

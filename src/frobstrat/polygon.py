@@ -8,7 +8,7 @@ by 2g - 2, which together with the fixed average slope p*d/r makes the
 enumeration finite.
 """
 
-from functools import lru_cache
+from functools import cache
 from math import prod
 
 from ._record import Record, _set
@@ -40,10 +40,23 @@ __all__ = [
 
 PSI1, PSI2, PSI3, PSI4 = "Psi1", "Psi2", "Psi3", "Psi4"
 PSI_LABELS = (PSI1, PSI2, PSI3, PSI4)
-# (p, g, r) of the one regime the paper classifies, where the Psi labels are named
-REGIME = (3, 2, 3)
 SEMISTABLE = "semistable"
 OTHER = "other"
+# The paper's table.  (p, g, r) of the one regime it classifies, where the Psi
+# labels are named.  An entry below that a ROADMAP item will derive names that
+# item; it is read off the paper until then, and moves to tests/oracles.py after.
+REGIME = (3, 2, 3)
+# a regime polygon's label by the ranks of its interior vertices; of the two with
+# vertices at both ranks, the canonical one is Psi4 (see _regime_labels).  The
+# labels are the paper's names, so no item derives them
+_BREAK_LABELS = {(1,): PSI1, (2,): PSI2, (1, 2): PSI3}
+# the stratum of each colength of the local model's quotient, which item 2 derives
+# as the rank of the Toeplitz matrix T(h); localmodel._coordinate_label reads the
+# same labels off the point's coordinates
+_COLENGTH_LABEL = {1: PSI4, 2: PSI3, 3: PSI2}
+# each stratum's parameter-space fiber dimension, which item 2 derives from the
+# rank-stratification certificate and item 12 carries to the moduli dimensions
+_FIBER_DIM = {PSI2: 2, PSI3: 1, PSI4: 0}
 
 GREATER_OR_EQUAL = "greater-or-equal"
 LESS_OR_EQUAL = "less-or-equal"
@@ -294,23 +307,25 @@ def polygon_of_filtration(pieces):
     return LatticePolygon(tuple(verts))
 
 
-# a regime polygon's label by the ranks of its interior vertices; of the two with
-# vertices at both ranks, the canonical one is Psi4 (see regime_polygons)
-_BREAK_LABELS = {(1,): PSI1, (2,): PSI2, (1, 2): PSI3}
-
-
-# a sweep over d = -4..4 names polygons at 9 degrees, dual's at d and at -d;
-# the canonical filtration is that of Joshi, Ramanan, Xia and Yu (Compositio 2006)
-@lru_cache(maxsize=16)
-def regime_polygons(d):
-    """Label -> polygon, in enumerate's order, for its polygons at REGIME and degree
-    d; Psi4 is the unit-rank polygon of the canonical filtration of F^*F_*L, deg L =
-    d - (p-1)(g-1).  The dict is cached and shared by every caller: never write it."""
+# Psi4 is the unit-rank polygon of the canonical filtration of F^*F_*L, deg L =
+# d - (p-1)(g-1), that of Joshi, Ramanan, Xia and Yu (Compositio 2006); built
+# once, at d = 0, since every other degree is a shear of it (see regime_polygons)
+@cache
+def _regime_labels():
+    """Vertices -> label of enumerate's polygons at REGIME and d = 0, in its order."""
     p, g, _ = REGIME
     top = polygon_of_filtration((1, t) for t in
-                                canonical_filtration_degrees(p, g, d - (p - 1) * (g - 1)))
-    return {PSI4 if P == top else _BREAK_LABELS[tuple(x for x, _ in P.vertices[1:-1])]: P
-            for P in enumerate_destabilized_polygons(CurveParams(*REGIME, d))}
+                                canonical_filtration_degrees(p, g, -(p - 1) * (g - 1)))
+    return {P.vertices: PSI4 if P == top else _BREAK_LABELS[tuple(x for x, _ in P.vertices[1:-1])]
+            for P in enumerate_destabilized_polygons(CurveParams(*REGIME, 0))}
+
+
+def regime_polygons(d):
+    """Label -> polygon, in enumerate's order, for its polygons at REGIME and degree d."""
+    # those at d = 0 sheared by y -> y + d*x: at p = r raising d by 1 adds 1 to
+    # every slope, and the shear keeps enumerate's (lexicographic) order
+    return {lab: LatticePolygon([(x, y + d * x) for x, y in verts])
+            for verts, lab in _regime_labels().items()}
 
 
 def name_polygon(P, params):
@@ -325,4 +340,5 @@ def name_polygon(P, params):
         raise ValueError(f"polygon ends at {P.endpoint}, expected {(r, p * d)}")
     if P.segment_count == 1:
         return SEMISTABLE
-    return next((lab for lab, Q in regime_polygons(d).items() if Q.vertices == P.vertices), OTHER)
+    # sheared back to d = 0 (see regime_polygons)
+    return _regime_labels().get(tuple((x, y - d * x) for x, y in P.vertices), OTHER)

@@ -3,7 +3,8 @@ a genus-2 curve: fiber, parameter-space and moduli-space dimensions, the dual
 involution, and the table of enumerate's polygons named by regime_polygons."""
 
 from ._record import Record, _set
-from .polygon import PSI1, PSI2, PSI3, PSI4, PSI_LABELS, REGIME, LatticePolygon, regime_polygons
+from .polygon import (_FIBER_DIM, PSI1, PSI2, PSI3, PSI4, PSI_LABELS, REGIME, LatticePolygon,
+                      regime_polygons)
 
 __all__ = [
     "CURVE_DIM",
@@ -18,8 +19,6 @@ __all__ = [
 ]
 
 CURVE_DIM = 1  # the base is a curve
-
-_FIBER_DIM = {PSI2: 2, PSI3: 1, PSI4: 0}
 
 
 def quot_fiber_dimension(label):

@@ -418,18 +418,17 @@ def test_strata_exits_1_naming_a_label_the_naming_rule_misses(capsys, monkeypatc
     assert err == "error: the naming rule names no Psi3 polygon at d = 1\n"
 
 
-def test_a_repeated_sweep_names_the_regime_polygons_from_the_cache(capsys):
-    """A second pass of strata, dual and regime enumerate over d = -4..4, with
-    and without --verify, builds no regime polygon set again."""
-    argvs = [[command, "--d", str(d), *verify] for d in range(-4, 5)
-             for verify in ((), ("--verify",)) for command in ("strata", "dual", "enumerate")]
-    for argv in argvs:
-        assert main(argv) == 0
-    before = polygon.regime_polygons.cache_info()
-    for argv in argvs:
-        assert main(argv) == 0
+def test_a_sweep_searches_the_regime_polygons_once_at_d_0(capsys):
+    """strata, dual and regime enumerate, with and without --verify, over
+    d = -40..40 and 10**30 build the regime's polygon set once, at d = 0, and
+    name every degree's polygons by shearing it."""
+    polygon._regime_labels.cache_clear()
+    for d in (*range(-40, 41), 10**30):
+        for verify in ((), ("--verify",)):
+            for command in ("strata", "dual", "enumerate"):
+                assert main([command, "--d", str(d), *verify]) == 0
     capsys.readouterr()
-    assert polygon.regime_polygons.cache_info().misses == before.misses
+    assert polygon._regime_labels.cache_info().misses == 1
 
 
 def test_certify_main_regime(capsys):

@@ -387,6 +387,20 @@ def test_enumeration_symmetries_above_the_bruteforce_grid(p, g, r, d):
     assert enumerate_destabilized_polygons(CurveParams(p, g, r, -d)) == duals
 
 
+@pytest.mark.parametrize("d", range(-3, 4))
+@pytest.mark.parametrize("p, g, r", [(3, 2, 3), (3, 2, 5), (5, 3, 5), (2, 2, 4), (3, 3, 6),
+                                     (7, 2, 7), (5, 2, 4)])
+def test_enumeration_shears_by_the_finer_step(p, g, r, d):
+    """Raising the degree by r/gcd(p, r) shears every polygon by
+    y -> y + (p/gcd(p, r))*x, in the same order: the step regime_polygons takes
+    from d = 0, where p = r makes it 1."""
+    k = math.gcd(p, r)
+    polys = enumerate_destabilized_polygons(CurveParams(p, g, r, d))
+    assert polys
+    sheared = [LatticePolygon([(x, y + p // k * x) for x, y in P.vertices]) for P in polys]
+    assert enumerate_destabilized_polygons(CurveParams(p, g, r, d + r // k)) == sheared
+
+
 @pytest.mark.parametrize("p, g, r, d", [
     *product((2, 3, 5, 7), [2], range(2, 8), (0, 1)),
     *product((3, 5), [3], range(2, 6), (0, 1)),
@@ -489,12 +503,18 @@ def test_name_polygon_regime_errors():
 
 
 def test_name_polygon_matches_the_template_polygons():
-    """name_polygon's vertex comparison gives the label that equality with
-    psi_polygon gives, on every enumerated polygon and the semistable one."""
-    for d in range(-40, 41):
+    """name_polygon's lookup of the sheared-back vertices gives the label that
+    equality with psi_polygon gives, on every enumerated polygon and the
+    semistable one; regime_polygons' shear of the d = 0 set is the templates in
+    enumerate's order, at d = -40..40 and at degrees far beyond them."""
+    for d in (*range(-40, 41), -10**30, 10**30):
         params = CurveParams(3, 2, 3, d)
-        for P in enumerate_destabilized_polygons(params) + [LatticePolygon([(0, 0), (3, 3 * d)])]:
+        listed = enumerate_destabilized_polygons(params)
+        for P in listed + [LatticePolygon([(0, 0), (3, 3 * d)])]:
             want = next((lab for i, lab in enumerate(PSI_LABELS, start=1)
                          if P == psi_polygon(i, d)),
                         SEMISTABLE if P.segment_count == 1 else OTHER)
             assert name_polygon(P, params) == want, (d, P)
+        named = polygon.regime_polygons(d)
+        assert list(named.values()) == listed
+        assert named == {lab: psi_polygon(i, d) for i, lab in enumerate(PSI_LABELS, start=1)}
