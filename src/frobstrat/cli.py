@@ -115,10 +115,21 @@ def _entry_format(keys, shape, indent):
     return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
 
 
+def _field_m(value):
+    """The m of a non-empty list or tuple of field elements that all share it, else None."""
+    m = type(value[0]) is FieldElement and value[0].spec.m
+    # a loop: all() over a generator took 1.2 us a localmodel point against 0.4 us
+    # (timeit, Python 3.11, 2-vCPU x86-64)
+    for e in value:
+        if type(e) is not FieldElement or e.spec.m != m:
+            return None
+    return m
+
+
 def _entry_texts(entries, indent):
     """The texts of a list's entries at ``indent``, the first a non-empty dict.
     An entry with the first's keys whose values are ints, strs, None, bools, polygons or
-    lists of field elements fills the template of its shape; any other goes to _json_text."""
+    lists of field elements of one m fills its shape's template; any other, _json_text."""
     keys = tuple(sorted(entries[0]))
     same = entries[0].keys()
     texts = []
@@ -139,8 +150,8 @@ def _entry_texts(entries, indent):
                     fill.append(v)
                 elif v is None or kind is bool:
                     shape.append(_JSON_SCALARS[v])
-                elif (kind is list or kind is tuple) and v and type(v[0]) is FieldElement:
-                    shape.append((len(v), v[0].spec.m))
+                elif (kind is list or kind is tuple) and v and (m := _field_m(v)):
+                    shape.append((len(v), m))
                     fill += sum([e.coeffs for e in v], ())
                 else:
                     break
@@ -160,8 +171,8 @@ def _json_text(value, indent="\n"):
     dicts, lists, tuples, polygons, plane points, field elements and scalars, where the
     default writes a polygon as its vertex pairs and an element as its coefficient list.
     The stdlib writes indented JSON through a generator per container; this writer makes
-    one call per container and writes a polygon, or a list or tuple of elements such as
-    a point's coordinates, with one % on a template cached per shape and depth.  A list
+    one call per container and writes a polygon, or a list or tuple of elements of one m
+    such as a point's coordinates, with one % on a template cached per shape and depth.  A list
     of dicts that share their keys, such as the entries of enumerate, localmodel, strata
     and dual, takes one % per entry (_entry_texts)."""
     kind = type(value)
@@ -181,12 +192,10 @@ def _json_text(value, indent="\n"):
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        first = value[0]
-        if type(first) is FieldElement:
+        if m := _field_m(value):
             # the localmodel payload's points: their coordinates' coefficient lists
-            return _rows_format(len(value), first.spec.m, indent) % sum(
-                [e.coeffs for e in value], ())
-        if type(first) is dict and first:
+            return _rows_format(len(value), m, indent) % sum([e.coeffs for e in value], ())
+        if type(value[0]) is dict and value[0]:
             items = _entry_texts(value, inner)
         else:
             items = [_json_text(v, inner) for v in value]
@@ -200,6 +209,9 @@ def _json_text(value, indent="\n"):
         return _JSON_SCALARS[value]
     if kind is ProjectivePoint:
         return _json_text(value.coords, indent)
+    if kind is FieldElement:
+        # a list of elements of more than one m writes each on its own
+        return _json_text(value.coeffs, indent)
     if kind is str:
         # what json.dumps writes for a str
         return encode_basestring_ascii(value)
@@ -507,14 +519,17 @@ _COMMANDS = (
     ("dual", "dualize the enumerated polygons", cmd_dual, "d"),
 )
 
+# --format's choices, the first its default
+_FORMATS = ("table", "json")
+
 
 @cache
 def build_parser():
-    """The frobstrat argument parser, built on the first call and shared by every
-    later one, so in-process callers of main pay for the tree once.  It is never
-    mutated after it is built: parse_args makes a fresh Namespace per call, and
-    argparse looks up sys.stdout and sys.stderr only when it prints.  The command
-    handlers are bound into it when it is built."""
+    """The frobstrat argument parser, built at the first call of main whose argv is not
+    in exact form (_exact_args), such as help, a refusal or an abbreviation, and shared
+    by every later one.  It is never mutated after it is built: parse_args makes a
+    fresh Namespace per call, and argparse looks up sys.stdout and sys.stderr only
+    when it prints.  The command handlers are bound into it when it is built."""
     parser = argparse.ArgumentParser(
         prog="frobstrat",
         description="Frobenius stratification calculator: polygon enumeration, "
@@ -525,7 +540,7 @@ def build_parser():
         sub = subs.add_parser(name, help=help_text)
         for option in options:
             sub.add_argument(f"--{option}", type=int, **_INT_OPTIONS[option])
-        sub.add_argument("--format", choices=("table", "json"), default="table",
+        sub.add_argument("--format", choices=_FORMATS, default=_FORMATS[0],
                          help="output format (default table)")
         sub.add_argument("--verify", action="store_true",
                          help="re-run the independent cross-check and compare")
@@ -533,12 +548,46 @@ def build_parser():
     return parser
 
 
+def _exact_args(argv):
+    """build_parser().parse_args(argv) for a list argv in exact form, read from the option
+    tables: a command's name, then only its own options in full, each but --verify with its
+    value.  None otherwise, as for help, --, a prefix, --opt=value or a refusal."""
+    command = next((c for c in _COMMANDS if argv[:1] == [c[0]]), None)
+    if command is None:
+        return None
+    name, _, handler, options = command
+    args = argparse.Namespace(command=name, func=handler, format=_FORMATS[0], verify=False,
+                              **{o: _INT_OPTIONS[o]["default"] for o in options})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--verify":
+            args.verify = True
+            continue
+        key = token[2:] if type(token) is str and token[:2] == "--" else ""
+        value = next(tokens, None)
+        # argparse takes a value that starts with "-" for an option unless it is a
+        # negative number; a "-" and decimal digits is one
+        if (not (key == "format" and value in _FORMATS or key in _INT_OPTIONS and key in options)
+                or type(value) is not str
+                or value[:1] == "-" and not value[1:].isdecimal()):
+            return None
+        try:
+            # an int by the int() that type=int calls, which may refuse it
+            setattr(args, key, value if key == "format" else int(value))
+        except ValueError:
+            return None
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argv in exact form, the bulk of batch traffic, builds no parser
+    args = _exact_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         if getattr(args, "p", 0) > _MAX_P:
             raise ValueError(f"p = {args.p} is above the ceiling {_MAX_P} for trial division")

@@ -66,20 +66,28 @@ def test_the_check_holds_a_file_to_the_rows_it_names():
 
 
 def test_a_parent_session_alternates_the_trees_run_by_run(tmp_path, monkeypatch):
-    """With --parent, each run of a row in one checkout sits beside one in the
-    other, which goes first alternates, and each file names its own tree."""
+    """With --parent, each tree first makes one untimed warm-up run, then each run
+    of a row in one checkout sits beside one in the other, which goes first
+    alternates, each tree keeps its .pyc files in a directory of its own, and
+    each file names its own tree."""
     expect = dict(bench.ROWS)
-    order = []
+    order, pycaches = [], {}
 
-    def run(argv, root):
-        order.append(root)
-        return {"time_s": 0.1, "peak_rss_mb": 10.0, "exit": expect[" ".join(argv)]}
+    def run(argv, root, pycache):
+        order.append((root, " ".join(argv)))
+        pycaches.setdefault(root, set()).add(pycache)
+        return {"time_s": 0.1, "peak_rss_mb": 10.0, "exit": expect.get(" ".join(argv), 0)}
 
     monkeypatch.setattr(bench, "_run", run)
     monkeypatch.setattr(bench, "_git", lambda root, *args: str(root) if "HEAD" in args else "")
     parent = tmp_path / "parent"
     bench.main(["--out", str(tmp_path / "BENCH_9.json"), "--parent", str(parent)])
-    pairs = [tuple(order[k:k + 2]) for k in range(0, len(order), 2)]
+    warm_up = " ".join(bench.WARM_UP)
+    assert sorted(order[:2]) == sorted([(bench.ROOT, warm_up), (parent, warm_up)])
+    assert [len(dirs) for dirs in pycaches.values()] == [1, 1]
+    assert len(set.union(*pycaches.values())) == 2
+    roots = [root for root, _ in order[2:]]
+    pairs = [tuple(roots[k:k + 2]) for k in range(0, len(roots), 2)]
     assert len(pairs) == bench.RUNS * len(bench.ROWS)
     assert all(set(pair) == {bench.ROOT, parent} for pair in pairs)
     # the first tree differs from row to row within a round and from round to

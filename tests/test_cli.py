@@ -653,14 +653,24 @@ def test_main_builds_the_parser_tree_at_most_once(capsys, monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    def requests(d):
+        return (("enumerate", "--d", d), ("strata", "--d", d, "--format", "json"),
+                ("dual", "--d", d), ("certify", "--d", d, "--verify"),
+                ("localmodel", "--q", "3", "--M", "2" if d == "x" else "3"))
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for d in ("-1", "0", "1", "x"):
-        for argv in (("enumerate", "--d", d), ("strata", "--d", d, "--format", "json"),
-                     ("dual", "--d", d), ("certify", "--d", d, "--verify"),
-                     ("localmodel", "--q", "3", "--M", "2" if d == "x" else "3")):
+    build_parser.cache_clear()
+    # argv in exact form are read from the option tables: no parser at all
+    for d in ("-1", "0", "1"):
+        for argv in requests(d):
             run(capsys, *argv)
-    # one root parser and one subparser per command, or none if already built
-    assert len(built) <= 1 + len(_COMMANDS)
+    assert built == []
+    # help and usage errors build the tree once: one root parser and one
+    # subparser per command, shared by every later call
+    for argv in (*requests("x"), ("--help",), ("enumerate", "--help"), ("enumerate", "--d"),
+                 ("strata", "--form", "json"), *requests("x")):
+        run(capsys, *argv)
+    assert len(built) == 1 + len(_COMMANDS)
 
 
 # help, usage errors, parameter errors, a non-prime characteristic and valid

@@ -1,4 +1,5 @@
-"""Every recorded request answers byte for byte as recorded.
+"""Every recorded request answers byte for byte as recorded, and is read
+without building the argument parser.
 
 ``frobbench/goldens.json`` maps each argv of the benchmark's workloads, joined
 by spaces, to ``[exit code, stdout digest, stderr digest]``, a digest being the
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from frobstrat.cli import main
+from frobstrat.cli import _exact_args, build_parser, main
 
 GOLDENS = Path(__file__).resolve().parents[1] / "frobbench" / "goldens.json"
 
@@ -82,6 +83,17 @@ def test_every_golden_argv_replays_byte_identically():
         got = _record(key.split(" "))
         diffs += [f"{key!r}: {part} differs" for part, g, w in zip(_PARTS, got, want) if g != w]
     assert not diffs, "\n".join(diffs)
+
+
+def test_every_golden_argv_is_read_in_exact_form_as_argparse_reads_it():
+    # the benchmark's traffic is what the exact-form reader is for
+    with open(GOLDENS, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    for key in goldens:
+        argv = key.split(" ")
+        args = _exact_args(argv)
+        assert args is not None, key
+        assert vars(args) == vars(build_parser().parse_args(argv)), key
 
 
 def test_help_texts_are_unchanged():

@@ -1,5 +1,6 @@
 """Property tests on polygons drawn from small enumerations, on exact row
-reduction over GF(3^m) and on the CLI's JSON writer (needs hypothesis)."""
+reduction over GF(3^m), on the CLI's JSON writer and on its exact-form argv
+reader (needs hypothesis)."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from frobstrat.cli import _json_text, main  # noqa: E402
+from frobstrat.cli import _COMMANDS, _exact_args, _json_text, build_parser, main  # noqa: E402
 from frobstrat.gfield import FieldElement, ProjectivePoint, field_make  # noqa: E402
 from frobstrat.localmodel import _rank, _reduce_against, _rref  # noqa: E402
 from frobstrat.polygon import (  # noqa: E402
@@ -179,8 +180,14 @@ drawn_points = st.sampled_from(list(FIELDS.values())).flatmap(
 drawn_elements = st.sampled_from(list(FIELDS.values())).flatmap(
     lambda field: st.lists(st.sampled_from(field.elements), min_size=1, max_size=4)).flatmap(
         lambda elems: st.sampled_from([elems, tuple(elems)]))
+# lists that mix elements of several fields, or elements with ints, which no
+# template of one m can write
+all_elements = [e for field in FIELDS.values() for e in field.elements]
+drawn_mixed = st.lists(st.sampled_from(all_elements) | st.integers(), min_size=2,
+                       max_size=4).filter(
+    lambda v: len({e.spec.m if isinstance(e, FieldElement) else None for e in v}) > 1)
 payloads = st.recursive(
-    scalars | drawn_polygons | drawn_points | drawn_elements,
+    scalars | drawn_polygons | drawn_points | drawn_elements | drawn_mixed,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(keys, inner, max_size=4)),
     max_leaves=30)
@@ -212,7 +219,8 @@ entry_values = (st.integers() | st.booleans() | st.none() | strings | percent
                 | drawn_polygons | drawn_polygons.map(lambda P: P.vertices)
                 | st.sampled_from([FIELDS[1], FIELDS[2]]).flatmap(
                     lambda field: st.lists(st.sampled_from(field.elements),
-                                           min_size=1, max_size=3)))
+                                           min_size=1, max_size=3))
+                | drawn_mixed)
 
 
 @st.composite
@@ -286,3 +294,48 @@ def test_dual_rows_write_the_vertices_of_both_polygons(d):
         verts, dual_verts = _columns(row, "   ", " -> ")
         assert _pairs(verts) == P.vertices
         assert _pairs(dual_verts) == dualize_polygon(P).vertices
+
+
+# every exact option of every command, the two others, and tokens argparse reads
+# otherwise: an unknown option, prefixes, --opt=value, help and the separator
+OPTION_TOKENS = sorted({f"--{o}" for *_, options in _COMMANDS for o in options}) + [
+    "--format", "--verify", "--bogus", "--form", "--verif", "--fo", "--d=3", "-h", "--help", "--"]
+# ints in every form int() reads, negative numbers, and values argparse refuses or
+# takes for an option (int() reads -3_000 and "-3\t", argparse neither); 3 is no str
+VALUE_TOKENS = ["3", "-3", "-0", "+3", " 3", "3_000", "-3_000", "\u0663", "-\u0663", "-3\n",
+                "-3\t", "1.5", "-.5", "x", "", "-", "table", "json", "9" * 5000, 3]
+COMMAND_NAMES = [name for name, *_ in _COMMANDS]
+
+
+@st.composite
+def drawn_argv(draw):
+    """A command's name or a stray token, then tokens from the pools.  A part is one of the
+    command's own options and a value, so that the reader often answers, any option and
+    a value, --verify, or a lone token."""
+    head = draw(st.sampled_from(COMMAND_NAMES + ["nosuch", "--d", "3", "-h"]))
+    own = [f"--{o}" for name, _, _, options in _COMMANDS if name == head for o in options]
+    argv = [head]
+    for _ in range(draw(st.integers(0, 4))):
+        part = draw(st.integers(0, 4))
+        if part < 3:
+            options = own + ["--format"] if part < 2 else OPTION_TOKENS
+            argv += [draw(st.sampled_from(options)), draw(st.sampled_from(VALUE_TOKENS))]
+        elif part == 3:
+            argv.append("--verify")
+        else:
+            argv.append(draw(st.sampled_from(OPTION_TOKENS + VALUE_TOKENS)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(drawn_argv())
+def test_the_exact_reader_answers_only_as_argparse_does(argv):
+    args = _exact_args(argv)
+    if args is not None:
+        # argparse accepts the same argv and gives values equal and of the same types
+        try:
+            want = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}, which the reader answers")
+        assert vars(args) == want
+        assert {k: type(v) for k, v in vars(args).items()} == {k: type(v) for k, v in want.items()}

@@ -10,7 +10,13 @@ a git checkout of the parent commit (a ``git worktree`` or a ``git clone``),
 each run of a row in this checkout sits beside one in DIR, timed from DIR's
 ``src/``; which tree goes first alternates from row to row and from round to
 round.  DIR's rows go to ``BENCH_<n>_parent.json`` beside ``--out``, with
-DIR's own commit in their metadata.  A row records each
+DIR's own commit in their metadata.  Both trees are compiled alike: each
+tree's children keep their ``.pyc`` files under a temporary directory of that
+tree's own (``PYTHONPYCACHEPREFIX``), and write them even where the caller's
+environment sets ``PYTHONDONTWRITEBYTECODE``, which would leave a fresh
+``git clone`` without them and recompile ``src/`` in every one of its runs.
+One untimed warm-up run per tree, ``WARM_UP``, fills that directory before
+round 0.  A row records each
 run's wall time (interpreter start-up included), the peak resident set size
 that ``os.wait4`` reports for the child (``ru_maxrss``, in KiB on Linux) and its
 exit code, and the median of the times and of the peaks.  The rows are
@@ -30,6 +36,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,14 +69,19 @@ ROWS = (
     ("certify --p 9973 --r 9973 --verify", 1),
 )
 
+# the untimed first run in each tree: certify imports every module a row does,
+# fractions included, which no other command imports
+WARM_UP = ("certify", "--verify")
 
-def _run(argv, root):
+
+def _run(argv, root, pycache):
     """{time_s, peak_rss_mb, exit} of one fresh frobstrat process run from the
-    ``src/`` of the checkout ``root``."""
+    ``src/`` of the checkout ``root``, its ``.pyc`` files kept under ``pycache``."""
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONPYCACHEPREFIX": pycache}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "frobstrat", *argv], cwd=root,
-                             env={**os.environ, "PYTHONPATH": path},
+    child = subprocess.Popen([sys.executable, "-m", "frobstrat", *argv], cwd=root, env=env,
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
     elapsed = time.perf_counter() - start
@@ -145,13 +157,17 @@ def main(argv=None):
     # read before any run, so that a DIR that is no git checkout fails at once
     metas = {path: _meta(root) for path, root in trees.items()}
     runs = {(path, text): [] for path in trees for text, _ in ROWS}
-    for k in range(RUNS):
-        for i, (text, _) in enumerate(ROWS):
-            order = list(trees.items())
-            if (k + i) % 2:
-                order.reverse()
-            for path, root in order:
-                runs[path, text].append(_run(text.split(), root))
+    with tempfile.TemporaryDirectory() as tmp:
+        pycaches = {root: os.path.join(tmp, str(n)) for n, root in enumerate(trees.values())}
+        for root, pycache in pycaches.items():
+            _run(WARM_UP, root, pycache)
+        for k in range(RUNS):
+            for i, (text, _) in enumerate(ROWS):
+                order = list(trees.items())
+                if (k + i) % 2:
+                    order.reverse()
+                for path, root in order:
+                    runs[path, text].append(_run(text.split(), root, pycaches[root]))
     docs = []
     for path in trees:
         rows = []
