@@ -67,9 +67,10 @@ _MAX_Q = REGIME[0] ** 5
 # largest --p, checked before its primality is tested by trial division up to sqrt(p)
 _MAX_P = 10_000
 
-# largest localmodel --M: the --verify oracle's unit rows of U hold (9M - 9) x 9M
-# entries, whatever q, and stay cached, at M only (the guard at M + 1 builds no
-# W); with --verify, q = 3 peaked at 21 MB resident at M = 100 and at 74 MB at M = 300
+# largest localmodel --M: neither the quotient nor the --verify oracle looks past
+# the block i < 3, so only --verify's guard grows with M, building the tau^2 t^k at
+# M + 1, about 3M tensor elements, and no W; with --verify, q = 3 peaked at 14 MB
+# resident both at M = 100 and at M = 300
 _MAX_M = 100
 
 

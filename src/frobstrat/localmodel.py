@@ -312,27 +312,30 @@ class SubmoduleV(Record):
         _set(self, "h", (a.index, b.index, c.index))
 
 
+def _kernel_rows(field, p, h):
+    """W's rows e_(i,j) - (h_i/h_c) e_(c,j), i != c, j < p, c the last nonzero coordinate
+    of h, as (pivot column, other column, entry) triples on the block i < p: the one place
+    the lemma's rows are written.  No row is nonzero in another's pivot column."""
+    c = 2 if h[2] else 1 if h[1] else 0
+    scale = field._mul[field._neg[field._inv[h[c]]]]  # x -> -x/h_c
+    return [(i * p + j, c * p + j, scale[h[i]]) for i in range(p) if i != c for j in range(p)]
+
+
 def pullback_span(V):
     """Reduced echelon basis of the image W of V (x)_R S in the truncated model.
 
     W is spanned by (t^{pa} v) (x) t^j over the R-generators v of V (ker h in
     span{1, .., t^{p-1}}, and t^p, .., t^{2p-1}), a < M and j < p.  The shifted
     t^p, .., t^{2p-1} span U = <t^i (x) t^j : i >= p>, so W = ker(h) (x) k^p + U.
-    With c the last nonzero coordinate of h, the rows e_(i,j) - (h_i/h_c) e_(c,j)
-    for i != c, j < p, then a unit row per column of U, sorted by pivot, are each
-    zero in the others' pivot columns: the unique reduced row echelon form of W,
-    which row-reducing the spanning set would also give."""
-    field, p, h = V.spec.field, V.spec.p, V.h
-    c = 2 if h[2] else 1 if h[1] else 0  # the last nonzero coordinate
-    scale = field._mul[field._neg[field._inv[h[c]]]]  # x -> -x/h_c
-    pivots = [i * p + j for i in range(p) if i != c for j in range(p)]
-    zero = [0] * V.spec.dimension
-    mat = [zero.copy() for _ in pivots]
-    for row, k in zip(mat, pivots):
-        row[k] = 1  # index 1 is the field's one
-        row[c * p + k % p] = scale[h[k // p]]
-    unit_rows, unit_pivots = _unit_rows(p * p, V.spec.dimension)
-    return SubspaceBasis(V.spec, mat + unit_rows, pivots + unit_pivots)
+    The rows of _kernel_rows, then a unit row per column of U, sorted by pivot, are
+    the unique reduced row echelon form of W, which row-reducing the spanning set gives."""
+    p, dimension = V.spec.p, V.spec.dimension
+    rows = _kernel_rows(V.spec.field, p, V.h)
+    # index 1 is the field's one
+    mat = [[1 if col == k else x if col == other else 0 for col in range(dimension)]
+           for k, other, x in rows]
+    unit_rows, unit_pivots = _unit_rows(p * p, dimension)
+    return SubspaceBasis(V.spec, mat + unit_rows, [k for k, _, _ in rows] + unit_pivots)
 
 
 @lru_cache(maxsize=8)
@@ -376,20 +379,6 @@ def _truncation_stable(spec):
     cuts = [tuple(e.dense()[:spec.p ** 2]) for e in _tau_square_multiples(spec)]
     # the nonzero cuts are the table, and all of them come before the first zero one
     return tuple(filter(any, cuts)) == _tau_square_blocks(spec.p) == tuple(takewhile(any, cuts))
-
-
-def _tau_square_residues(W):
-    """Residues modulo W of tau^2 t^k for each block X_k, cut to the block i < p,
-    its first p^2 coordinates.  Exact when W contains U: W's reduced rows from
-    pivot p^2 on are then U's unit rows and the n before them are zero past the
-    block, so a full residue is the block reduced against those n, zero-padded."""
-    p2 = W.spec.p ** 2
-    n = W.dim - (W.spec.dimension - p2)
-    if n < 0 or W._pivots[n] != p2:
-        raise RuntimeError("W does not contain U: the block reduction would be wrong")
-    field, mat, pivots = W.spec.field, W._mat[:n], W._pivots[:n]
-    for block in _tau_square_blocks(W.spec.p):
-        yield _reduce_against(field, mat, pivots, block)
 
 
 @cache
@@ -438,11 +427,24 @@ def quotient_classification(V):
     return _classify(V.spec.field, V.h)
 
 
+def _oracle_residues(field, h):
+    """Residues modulo W of the tau^2 blocks X_k of the point h, reduced against
+    _kernel_rows alone: exact at every M, as U's unit rows clear W past the block,
+    where the kernel rows are zero.  No row's other column is a pivot: one pass."""
+    add, neg, mul = field._add, field._neg, field._mul
+    rows = _kernel_rows(field, field.p, h)
+    residues = [list(block) for block in _tau_square_blocks(field.p)]
+    for v in residues:
+        for k, other, x in rows:
+            y = v[k]
+            if y:  # v -= y * row: the pivot entry is one, the other entry x
+                v[k], v[other] = 0, add[v[other]][neg[mul[y][x]]]
+    return residues
+
+
 def _full_model(spec, h):
-    """The --verify oracle for _classify: (colength, claim results) of the point h from
-    W itself, the tau^2 residues reduced against the rows of its submodule's pullback_span."""
-    V = SubmoduleV(spec, ProjectivePoint([spec.field.elements[i] for i in h]))
-    return _colength_and_claims(spec.field, h, list(_tau_square_residues(pullback_span(V))))
+    """The --verify oracle for _classify, from the tau^2 residues modulo W itself."""
+    return _colength_and_claims(spec.field, h, _oracle_residues(spec.field, h))
 
 
 def intersection_colength(V):
@@ -489,7 +491,7 @@ def stratum_census(spec):
 
 def _plane_classes(spec, verify=False):
     """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
-    with ``verify`` the full model W of the point's submodule must agree on each."""
+    with ``verify`` the full-model oracle must agree on each."""
     field = spec.field
     for h in _plane_indices(field.q):
         col, res = _classify(field, h)

@@ -3,7 +3,8 @@
 Nothing in ``frobstrat`` computes these: a polygon's exact slopes and their
 largest gap come from its ``vertices``, the list forms ``json.dumps`` writes
 for polygons, plane points and field elements from ``vertices`` and
-``coeffs``, and a basis's tensor elements from its reduced rows ``_mat``.
+``coeffs``, a basis's tensor elements from its reduced rows ``_mat``, and the
+tau^2 residues modulo a dense W from its reduced rows and pivots.
 The four (3, 2, 3) polygons are spelled out as the paper's vertex formulas in
 d, which the names ``frobstrat`` computes by rule must match.  The number of
 destabilized polygons is counted from their definition alone.
@@ -14,7 +15,7 @@ from functools import cache
 from math import gcd
 
 from frobstrat.gfield import FieldElement, ProjectivePoint
-from frobstrat.localmodel import TensorElement
+from frobstrat.localmodel import TensorElement, _reduce_against, _tau_square_blocks
 from frobstrat.polygon import LatticePolygon
 
 
@@ -110,3 +111,16 @@ def basis_rows(W):
     return tuple(TensorElement(W.spec, {(k // p, k % p): elems[idx]
                                         for k, idx in enumerate(row) if idx})
                  for row in W._mat)
+
+
+def tau_square_residues(W):
+    """Residues modulo W of tau^2 t^k for each block X_k, cut to the block i < p,
+    its first p^2 coordinates.  Exact when W contains U: W's reduced rows from
+    pivot p^2 on are then U's unit rows and the n before them are zero past the
+    block, so a full residue is the block reduced against those n, zero-padded."""
+    p2 = W.spec.p ** 2
+    n = W.dim - (W.spec.dimension - p2)
+    if n < 0 or W._pivots[n] != p2:
+        raise RuntimeError("W does not contain U: the block reduction would be wrong")
+    field, mat, pivots = W.spec.field, W._mat[:n], W._pivots[:n]
+    return [_reduce_against(field, mat, pivots, block) for block in _tau_square_blocks(W.spec.p)]

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from frobstrat import localmodel
-from frobstrat.cli import main
+from frobstrat.cli import _MAX_M, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.localmodel import (
     ModelSpec,
@@ -17,7 +17,6 @@ from frobstrat.localmodel import (
     _reduce_against,
     _rref,
     _tau_square_multiples,
-    _tau_square_residues,
     claim_results,
     classify_stratum,
     intersection_colength,
@@ -30,7 +29,7 @@ from frobstrat.localmodel import (
     times_t_right,
 )
 from frobstrat.polygon import PSI2, PSI3, PSI4
-from oracles import basis_rows
+from oracles import basis_rows, tau_square_residues
 
 
 def pt(spec_field, *coords):
@@ -267,22 +266,21 @@ def _count_calls(capsys, argv):
 
 def test_localmodel_row_reduces_only_for_colengths(capsys):
     """localmodel classifies each point from its quotient h^T X_k and builds no W;
-    --verify builds one W per point, at M, for the full-model oracle, and checks
-    the tau^2 table at M + 1 once per request without building a W there; the
-    quotient's colength is taken once, at M.  _rank runs at most once per
-    colength, of the quotient or of the oracle, and _rref never inside pullback_span,
-    which writes W down without row reduction.  The walk runs on index triples:
-    only --verify builds a plane point and its submodule, one each per point,
-    for the oracle."""
+    --verify runs the full-model oracle once per point, at M, on W's kernel rows
+    as index triples, and checks the tau^2 table at M + 1 once per request; no
+    dense W is built at either.  The quotient's colength is taken once, at M.
+    _rank runs at most once per colength, of the quotient or of the oracle.  The
+    walk and the oracle run on index triples: neither builds a plane point or a
+    submodule."""
     calls = _count_calls(capsys, ["localmodel", "--q", "9"])
     assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 0, calls
     assert calls["rank"] <= calls["colength"], calls
     assert calls["point"] == calls["submodule"] == 0, calls
     calls = _count_calls(capsys, ["localmodel", "--q", "9", "--verify"])
-    assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 91, calls
+    assert calls["colength"] == calls["oracle"] == 91 and calls["span"] == 0, calls
     assert calls["rref in span"] == 0
     assert calls["rank"] <= calls["colength"] + calls["oracle"], calls
-    assert calls["point"] == calls["submodule"] == 91, calls
+    assert calls["point"] == calls["submodule"] == 0, calls
 
 
 def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
@@ -326,7 +324,7 @@ def test_block_residues_are_the_full_residues(m, M):
         V = SubmoduleV(spec, point)
         W = pullback_span(V)
         full = _full_residues(W)
-        residues = [list(r) for r in _tau_square_residues(W)]
+        residues = tau_square_residues(W)
         assert residues == [r[:p2] for r in full[:len(residues)]], point
         assert not any(any(b) for b in blocks[len(residues):]), point
         assert not any(any(r[p2:]) for r in full), point
@@ -350,20 +348,29 @@ def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
     short = SubspaceBasis(model3, W._mat[:-1], W._pivots[:-1])
     for bad in (line, short):
         with pytest.raises(RuntimeError):
-            list(_tau_square_residues(bad))
+            tau_square_residues(bad)
 
 
 def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     """At q = 9 the oracle of --verify reduces each tau^2 block against the
-    p(p-1) = 6 block rows of W alone, and each colength, of the quotient or of
-    the oracle, ranks at most p = 3 rows."""
-    reduce_against, rank = localmodel._reduce_against, localmodel._rank
-    reduced, ranked = [], []
+    p(p-1) = 6 kernel rows of W alone, and each colength, of the quotient or of
+    the oracle, ranks at most p = 3 rows; the same at M = 3 and at the ceiling,
+    since the oracle never looks past the block."""
+    kernel_rows, residues_of = localmodel._kernel_rows, localmodel._oracle_residues
+    rank = localmodel._rank
+    rows_per_point, reduced, ranked = [], [], []
 
-    def reduce_spy(field, mat, pivots, vec):
-        if sys._getframe(1).f_code is localmodel._tau_square_residues.__code__:
-            reduced.append((len(mat), len(vec)))
-        return reduce_against(field, mat, pivots, vec)
+    def kernel_rows_spy(field, p, h):
+        rows = kernel_rows(field, p, h)
+        if sys._getframe(1).f_code is residues_of.__code__:
+            rows_per_point.append(len(rows))
+        return rows
+
+    def residues_spy(field, h):
+        # each residue is one block reduced against the point's kernel rows
+        residues = residues_of(field, h)
+        reduced.extend((rows_per_point[-1], len(v)) for v in residues)
+        return residues
 
     def rank_spy(field, rows):
         rows = list(rows)
@@ -371,15 +378,52 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
             ranked.append(len(rows))
         return rank(field, rows)
 
-    monkeypatch.setattr(localmodel, "_reduce_against", reduce_spy)
+    monkeypatch.setattr(localmodel, "_kernel_rows", kernel_rows_spy)
+    monkeypatch.setattr(localmodel, "_oracle_residues", residues_spy)
     monkeypatch.setattr(localmodel, "_rank", rank_spy)
-    assert main(["localmodel", "--q", "9", "--verify"]) == 0
-    capsys.readouterr()
-    # the oracle reduces the three nonzero blocks per point, at M only; the
-    # quotient and the oracle are each ranked once per point
-    assert len(reduced) == 3 * 91
-    assert all(n <= 6 and length <= 9 for n, length in reduced), max(reduced)
-    assert len(ranked) == 2 * 91 and max(ranked) <= 3, max(ranked)
+    for M in (3, _MAX_M):
+        rows_per_point.clear()
+        reduced.clear()
+        ranked.clear()
+        assert main(["localmodel", "--q", "9", "--M", str(M), "--verify"]) == 0
+        capsys.readouterr()
+        # the oracle reduces the three nonzero blocks per point, at M only; the
+        # quotient and the oracle are each ranked once per point
+        assert len(rows_per_point) == 91 and len(reduced) == 3 * 91, M
+        assert all(n <= 6 and length <= 9 for n, length in reduced), (M, max(reduced))
+        assert len(ranked) == 2 * 91 and max(ranked) <= 3, (M, max(ranked))
+
+
+def test_localmodel_verify_builds_no_unit_rows(capsys):
+    """The oracle reduces on the block i < p alone, so --verify at the M ceiling
+    leaves the cache of U's unit rows empty."""
+    localmodel._unit_rows.cache_clear()
+    assert main(["localmodel", "--q", "3", "--M", str(_MAX_M), "--verify"]) == 0
+    assert f"stable at M={_MAX_M + 1}: PASS" in capsys.readouterr().out
+    assert localmodel._unit_rows.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3], ids=["GF3", "GF9", "GF27"])
+@pytest.mark.parametrize("M", [3, 4, 6])
+def test_oracle_residues_are_the_dense_W_residues(m, M):
+    """Entry by entry, the oracle's residues of the tau^2 blocks are those of the
+    dense reduced form of W, and _kernel_rows written out densely are
+    pullback_span's first p(p-1) rows cut to the block: a flipped sign in the
+    elimination agrees with the quotient on every colength and claim, so only
+    these entries tell it apart."""
+    field = field_make(3, m)
+    spec = ModelSpec(field, M)
+    p, p2 = spec.p, spec.p ** 2
+    for point in projective_plane(field):
+        V = SubmoduleV(spec, point)
+        W = pullback_span(V)
+        assert localmodel._oracle_residues(field, V.h) == tau_square_residues(W), point
+        dense = []
+        for k, other, x in localmodel._kernel_rows(field, p, V.h):
+            row = [0] * p2
+            row[k], row[other] = 1, x
+            dense.append(row)
+        assert dense == [row[:p2] for row in W._mat[:p * (p - 1)]], point
 
 
 def test_membership_trivialities(f3, f9, model3, model9):

@@ -45,6 +45,18 @@ UNREACHED = {
         (API, "a submodule's classification; the plane walk classifies index triples"),
     "gfield:projective_plane": (FROBBENCH, "a traced layer; the plane walk runs on index triples"),
     "localmodel:SubspaceBasis.contains": (API, "exact membership, the lemma the tests check"),
+    "localmodel:pullback_span": (FROBBENCH, "a traced layer, and the dense W whose rows and "
+                                 "residues the tests hold the --verify oracle to"),
+    "localmodel:_unit_rows": (API, "U's rows in pullback_span's dense W; the oracle "
+                              "reduces on the block i < p alone"),
+    "localmodel:_reduce_against": (API, "membership in a dense W, SubspaceBasis.contains"),
+    "localmodel:SubspaceBasis.__init__":
+        (API, "a dense basis; the oracle eliminates against W's kernel rows as triples"),
+    "localmodel:SubmoduleV.__init__":
+        (API, "a submodule of a point; the plane walk and its oracle take index triples"),
+    "gfield:ProjectivePoint.__init__":
+        (API, "a point from elements; the plane walk and its oracle take index triples"),
+    "gfield:ProjectivePoint.spec": (API, "a point's field, read by SubmoduleV and repr"),
     "gfield:FieldSpec.element": (API, "an element from an int or coefficients"),
     "gfield:ProjectivePoint.of": (API, "a point from ints or coefficient lists"),
     "gfield:FieldElement.__sub__": (API, "element arithmetic; commands use the index tables"),

@@ -21,7 +21,8 @@ run's wall time (interpreter start-up included), the peak resident set size
 that ``os.wait4`` reports for the child (``ru_maxrss``, in KiB on Linux) and its
 exit code, and the median of the times and of the peaks.  The rows are
 ROADMAP's Baseline CLI rows, every enumerate size in both formats, and the
-local model at q = 81 and 243 in both formats and with --verify.  The file
+local model at q = 81 and 243 in both formats and with --verify, and at
+q = 243 with --verify at the M = 100 ceiling.  The file
 also records the Python version, the platform, ``os.cpu_count()``, the commit
 and the date.  A shared host's speed varies from minute to minute, so compare
 only the two files of one ``--parent`` session.
@@ -58,6 +59,7 @@ ROWS = (
     ("localmodel --q 243", 0),
     ("localmodel --q 243 --format json", 0),
     ("localmodel --q 243 --verify", 0),
+    ("localmodel --q 243 --M 100 --verify", 0),
     ("enumerate --p 3 --g 2 --r 10 --d 1", 0),
     ("enumerate --p 3 --g 2 --r 10 --d 1 --format json", 0),
     ("enumerate --p 3 --g 2 --r 12 --d 1", 0),
