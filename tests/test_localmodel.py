@@ -408,9 +408,10 @@ def test_localmodel_verify_builds_no_unit_rows(capsys):
 def test_oracle_residues_are_the_dense_W_residues(m, M):
     """Entry by entry, the oracle's residues of the tau^2 blocks are those of the
     dense reduced form of W, and _kernel_rows written out densely are
-    pullback_span's first p(p-1) rows cut to the block: a flipped sign in the
-    elimination agrees with the quotient on every colength and claim, so only
-    these entries tell it apart."""
+    pullback_span's first p(p-1) rows cut to the block, rows that
+    test_pullback_span_is_the_reduced_form_of_its_spanning_rows pins to the
+    spanning set.  A flipped sign in the elimination agrees with the quotient on
+    every colength and claim, so only these entries tell it apart."""
     field = field_make(3, m)
     spec = ModelSpec(field, M)
     p, p2 = spec.p, spec.p ** 2
