@@ -16,7 +16,8 @@ M >= 3 keeps every exponent the classification touches (at most 5) alive.
 """
 
 from functools import cache, lru_cache
-from itertools import takewhile
+from itertools import count, takewhile
+from math import comb
 
 from ._record import Record, _set
 from .gfield import FieldElement, FieldSpec, ProjectivePoint, _plane_indices, _point_text
@@ -198,40 +199,22 @@ def _reduce_against(field, mat, pivots, vec):
 
 
 def _rref(field, rows):
-    """Reduced row echelon form over the field; rows are element-index vectors.
-
-    Column order is the monomial order baked into the flattening, so the
-    result is the canonical reduced basis.  Returns the independent rows
-    sorted by pivot column and those pivot columns; input rows are not mutated.
-    """
+    """Canonical reduced row echelon form of the element-index rows over the field: the
+    independent rows as copies, sorted by pivot column (monomial order), and their pivots."""
     # no command calls this: it builds SubspaceBasis.from_spanning and is the
     # tests' oracle for pullback_span and _rank
-    add, neg, mul, inv = field._add, field._neg, field._mul, field._inv
-    basis = {}
+    basis = {}  # pivot column -> reduced row
     for row in rows:
-        v = list(row)
-        for pc, prow in basis.items():
-            x = v[pc]
-            if x:
-                mrow = mul[neg[x]]
-                for k in range(pc, len(v)):
-                    v[k] = add[v[k]][mrow[prow[k]]]
+        v = _reduce_against(field, basis.values(), basis, row)
         for pc, x in enumerate(v):
             if x:
+                srow = field._mul[field._inv[x]]  # scale the leading entry to one
+                v = [srow[a] for a in v]
+                # clear the new pivot column from the earlier rows that hold it
+                for qc in [qc for qc, qrow in basis.items() if qrow[pc]]:
+                    basis[qc] = _reduce_against(field, [v], [pc], basis[qc])
+                basis[pc] = v
                 break
-        else:
-            continue
-        if x != 1:  # index 1 is the field's one
-            srow = mul[inv[x]]
-            v = [srow[a] for a in v]
-        # clear the new pivot column from the earlier rows, copies of their inputs
-        for qrow in basis.values():
-            x = qrow[pc]
-            if x:
-                mrow = mul[neg[x]]
-                for k in range(pc, len(v)):
-                    qrow[k] = add[qrow[k]][mrow[v[k]]]
-        basis[pc] = v
     pivots = sorted(basis)
     return [basis[pc] for pc in pivots], pivots
 
@@ -286,6 +269,13 @@ class SubspaceBasis:
                                        e.dense()))
 
 
+def _check_characteristic(p):
+    # the plane of colength-1 submodules, cut out by functionals on 1, t, t^2, is p = 3's
+    if p != REGIME[0]:
+        raise ValueError("the hyperplane encoding of colength-1 submodules is "
+                         f"implemented for p = {REGIME[0]}")
+
+
 class SubmoduleV(Record):
     """Colength-1 R-submodule of S, cut out by a hyperplane functional.
 
@@ -300,9 +290,7 @@ class SubmoduleV(Record):
     __slots__ = __match_args__ + ("h",)
 
     def __init__(self, spec: ModelSpec, hyperplane: ProjectivePoint):
-        if spec.p != REGIME[0]:
-            raise ValueError("the hyperplane encoding of colength-1 submodules is "
-                             f"implemented for p = {REGIME[0]}")
+        _check_characteristic(spec.p)
         # identity first: != would run the Python-level Record.__eq__
         if hyperplane.spec is not spec.field and hyperplane.spec != spec.field:
             raise ValueError("hyperplane point lives over a different field")
@@ -364,13 +352,14 @@ def tau_square_span(spec):
 @cache
 def _tau_square_blocks(p):
     """The blocks X_k, the first p^2 coordinates (left exponent i < p) of tau^2 t^k,
-    before the first zero one (none at p = 2, where tau^2 = 0).  Right multiplication
-    by t never lowers a left exponent, so from that block on every tau^2 t^k lies
-    in U, and truncation at any M >= 3 leaves the blocks whole.  Their entries are
-    integers mod p, whose element indices are the same in every GF(p^m): one
-    build over GF(p) at M = 3 serves every model of characteristic p."""
-    spec = ModelSpec(FieldSpec(p))
-    return tuple(takewhile(any, (tuple(e.dense()[:p * p]) for e in _tau_square_multiples(spec))))
+    before the first zero one (none at p = 2, where tau^2 = 0), in closed form: over R,
+    tau^2 t^k = sum_i (-1)^i C(2, i) t^i (x) t^(2-i+k), and t^p in a right exponent moves
+    to the left factor, out of the block.  Right multiplication by t never lowers a left
+    exponent, so later tau^2 t^k lie in U, and any M >= 3 leaves the blocks whole.  The
+    entries are integers mod p, the same element indices in every GF(p^m)."""
+    blocks = (tuple((-1) ** i * comb(2, i) % p if i + j == 2 + k else 0
+                    for i in range(p) for j in range(p)) for k in count())
+    return tuple(takewhile(any, blocks))
 
 
 def _truncation_stable(spec):
@@ -492,6 +481,7 @@ def stratum_census(spec):
 def _plane_classes(spec, verify=False):
     """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
     with ``verify`` the full-model oracle must agree on each."""
+    _check_characteristic(spec.p)
     field = spec.field
     for h in _plane_indices(field.q):
         col, res = _classify(field, h)

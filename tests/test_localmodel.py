@@ -227,31 +227,33 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
 
 def _count_calls(capsys, argv):
     """Calls of _rank, pullback_span, the quotient's colength, the shared
-    colength-and-claims step, the full-model oracle and the constructors of
-    ProjectivePoint and SubmoduleV in one CLI run, and the _rref calls made inside
-    pullback_span."""
+    colength-and-claims step, the full-model oracle, the truncation guard and the
+    constructors of ProjectivePoint, SubmoduleV and TensorElement in one CLI run;
+    "a in b" counts the calls of a made while b runs."""
     names = {localmodel._rank.__code__: "rank", _rref.__code__: "rref",
              pullback_span.__code__: "span",
              localmodel._classify.__code__: "colength",
              localmodel._colength_and_claims.__code__: "step",
              localmodel._full_model.__code__: "oracle",
+             localmodel._truncation_stable.__code__: "guard",
              ProjectivePoint.__init__.__code__: "point",
-             SubmoduleV.__init__.__code__: "submodule"}
+             SubmoduleV.__init__.__code__: "submodule",
+             TensorElement.__init__.__code__: "tensor"}
     calls = Counter()
-    depth = 0
+    running = Counter()
 
     def profile(frame, event, arg):
-        nonlocal depth
         name = names.get(frame.f_code)
-        if name == "span" and event == "return":
-            depth -= 1
-        if event != "call" or name is None:
+        if name is None:
             return
-        calls[name] += 1
-        if name == "span":
-            depth += 1
-        elif name == "rref" and depth:
-            calls["rref in span"] += 1
+        if event == "return":
+            running[name] -= 1
+        elif event == "call":
+            calls[name] += 1
+            for outer, depth in running.items():
+                if depth:
+                    calls[f"{name} in {outer}"] += 1
+            running[name] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -281,6 +283,34 @@ def test_localmodel_row_reduces_only_for_colengths(capsys):
     assert calls["rref in span"] == 0
     assert calls["rank"] <= calls["colength"] + calls["oracle"], calls
     assert calls["point"] == calls["submodule"] == 0, calls
+
+
+@pytest.mark.parametrize("argv, guarded", [
+    (["localmodel", "--q", "9"], False),
+    (["strata", "--verify"], False),
+    (["localmodel", "--q", "9", "--verify"], True),
+], ids=["localmodel", "strata-verify", "localmodel-verify"])
+def test_tensor_elements_are_built_only_by_the_truncation_guard(capsys, argv, guarded):
+    """The tau^2 table is written in closed form, so neither the walk nor the
+    table's first build multiplies TensorElements; only localmodel --verify's
+    guard does, at M + 1, to check the table against the products."""
+    # the run builds the table afresh
+    localmodel._tau_square_blocks.cache_clear()
+    localmodel._block_entries.cache_clear()
+    calls = _count_calls(capsys, argv)
+    assert calls["tensor"] == calls["tensor in guard"], calls
+    assert bool(calls["tensor"]) == guarded, calls
+
+
+def test_census_refuses_a_characteristic_other_than_3():
+    """The plane of colength-1 submodules is p = 3's: stratum_census and the
+    verified walk refuse p = 2 and p = 5 as SubmoduleV does, before any point."""
+    for p in (2, 5):
+        spec = ModelSpec(field_make(p))
+        with pytest.raises(ValueError, match="implemented for p = 3"):
+            stratum_census(spec)
+        with pytest.raises(ValueError, match="implemented for p = 3"):
+            next(localmodel._plane_classes(spec, True))
 
 
 def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
@@ -548,11 +578,13 @@ def test_the_tau_square_table_is_three_blocks_at_every_M():
     """The table keyed by p alone is the one every model would build: over GF(p^m),
     m = 1..3, and at every truncation level M = 3..12, the first p^2 coordinates
     of tau^2 t^k are the table's blocks, then zero.  At p = 3 that is three
-    blocks; at p = 2, where tau^2 = 0, none."""
-    for p, count in ((3, 3), (2, 0)):
+    blocks, at p = 5 five and at p = 7 seven (m = 1, 2 only); at p = 2, where
+    tau^2 = 0, none.  The table is written in closed form, so this compares it
+    with the TensorElement products."""
+    for p, count in ((3, 3), (2, 0), (5, 5), (7, 7)):
         table = localmodel._tau_square_blocks(p)
         assert len(table) == count and all(any(block) for block in table)
-        for m in (1, 2, 3):
+        for m in (1, 2, 3) if p < 7 else (1, 2):
             for M in range(3, 13):
                 spec = ModelSpec(field_make(p, m), M)
                 blocks = [tuple(e.dense()[:p * p]) for e in _tau_square_multiples(spec)]
