@@ -332,10 +332,10 @@ def cmd_localmodel(args):
         raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: the model's unit "
                          f"rows alone would hold ({p2}M - {p2}) x {p2}M = "
                          f"{_int_text((p2 * args.M - p2) * p2 * args.M)} entries")
-    spec = ModelSpec(field_make(REGIME[0], m), args.M)
+    field = field_make(REGIME[0], m)
     # the tau^2 table at M + 1, once per request and before the walk, so that a
     # failing guard still leaves every point to the full model at M
-    stable = args.verify and _truncation_stable(ModelSpec(spec.field, args.M + 1))
+    stable = args.verify and _truncation_stable(ModelSpec(field, args.M + 1))
 
     # one walk of the plane, the full model W (--verify) rechecking every point
     # at M; only the requested format's entry is kept, a point as its field's
@@ -344,8 +344,8 @@ def cmd_localmodel(args):
     census = {PSI2: 0, PSI3: 0, PSI4: 0}
     bad = 0
     entries = []
-    elements, names = spec.field.elements, spec.field.names
-    for h, col, res, lab in _plane_classes(spec, args.verify):
+    elements, names = field.elements, field.names
+    for h, col, res, lab in _plane_classes(field, args.verify):
         if _COLENGTH_LABEL[col] != lab:
             raise RuntimeError(f"point {_point_text(names, h)} has colength {col} "
                                f"but stratum label {lab}")
@@ -596,13 +596,9 @@ def main(argv=None):
         return _render(args, *args.func(args))
     except ValueError as exc:
         return _fail(exc, 2)
-    except RecursionError:
-        # a RuntimeError, but from the input: only the polygon search and the
-        # box scan recurse, one level per segment, so the rank sets the depth
-        r = getattr(args, "r", REGIME[2])
-        return _fail(f"r = {r} needs a polygon search deeper than Python's recursion limit", 2)
     except RuntimeError as exc:
-        # a broken internal invariant: reported, not a traceback
+        # a broken internal invariant, recursion past the limit included: reported,
+        # not a traceback; the polygon search refuses a rank too deep for it itself
         return _fail(exc, 1)
     except BrokenPipeError:
         # the reader closed stdout: what is still buffered goes to /dev/null, so

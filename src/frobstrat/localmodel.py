@@ -32,7 +32,6 @@ __all__ = [
     "classify_stratum",
     "intersection_colength",
     "pullback_span",
-    "quotient_classification",
     "stratum_census",
     "tau_power",
     "tau_square_span",
@@ -300,11 +299,11 @@ class SubmoduleV(Record):
         _set(self, "h", (a.index, b.index, c.index))
 
 
-def _kernel_rows(field, p, h):
+def _kernel_rows(field, h):
     """W's rows e_(i,j) - (h_i/h_c) e_(c,j), i != c, j < p, c the last nonzero coordinate
     of h, as (pivot column, other column, entry) triples on the block i < p: the one place
     the lemma's rows are written.  No row is nonzero in another's pivot column."""
-    c = 2 if h[2] else 1 if h[1] else 0
+    p, c = field.p, 2 if h[2] else 1 if h[1] else 0
     scale = field._mul[field._neg[field._inv[h[c]]]]  # x -> -x/h_c
     return [(i * p + j, c * p + j, scale[h[i]]) for i in range(p) if i != c for j in range(p)]
 
@@ -318,7 +317,7 @@ def pullback_span(V):
     The rows of _kernel_rows, then a unit row per column of U, sorted by pivot, are
     the unique reduced row echelon form of W, which row-reducing the spanning set gives."""
     p, dimension = V.spec.p, V.spec.dimension
-    rows = _kernel_rows(V.spec.field, p, V.h)
+    rows = _kernel_rows(V.spec.field, V.h)
     # index 1 is the field's one
     mat = [[1 if col == k else x if col == other else 0 for col in range(dimension)]
            for k, other, x in rows]
@@ -411,17 +410,12 @@ def _classify(field, h):
     return c, claims
 
 
-def quotient_classification(V):
-    """(colength, claim results) of V from its quotient h^T X_k, as _classify."""
-    return _classify(V.spec.field, V.h)
-
-
 def _oracle_residues(field, h):
     """Residues modulo W of the tau^2 blocks X_k of the point h, reduced against
     _kernel_rows alone: exact at every M, as U's unit rows clear W past the block,
     where the kernel rows are zero.  No row's other column is a pivot: one pass."""
     add, neg, mul = field._add, field._neg, field._mul
-    rows = _kernel_rows(field, field.p, h)
+    rows = _kernel_rows(field, h)
     residues = [list(block) for block in _tau_square_blocks(field.p)]
     for v in residues:
         for k, other, x in rows:
@@ -431,16 +425,16 @@ def _oracle_residues(field, h):
     return residues
 
 
-def _full_model(spec, h):
+def _full_model(field, h):
     """The --verify oracle for _classify, from the tau^2 residues modulo W itself."""
-    return _colength_and_claims(spec.field, h, _oracle_residues(spec.field, h))
+    return _colength_and_claims(field, h, _oracle_residues(field, h))
 
 
 def intersection_colength(V):
     """Colength of the intersection of the base-changed submodule W with the
     tau^2-line E: dim E - dim(E ∩ W) = dim(E + W) - dim W, the rank of the
     images h^T X_k (see _quotient).  It lands in {1, 2, 3} or raises."""
-    return quotient_classification(V)[0]
+    return _classify(V.spec.field, V.h)[0]
 
 
 def _coordinate_label(h):
@@ -465,7 +459,7 @@ def claim_results(V):
     Returns {"a": .., "b": .., "c": .., "d": ..} with True meaning the fact
     holds for this V.
     """
-    return quotient_classification(V)[1]
+    return _classify(V.spec.field, V.h)[1]
 
 
 def stratum_census(spec):
@@ -473,19 +467,18 @@ def stratum_census(spec):
     of the quotient h^T X_k, never by its coordinate label: q^2, q and 1 for Psi2,
     Psi3 and Psi4, partitioning all q^2 + q + 1 points."""
     counts = {PSI2: 0, PSI3: 0, PSI4: 0}
-    for _, col, _, _ in _plane_classes(spec):
+    for _, col, _, _ in _plane_classes(spec.field):
         counts[_COLENGTH_LABEL[col]] += 1
     return counts
 
 
-def _plane_classes(spec, verify=False):
+def _plane_classes(field, verify=False):
     """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
     with ``verify`` the full-model oracle must agree on each."""
-    _check_characteristic(spec.p)
-    field = spec.field
+    _check_characteristic(field.p)
     for h in _plane_indices(field.q):
         col, res = _classify(field, h)
-        if verify and (full := _full_model(spec, h)) != (col, res):
+        if verify and (full := _full_model(field, h)) != (col, res):
             raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "
                                f"{(col, res)}, full model {full}")
         yield h, col, res, _coordinate_label(h)

@@ -222,7 +222,12 @@ def enumerate_destabilized_polygons(params):
             found.append(LatticePolygon(chain + ((r, end_y),)))
 
     # widths, then rises, are tried in ascending order, so chains come out sorted
-    extend(((0, 0),), 0, 0, 0, 0)
+    try:
+        extend(((0, 0),), 0, 0, 0, 0)
+    except RecursionError:
+        # one level per segment, so the rank sets the depth: a refusal of the input
+        raise ValueError(f"r = {r} needs a polygon search deeper than Python's "
+                         "recursion limit") from None
     return found
 
 

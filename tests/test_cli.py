@@ -640,6 +640,23 @@ def test_a_search_deeper_than_the_recursion_limit_exits_2(capsys):
                    "deeper than Python's recursion limit\n")
 
 
+@pytest.mark.parametrize("target, argv", [
+    ("strata_table", ("strata", "--d", "0")),
+    ("name_polygon", ("enumerate", "--d", "0")),
+], ids=["strata", "enumerate-naming"])
+def test_recursion_outside_the_search_exits_1(capsys, monkeypatch, target, argv):
+    """Recursion past the limit anywhere but in the polygon search is a broken
+    invariant, exit 1, and is not reported as the search's depth refusal."""
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(f"frobstrat.cli.{target}", too_deep)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "polygon search" not in err and "r = " not in err
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert main(["enumerate", "--bogus"]) == 2
     capsys.readouterr()

@@ -21,7 +21,6 @@ from frobstrat.localmodel import (
     classify_stratum,
     intersection_colength,
     pullback_span,
-    quotient_classification,
     stratum_census,
     tau_power,
     tau_square_span,
@@ -310,7 +309,7 @@ def test_census_refuses_a_characteristic_other_than_3():
         with pytest.raises(ValueError, match="implemented for p = 3"):
             stratum_census(spec)
         with pytest.raises(ValueError, match="implemented for p = 3"):
-            next(localmodel._plane_classes(spec, True))
+            next(localmodel._plane_classes(spec.field, True))
 
 
 def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
@@ -364,7 +363,7 @@ def test_block_residues_are_the_full_residues(m, M):
         assert claim_results(V) == {"a": not mem[0], "b": mem[1] == (t1 and t2),
                                     "c": mem[2] == t2, "d": mem[3]}, point
         # the quotient h^T X_k and the full model W give the same classification
-        assert quotient_classification(V) == localmodel._full_model(spec, V.h) == \
+        assert localmodel._full_model(field, V.h) == \
             (intersection_colength(V), claim_results(V)), point
     # every W shares U's unit rows; nothing above may have written into them
     dim = spec.dimension
@@ -390,8 +389,8 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     rank = localmodel._rank
     rows_per_point, reduced, ranked = [], [], []
 
-    def kernel_rows_spy(field, p, h):
-        rows = kernel_rows(field, p, h)
+    def kernel_rows_spy(field, h):
+        rows = kernel_rows(field, h)
         if sys._getframe(1).f_code is residues_of.__code__:
             rows_per_point.append(len(rows))
         return rows
@@ -450,7 +449,7 @@ def test_oracle_residues_are_the_dense_W_residues(m, M):
         W = pullback_span(V)
         assert localmodel._oracle_residues(field, V.h) == tau_square_residues(W), point
         dense = []
-        for k, other, x in localmodel._kernel_rows(field, p, V.h):
+        for k, other, x in localmodel._kernel_rows(field, V.h):
             row = [0] * p2
             row[k], row[other] = 1, x
             dense.append(row)
@@ -551,7 +550,7 @@ def _disagreements(monkeypatch, mutate):
         V = SubmoduleV(spec, point)
         images = localmodel._quotient(field, V.h)
         if (localmodel._colength_and_claims(field, V.h, images)
-                != localmodel._full_model(spec, V.h)):
+                != localmodel._full_model(field, V.h)):
             out.append(point)
     return out
 

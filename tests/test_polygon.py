@@ -161,6 +161,16 @@ def test_enumerate_requires_genus_two():
         enumerate_destabilized_polygons(CurveParams(3, 1, 3, 0))
 
 
+def test_a_search_deeper_than_the_recursion_limit_is_refused():
+    """The search recurses once per segment, so a rank past the recursion limit
+    is refused by the search itself, as a ValueError naming the rank."""
+    with pytest.raises(ValueError) as refused:
+        enumerate_destabilized_polygons(CurveParams(3, 2, 4 * 10**29, 10007))
+    assert str(refused.value) == ("r = 400000000000000000000000000000 needs a polygon "
+                                  "search deeper than Python's recursion limit")
+    assert refused.value.__cause__ is None and refused.value.__suppress_context__
+
+
 def test_curve_params_validation():
     with pytest.raises(ValueError):
         CurveParams(4, 2, 3, 0)

@@ -1,10 +1,11 @@
 """Property tests on polygons drawn from small enumerations, on exact row
-reduction over GF(3^m), on the CLI's JSON writer and on its exact-form argv
-reader (needs hypothesis)."""
+reduction over GF(3^m), on the CLI's JSON writer, on its exact-form argv
+reader and on main's answer or refusal of exact-form argv (needs hypothesis)."""
 
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +14,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from frobstrat.cli import _COMMANDS, _exact_args, _json_text, build_parser, main  # noqa: E402
+from frobstrat.cli import (  # noqa: E402
+    _COMMANDS,
+    _MAX_M,
+    _MAX_P,
+    _MAX_Q,
+    _exact_args,
+    _json_text,
+    build_parser,
+    main,
+)
 from frobstrat.gfield import FieldElement, ProjectivePoint, field_make  # noqa: E402
 from frobstrat.localmodel import _rank, _reduce_against, _rref  # noqa: E402
 from frobstrat.polygon import (  # noqa: E402
@@ -339,3 +349,75 @@ def test_the_exact_reader_answers_only_as_argparse_does(argv):
             pytest.fail(f"argparse refuses {argv!r}, which the reader answers")
         assert vars(args) == want
         assert {k: type(v) for k, v in vars(args).items()} == {k: type(v) for k, v in want.items()}
+
+
+def _digits(n):
+    """Ints of exactly n digits, of either sign, written as text from a leading digit
+    and one repeated digit: str() refuses an int past its digit limit."""
+    return st.tuples(st.sampled_from(["", "-"]), st.sampled_from("123456789"),
+                     st.sampled_from("0123456789")).map(lambda t: t[0] + t[1] + t[2] * (n - 1))
+
+
+LIMIT = sys.get_int_max_str_digits()
+# ints around and past what int() and str() take
+HUGE = st.one_of([_digits(n) for n in (2, 11, 101, LIMIT - 1, LIMIT, LIMIT + 1)])
+SMALL = st.integers(-3, 3).map(str)
+# primes, which are answered, then non-primes and primes above the --p ceiling
+P_VALUES = st.sampled_from(["2", "3", "5", "7", "-3", "0", "1", "4", "9",
+                            str(_MAX_P + 1), "10007"])
+# the powers of 3 up to 81, then values that are not a power of 3 or pass the ceiling
+Q_VALUES = st.sampled_from(["3", "9", "27", "81", "-3", "0", "1", "2", "6", "12",
+                            str(_MAX_Q * 3), str(_MAX_Q * 9)])
+# levels answered at both ends, then levels outside 3..100
+M_VALUES = st.sampled_from(["3", "4", "5", str(_MAX_M), "-1", "0", "2", str(_MAX_M + 1), "1000"])
+# each option's values, by command; every option but enumerate's r and g may be huge,
+# since the search has no ceiling on either
+OPTION_VALUES = {
+    "enumerate": {"p": P_VALUES | HUGE, "g": st.integers(0, 3).map(str),
+                  "r": st.integers(-1, 5).map(str), "d": SMALL | HUGE},
+    "localmodel": {"q": Q_VALUES | HUGE, "M": M_VALUES | HUGE},
+    "strata": {"d": SMALL | HUGE},
+    "certify": {"p": P_VALUES | HUGE, "g": st.integers(0, 3).map(str) | HUGE,
+                "r": st.integers(0, 7).map(str) | HUGE, "d": SMALL | HUGE, "t": SMALL | HUGE},
+    "dual": {"d": SMALL | HUGE},
+}
+
+
+@st.composite
+def exact_argv(draw):
+    """(argv, JSON asked for): a command, some of its own options in exact form, each
+    with a value drawn for it, and --format json and --verify each given or not."""
+    name, _, _, options = draw(st.sampled_from(_COMMANDS))
+    argv = [name]
+    for option in draw(st.permutations(options)):
+        if draw(st.booleans()):
+            argv += [f"--{option}", draw(OPTION_VALUES[name][option])]
+    as_json = draw(st.booleans())
+    if as_json:
+        argv += ["--format", "json"]
+    if draw(st.booleans()):
+        argv.append("--verify")
+    return argv, as_json
+
+
+# 400 examples run in about 1.3 s (Python 3.11, 2-vCPU x86-64)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(exact_argv())
+def test_every_exact_argv_is_answered_or_refused(case):
+    argv, as_json = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        # main's refusal is its one line; argparse's, for a value int() refuses,
+        # follows its usage lines
+        lines = err.splitlines()
+        assert out == "" and [line for line in lines if "error:" in line] == lines[-1:], argv
+        assert lines[-1].startswith(("error: ", f"frobstrat {argv[0]}: error: ")), argv
+        assert len(lines) == 1 or lines[0].startswith("usage: "), argv
+    else:
+        assert out, argv
+        if as_json:
+            json.loads(out)

@@ -41,8 +41,6 @@ UNREACHED = {
                          "the tests' oracle for pullback_span and _rank"),
     "localmodel:classify_stratum":
         (FROBBENCH, "a traced layer; the plane walk labels each index triple itself"),
-    "localmodel:quotient_classification":
-        (API, "a submodule's classification; the plane walk classifies index triples"),
     "gfield:projective_plane": (FROBBENCH, "a traced layer; the plane walk runs on index triples"),
     "localmodel:SubspaceBasis.contains": (API, "exact membership, the lemma the tests check"),
     "localmodel:pullback_span": (FROBBENCH, "a traced layer, and the dense W whose rows and "
