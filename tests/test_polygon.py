@@ -353,9 +353,13 @@ def test_search_work_follows_the_polygons_emitted(params):
     assert nodes == SEARCH_NODES[params]
 
 
-# the box scan's candidate checks and walk calls per case; a walk that also
-# recursed into failing prefixes makes the same list, so only the counts show it
+# the box scan's work per case: SCAN_CHECKS counts every height of every later
+# abscissa (the candidates a scan judging heights[x] would pay), SCAN_RISES the
+# rises of heights[w] the walk tries, and SCAN_WALKS its calls; a walk that
+# also recursed into failing prefixes makes the same list, so only the counts
+# show it
 SCAN_CHECKS = {CurveParams(3, 2, 5, 1): 24315, CurveParams(5, 2, 5, 0): 25967}
+SCAN_RISES = {CurveParams(3, 2, 5, 1): 9179, CurveParams(5, 2, 5, 0): 10063}
 SCAN_WALKS = {CurveParams(3, 2, 5, 1): 1068, CurveParams(5, 2, 5, 0): 1124}
 
 
@@ -363,23 +367,27 @@ SCAN_WALKS = {CurveParams(3, 2, 5, 1): 1068, CurveParams(5, 2, 5, 0): 1124}
 def test_bruteforce_work_is_pinned(params):
     """The walk extends each valid prefix once, whatever its abscissae, so a
     prefix shared by several subsets of abscissae is checked once.  A walk
-    call from abscissa x0 judges every height of every abscissa x0 < x < r,
-    then, after a first segment, its closing segment; the height ranges come
-    from the slope window p*d/r +- (r-1)(2g-2) here."""
+    call from abscissa x0 tries the rises of the window at each width
+    0 < w < r - x0, then, after a first segment, its closing segment.  A scan
+    judging every height of every abscissa x0 < x < r instead would pay the
+    SCAN_CHECKS bound; the window p*d/r +- (r-1)(2g-2) sets both counts."""
     p, g, r, d = params.p, params.g, params.r, params.d
     band = (r - 1) * (2 * g - 2)
     lo, hi = Fraction(p * d, r) - band, Fraction(p * d, r) + band
     sizes = [math.floor(hi * x) - math.ceil(lo * x) + 1 for x in range(r)]
-    checks = 0
+    checks = rises = 0
 
     def count(frame):
-        nonlocal checks
+        nonlocal checks, rises
         x0 = frame.f_locals["verts"][-1][0]
-        checks += sum(sizes[x0 + 1:r]) + (frame.f_locals["pw"] != 0)
+        closing = frame.f_locals["pw"] != 0
+        checks += sum(sizes[x0 + 1:r]) + closing
+        rises += sum(sizes[1:r - x0]) + closing
 
     polys, walks = _nested_calls(bruteforce_destabilized_polygons, "walk", params, count)
     assert polys == enumerate_destabilized_polygons(params)
     assert checks == SCAN_CHECKS[params]
+    assert rises == SCAN_RISES[params]
     assert walks == SCAN_WALKS[params]
 
 
