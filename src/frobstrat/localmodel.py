@@ -464,20 +464,45 @@ def claim_results(V):
 
 def stratum_census(spec):
     """{label: count} over the plane points, each counted by its colength, the rank
-    of the quotient h^T X_k, never by its coordinate label: q^2, q and 1 for Psi2,
-    Psi3 and Psi4, partitioning all q^2 + q + 1 points."""
+    of the quotient h^T X_k taken once per Frobenius orbit, never by its coordinate
+    label: q^2, q and 1 for Psi2, Psi3 and Psi4, partitioning all q^2 + q + 1 points."""
     counts = {PSI2: 0, PSI3: 0, PSI4: 0}
     for _, col, _, _ in _plane_classes(spec.field):
         counts[_COLENGTH_LABEL[col]] += 1
     return counts
 
 
+def _frobenius(field):
+    """x -> x^p as a table of element indices, from the field's multiplication table."""
+    fr = list(range(field.q))
+    for _ in range(field.p - 1):
+        fr = [field._mul[y][x] for x, y in enumerate(fr)]
+    return fr
+
+
 def _plane_classes(field, verify=False):
     """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
-    with ``verify`` the full-model oracle must agree on each."""
+    with ``verify`` the full-model oracle must agree on each.  The tau^2 blocks lie over
+    GF(p), so the Frobenius keeps a point's colength and claims: only the first point of
+    each orbit that the walk reaches is classified, and the rest share its result (claims
+    dict included) through ``codes``, colength + 4 * failed-claim bits by walk position."""
     _check_characteristic(field.p)
-    for h in _plane_indices(field.q):
-        col, res = _classify(field, h)
+    if any(x >= field.p for entries in _block_entries(field.p) for _, _, x in entries):
+        raise RuntimeError(f"a tau^2 block entry lies outside the prime field GF({field.p})")
+    q, fr = field.q, _frobenius(field)
+    codes, known = bytearray(q * q + q + 1), {}  # code -> (colength, claims)
+    for i, h in enumerate(_plane_indices(q)):
+        if codes[i]:
+            col, res = known[codes[i]]
+        else:
+            col, res = _classify(field, h)
+            code = col if all(res.values()) else col + sum(
+                4 << k for k, ok in enumerate(res.values()) if not ok)
+            known[code] = col, res
+            _, b, c = h  # the Frobenius fixes h_0, which is 0 or 1
+            for _ in range(field.m - 1):  # an orbit has at most m points
+                b, c = fr[b], fr[c]
+                codes[b * q + c if h[0] else q * q + (c if b else q)] = code
         if verify and (full := _full_model(field, h)) != (col, res):
             raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "
                                f"{(col, res)}, full model {full}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from frobstrat import cli, localmodel, polygon, slopecalc, strata
+from frobstrat import cli, gfield, localmodel, polygon, slopecalc, strata
 from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
 from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
 from frobstrat.polygon import (
@@ -221,6 +221,54 @@ def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, mo
     assert err.startswith("error: point [0 : 0 : 1]: ")
     # the guard ran once, at M + 1
     assert deeper == [4]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_wrong_orbit_representative_reaches_exactly_its_orbit(capsys, monkeypatch, fmt):
+    """The walk classifies the first point of each Frobenius orbit that it reaches
+    and hands the result to the rest: a claim broken there fails on exactly that
+    orbit's points, and --verify, whose oracle runs on every point, names it."""
+    field = field_make(3, 2)
+    x = field.element([0, 1])
+    rep = ProjectivePoint([field.one, field.zero, x])
+    partner = ProjectivePoint([field.one, field.zero, x * x * x])
+    order = list(gfield._plane_indices(9))
+    h = tuple(c.index for c in rep.coords)
+    assert partner != rep and order.index(h) < order.index(tuple(c.index for c in partner.coords))
+    classify = localmodel._classify
+
+    def one_claim_flipped(field, point):
+        col, res = classify(field, point)
+        return (col, {**res, "d": not res["d"]}) if point == h else (col, res)
+
+    monkeypatch.setattr("frobstrat.localmodel._classify", one_claim_flipped)
+    code, out, err = run(capsys, "localmodel", "--q", "9", "--format", fmt, "--verify")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: point {rep!r}: quotient gives ")
+    code, out, _ = run(capsys, "localmodel", "--q", "9", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["claims_pass"] is False
+    else:
+        failed = [line for line in out.splitlines() if "CLAIM-FAIL" in line]
+        assert [line.split(" colength")[0].strip() for line in failed] == [repr(rep),
+                                                                          repr(partner)]
+        assert all(line.endswith("  CLAIM-FAIL d") for line in failed)
+        assert "membership claims a-d: FAIL on 89/91 points" in out
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_block_entry_outside_the_prime_field_exits_1(capsys, monkeypatch, fmt):
+    # the orbit walk rests on the tau^2 blocks lying over GF(3): an entry that is
+    # the index of x in GF(9) is refused before any point, with or without --verify
+    entries = localmodel._block_entries(3)
+    x = field_make(3, 2).element([0, 1]).index
+    bad = ((entries[0][0][:2] + (x,),) + entries[0][1:],) + entries[1:]
+    monkeypatch.setattr(localmodel, "_block_entries", lambda p: bad)
+    for verify in ((), ("--verify",)):
+        code, out, err = run(capsys, "localmodel", "--q", "9", "--format", fmt, *verify)
+        assert (code, out, err) == (
+            1, "", "error: a tau^2 block entry lies outside the prime field GF(3)\n")
 
 
 @pytest.mark.parametrize("fmt, owner, other_format", [

@@ -3,12 +3,13 @@ import random
 import sys
 from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
 from frobstrat import localmodel
 from frobstrat.cli import _MAX_M, main
-from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
+from frobstrat.gfield import ProjectivePoint, _plane_indices, field_make, projective_plane
 from frobstrat.localmodel import (
     ModelSpec,
     SubmoduleV,
@@ -265,23 +266,44 @@ def _count_calls(capsys, argv):
     return calls
 
 
+def _points(q):
+    return q * q + q + 1
+
+
+def _frobenius_orbits(m):
+    """Orbits of the Frobenius on the plane over GF(3^m), by Burnside's formula:
+    (1/m) sum over d | m of phi(m/d) times the points over GF(3^d), those that the
+    d-th power of the Frobenius fixes."""
+    def phi(n):
+        return sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+    return sum(phi(m // d) * _points(3 ** d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+def test_frobenius_orbit_counts():
+    assert [_frobenius_orbits(m) for m in (1, 2, 3)] == [13, 52, 261]
+
+
 def test_localmodel_row_reduces_only_for_colengths(capsys):
-    """localmodel classifies each point from its quotient h^T X_k and builds no W;
-    --verify runs the full-model oracle once per point, at M, on W's kernel rows
-    as index triples, and checks the tau^2 table at M + 1 once per request; no
-    dense W is built at either.  The quotient's colength is taken once, at M.
-    _rank runs at most once per colength, of the quotient or of the oracle.  The
-    walk and the oracle run on index triples: neither builds a plane point or a
-    submodule."""
-    calls = _count_calls(capsys, ["localmodel", "--q", "9"])
-    assert calls["colength"] == 91 and calls["span"] == calls["oracle"] == 0, calls
-    assert calls["rank"] <= calls["colength"], calls
-    assert calls["point"] == calls["submodule"] == 0, calls
-    calls = _count_calls(capsys, ["localmodel", "--q", "9", "--verify"])
-    assert calls["colength"] == calls["oracle"] == 91 and calls["span"] == 0, calls
-    assert calls["rref in span"] == 0
-    assert calls["rank"] <= calls["colength"] + calls["oracle"], calls
-    assert calls["point"] == calls["submodule"] == 0, calls
+    """localmodel classifies one point per Frobenius orbit from its quotient
+    h^T X_k and builds no W; --verify runs the full-model oracle once per point,
+    at M, on W's kernel rows as index triples, and checks the tau^2 table at
+    M + 1 once per request; no dense W is built at either.  The quotient's
+    colength is taken once per orbit, at M.  _rank runs at most once per
+    colength, of the quotient or of the oracle.  The walk and the oracle run on
+    index triples: neither builds a plane point or a submodule."""
+    for m in (2, 3):
+        q, orbits = str(3 ** m), _frobenius_orbits(m)
+        calls = _count_calls(capsys, ["localmodel", "--q", q])
+        assert calls["colength"] == orbits and calls["span"] == calls["oracle"] == 0, calls
+        assert calls["rank"] <= calls["colength"], calls
+        assert calls["point"] == calls["submodule"] == 0, calls
+        calls = _count_calls(capsys, ["localmodel", "--q", q, "--verify"])
+        assert calls["colength"] == orbits and calls["span"] == 0, calls
+        assert calls["oracle"] == _points(3 ** m), calls
+        assert calls["rref in span"] == 0
+        assert calls["rank"] <= calls["colength"] + calls["oracle"], calls
+        assert calls["point"] == calls["submodule"] == 0, calls
 
 
 @pytest.mark.parametrize("argv, guarded", [
@@ -299,6 +321,32 @@ def test_tensor_elements_are_built_only_by_the_truncation_guard(capsys, argv, gu
     calls = _count_calls(capsys, argv)
     assert calls["tensor"] == calls["tensor in guard"], calls
     assert bool(calls["tensor"]) == guarded, calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_the_frobenius_table_is_x_cubed(m):
+    """_frobenius(field) is x -> x^3 by FieldElement arithmetic; it fixes exactly
+    the prime field's indices 0, 1, 2, and its m-th iterate is the identity."""
+    field = field_make(3, m)
+    fr = localmodel._frobenius(field)
+    assert fr == [(x * x * x).index for x in field.elements]
+    assert [x for x in range(field.q) if fr[x] == x] == [0, 1, 2]
+    iterate = list(range(field.q))
+    for _ in range(m):
+        iterate = [fr[x] for x in iterate]
+    assert iterate == list(range(field.q))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_the_orbit_walk_is_the_per_point_walk(m):
+    """Classifying one point per Frobenius orbit changes no yielded tuple: with and
+    without the oracle, the walk is _classify and the coordinate label taken at
+    every point, in _plane_indices's order."""
+    field = field_make(3, m)
+    want = [(h, *localmodel._classify(field, h), localmodel._coordinate_label(h))
+            for h in _plane_indices(field.q)]
+    for verify in (False, True):
+        assert list(localmodel._plane_classes(field, verify)) == want, verify
 
 
 def test_census_refuses_a_characteristic_other_than_3():
@@ -322,13 +370,14 @@ def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
 
 
 @pytest.mark.parametrize("argv, steps", [
-    (["localmodel", "--q", "9"], 91),
-    (["localmodel", "--q", "9", "--verify"], 2 * 91),
+    (["localmodel", "--q", "9"], _frobenius_orbits(2)),
+    (["localmodel", "--q", "9", "--verify"], _frobenius_orbits(2) + _points(9)),
     (["strata", "--verify"], 13),
 ], ids=["localmodel", "localmodel-verify", "strata-verify"])
 def test_quotient_and_oracle_share_one_step_per_point(capsys, argv, steps):
-    """The quotient's images and, under localmodel --verify, the full model's
-    residues each go through _colength_and_claims once per point."""
+    """The quotient's images go through _colength_and_claims once per Frobenius
+    orbit and, under localmodel --verify, the full model's residues once per
+    point; over GF(3) every orbit is one point."""
     assert _count_calls(capsys, argv)["step"] == steps
 
 
@@ -382,9 +431,10 @@ def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
 
 def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     """At q = 9 the oracle of --verify reduces each tau^2 block against the
-    p(p-1) = 6 kernel rows of W alone, and each colength, of the quotient or of
-    the oracle, ranks at most p = 3 rows; the same at M = 3 and at the ceiling,
-    since the oracle never looks past the block."""
+    p(p-1) = 6 kernel rows of W alone, and each colength, of the quotient (once
+    per Frobenius orbit) or of the oracle (once per point), ranks at most p = 3
+    rows; the same at M = 3 and at the ceiling, since the oracle never looks past
+    the block."""
     kernel_rows, residues_of = localmodel._kernel_rows, localmodel._oracle_residues
     rank = localmodel._rank
     rows_per_point, reduced, ranked = [], [], []
@@ -417,10 +467,10 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
         assert main(["localmodel", "--q", "9", "--M", str(M), "--verify"]) == 0
         capsys.readouterr()
         # the oracle reduces the three nonzero blocks per point, at M only; the
-        # quotient and the oracle are each ranked once per point
+        # quotient is ranked once per Frobenius orbit and the oracle once per point
         assert len(rows_per_point) == 91 and len(reduced) == 3 * 91, M
         assert all(n <= 6 and length <= 9 for n, length in reduced), (M, max(reduced))
-        assert len(ranked) == 2 * 91 and max(ranked) <= 3, (M, max(ranked))
+        assert len(ranked) == _frobenius_orbits(2) + 91 and max(ranked) <= 3, (M, max(ranked))
 
 
 def test_localmodel_verify_builds_no_unit_rows(capsys):
