@@ -9,7 +9,6 @@ identical inputs produce byte-identical output.
 """
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -17,7 +16,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
 
-from .gfield import FieldElement, ProjectivePoint, _point_text, field_make
+from .gfield import FieldElement, _point_text, field_make
 from .localmodel import (
     ModelSpec,
     _plane_classes,
@@ -168,14 +167,14 @@ def _entry_texts(entries, indent):
 
 
 def _json_text(value, indent="\n"):
-    """json.dumps(value, indent=2, sort_keys=True, default=...) for payloads of str-keyed
-    dicts, lists, tuples, polygons, plane points, field elements and scalars, where the
-    default writes a polygon as its vertex pairs and an element as its coefficient list.
-    The stdlib writes indented JSON through a generator per container; this writer makes
-    one call per container and writes a polygon, or a list or tuple of elements of one m
-    such as a point's coordinates, with one % on a template cached per shape and depth.  A list
-    of dicts that share their keys, such as the entries of enumerate, localmodel, strata
-    and dual, takes one % per entry (_entry_texts)."""
+    """json.dumps(value, indent=2, sort_keys=True, default=...) for what payloads hold:
+    str-keyed dicts, lists, tuples, ints, strs, bools, None, polygons and lists of field
+    elements of one m, the default writing a polygon as its vertex pairs and an element as
+    its coefficients.  Anything else, such as a float, a point, a bare element or a list
+    mixing fields, raises TypeError, as json.dumps does without a default.  This writer
+    makes one call per container, one % per polygon or element list on a template cached
+    per shape and depth, and one % per entry of a list of dicts that share their keys, such
+    as the entries of enumerate, localmodel, strata and dual (_entry_texts)."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -208,15 +207,10 @@ def _json_text(value, indent="\n"):
         return _rows_format(len(verts), 2, indent) % sum(verts, ())
     if value is None or kind is bool:
         return _JSON_SCALARS[value]
-    if kind is ProjectivePoint:
-        return _json_text(value.coords, indent)
-    if kind is FieldElement:
-        # a list of elements of more than one m writes each on its own
-        return _json_text(value.coeffs, indent)
     if kind is str:
         # what json.dumps writes for a str
         return encode_basestring_ascii(value)
-    return json.dumps(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _rational(x):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from frobstrat.gfield import FieldElement, ProjectivePoint
+from frobstrat.gfield import FieldElement
 from frobstrat.localmodel import TensorElement, _reduce_against, _tau_square_blocks
 from frobstrat.polygon import LatticePolygon
 
@@ -98,8 +98,6 @@ def to_lists(pt):
 
 def stdlib_form(value):
     """The json.dumps default for the values _json_text writes itself."""
-    if isinstance(value, ProjectivePoint):
-        return to_lists(value)
     if isinstance(value, FieldElement):
         return to_coeffs(value)
     return to_pairs(value)

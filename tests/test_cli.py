@@ -785,7 +785,9 @@ def test_runs_are_byte_identical(capsys, argv):
 
 
 @pytest.mark.parametrize("payload", [
-    [], {}, 0, -7, None, True, "Psi1", 1.5,
+    [], {}, 0, -7, None, True, "Psi1",
+    # a tuple of one field's elements, written as a list is
+    tuple(field_make(3, 2).elements[3:7]),
     {"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [], "e": {}},
     [{"label": "caf\u00e9 \"q\"\n", "vertices": ((0, 0), (2, 5))}, [[[]]], [{}]],
     [0, [1, True, -2], False, [None, 3]],
@@ -798,21 +800,22 @@ def test_runs_are_byte_identical(capsys, argv):
     {"pairs": [{"a": LatticePolygon([(0, 0), (1, -2), (2, -5)]),
                 "b": LatticePolygon([(0, 0), (4, 1)])}]},
     [[LatticePolygon([(0, 0), (1, 7), (2, 8), (5, 0)])], LatticePolygon([(0, 0), (1, -9)])],
-    # plane points over GF(3^m), m = 1..4: bare, one and three levels down in
-    # lists and dicts, as a localmodel entry and beside a polygon
-    ProjectivePoint.of(field_make(3), (1, 2, 0)),
-    [ProjectivePoint.of(field_make(3, 2), ((0, 1), (2, 2), 1))],
+    # plane points' coordinates over GF(3^m), m = 1..4: bare, one and three levels
+    # down in lists and dicts, as a localmodel entry and beside a polygon
+    list(ProjectivePoint.of(field_make(3), (1, 2, 0)).coords),
+    [list(ProjectivePoint.of(field_make(3, 2), ((0, 1), (2, 2), 1)).coords)],
     {"colength": 3, "label": "Psi2",
-     "point": ProjectivePoint.of(field_make(3, 3), (0, 1, (1, 0, 2)))},
-    {"points": [{"point": ProjectivePoint.of(field_make(3, 4), ((2, 0, 1, 1), 0, (0, 0, 0, 2)))},
-                [ProjectivePoint.of(field_make(3, 4), (0, 0, 1))]],
+     "point": list(ProjectivePoint.of(field_make(3, 3), (0, 1, (1, 0, 2))).coords)},
+    {"points": [{"point": list(ProjectivePoint.of(field_make(3, 4),
+                                                  ((2, 0, 1, 1), 0, (0, 0, 0, 2))).coords)},
+                [list(ProjectivePoint.of(field_make(3, 4), (0, 0, 1)).coords)]],
      "v": LatticePolygon([(0, 0), (1, 2), (3, 3)])},
     # a 13-vertex polygon, the shape of r = 12, and two polygons of different
     # vertex counts at one depth, whose templates are different cache entries
     LatticePolygon([(k, k * (12 - k)) for k in range(13)]),
     [LatticePolygon([(0, 0), (1, 4), (3, 5)]), LatticePolygon([(0, 0), (1, 2), (2, 3), (4, 2)])],
-    # a point over GF(3^5), the largest field localmodel accepts
-    [ProjectivePoint.of(field_make(3, 5), ((1, 0, 2, 0, 1), (0, 2, 2, 1, 0), 1))],
+    # a point's coordinates over GF(3^5), the largest field localmodel accepts
+    [list(ProjectivePoint.of(field_make(3, 5), ((1, 0, 2, 0, 1), (0, 2, 2, 1, 0), 1)).coords)],
 ])
 def test_json_text_matches_the_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,
@@ -822,6 +825,16 @@ def test_json_text_matches_the_stdlib(payload):
 def test_json_text_rejects_keys_the_stdlib_would_convert():
     with pytest.raises(TypeError):
         _json_text({1: "one"})
+
+
+@pytest.mark.parametrize("value", [
+    ProjectivePoint.of(field_make(3), (1, 2, 0)), field_make(3, 2).elements[4], 1.5])
+def test_json_text_refuses_what_no_payload_holds(value):
+    # as json.dumps refuses a value it has no default for, bare, as a dict's value
+    # or beside an int in a list
+    for payload in (value, {"x": value}, [0, value]):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_text(payload)
 
 
 @pytest.mark.parametrize("argv", [

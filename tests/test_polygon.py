@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -353,11 +354,35 @@ def test_search_work_follows_the_polygons_emitted(params):
     assert nodes == SEARCH_NODES[params]
 
 
+def _lines_run(func, name, text, params):
+    """``func(params)`` and the number of times the line holding ``text`` runs in
+    the frames of ``func``'s nested function ``name``, found by its text so that
+    an edit above it does not move the count onto another line."""
+    code = _nested_code(func, name)
+    source, first = inspect.getsourcelines(code)
+    line = first + next(k for k, row in enumerate(source) if text in row)
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        if event == "line" and frame.f_lineno == line:
+            runs += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = func(params)
+    finally:
+        sys.settrace(previous)
+    return result, runs
+
+
 # the box scan's work per case: SCAN_CHECKS counts every height of every later
 # abscissa (the candidates a scan judging heights[x] would pay), SCAN_RISES the
-# rises of heights[w] the walk tries, and SCAN_WALKS its calls; a walk that
-# also recursed into failing prefixes makes the same list, so only the counts
-# show it
+# rise tests the walk runs and its closing judgments, and SCAN_WALKS its calls;
+# a walk that also recursed into failing prefixes, or tried fewer rises than
+# the window holds, makes the same list, so only the counts show it
 SCAN_CHECKS = {CurveParams(3, 2, 5, 1): 24315, CurveParams(5, 2, 5, 0): 25967}
 SCAN_RISES = {CurveParams(3, 2, 5, 1): 9179, CurveParams(5, 2, 5, 0): 10063}
 SCAN_WALKS = {CurveParams(3, 2, 5, 1): 1068, CurveParams(5, 2, 5, 0): 1124}
@@ -370,24 +395,28 @@ def test_bruteforce_work_is_pinned(params):
     call from abscissa x0 tries the rises of the window at each width
     0 < w < r - x0, then, after a first segment, its closing segment.  A scan
     judging every height of every abscissa x0 < x < r instead would pay the
-    SCAN_CHECKS bound; the window p*d/r +- (r-1)(2g-2) sets both counts."""
+    SCAN_CHECKS bound; the window p*d/r +- (r-1)(2g-2) sets it.  The rises are
+    counted as the walk runs its rise test, one closing judgment added per call
+    after a first segment."""
     p, g, r, d = params.p, params.g, params.r, params.d
     band = (r - 1) * (2 * g - 2)
     lo, hi = Fraction(p * d, r) - band, Fraction(p * d, r) + band
     sizes = [math.floor(hi * x) - math.ceil(lo * x) + 1 for x in range(r)]
-    checks = rises = 0
+    checks = closings = 0
 
     def count(frame):
-        nonlocal checks, rises
+        nonlocal checks, closings
         x0 = frame.f_locals["verts"][-1][0]
         closing = frame.f_locals["pw"] != 0
         checks += sum(sizes[x0 + 1:r]) + closing
-        rises += sum(sizes[1:r - x0]) + closing
+        closings += closing
 
     polys, walks = _nested_calls(bruteforce_destabilized_polygons, "walk", params, count)
-    assert polys == enumerate_destabilized_polygons(params)
+    traced, rise_tests = _lines_run(bruteforce_destabilized_polygons, "walk",
+                                    "0 < pdy_w - dy * pw <= gap_w", params)
+    assert polys == traced == enumerate_destabilized_polygons(params)
     assert checks == SCAN_CHECKS[params]
-    assert rises == SCAN_RISES[params]
+    assert rise_tests + closings == SCAN_RISES[params], (rise_tests, closings)
     assert walks == SCAN_WALKS[params]
 
 

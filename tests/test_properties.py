@@ -24,7 +24,7 @@ from frobstrat.cli import (  # noqa: E402
     build_parser,
     main,
 )
-from frobstrat.gfield import FieldElement, ProjectivePoint, field_make  # noqa: E402
+from frobstrat.gfield import FieldElement, field_make  # noqa: E402
 from frobstrat.localmodel import _rank, _reduce_against, _rref  # noqa: E402
 from frobstrat.polygon import (  # noqa: E402
     EQUAL,
@@ -182,22 +182,18 @@ def convex(segments):
 # polygons with plain-int vertices, heights of either sign
 drawn_polygons = st.lists(st.tuples(st.integers(), st.integers(1, 4)),
                           min_size=1, max_size=5).map(convex)
-# plane points over GF(3^m), m = 1..4
-drawn_points = st.sampled_from(list(FIELDS.values())).flatmap(
-    lambda field: st.tuples(*[st.sampled_from(field.elements)] * 3)).filter(any).map(
-        ProjectivePoint)
 # lists and tuples of one field's elements, as localmodel writes a point
 drawn_elements = st.sampled_from(list(FIELDS.values())).flatmap(
     lambda field: st.lists(st.sampled_from(field.elements), min_size=1, max_size=4)).flatmap(
         lambda elems: st.sampled_from([elems, tuple(elems)]))
 # lists that mix elements of several fields, or elements with ints, which no
-# template of one m can write
+# payload holds and no template of one m can write
 all_elements = [e for field in FIELDS.values() for e in field.elements]
 drawn_mixed = st.lists(st.sampled_from(all_elements) | st.integers(), min_size=2,
                        max_size=4).filter(
     lambda v: len({e.spec.m if isinstance(e, FieldElement) else None for e in v}) > 1)
 payloads = st.recursive(
-    scalars | drawn_polygons | drawn_points | drawn_elements | drawn_mixed,
+    scalars | drawn_polygons | drawn_elements,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(keys, inner, max_size=4)),
     max_leaves=30)
@@ -205,8 +201,8 @@ payloads = st.recursive(
 
 def as_loaded(x):
     """x as json.loads would give it back: tuples become lists, polygons their
-    [rank, degree] pairs, and points and elements their coefficient lists."""
-    if isinstance(x, (LatticePolygon, ProjectivePoint, FieldElement)):
+    [rank, degree] pairs, and elements their coefficient lists."""
+    if isinstance(x, (LatticePolygon, FieldElement)):
         return stdlib_form(x)
     if isinstance(x, (list, tuple)):
         return [as_loaded(v) for v in x]
@@ -229,8 +225,7 @@ entry_values = (st.integers() | st.booleans() | st.none() | strings | percent
                 | drawn_polygons | drawn_polygons.map(lambda P: P.vertices)
                 | st.sampled_from([FIELDS[1], FIELDS[2]]).flatmap(
                     lambda field: st.lists(st.sampled_from(field.elements),
-                                           min_size=1, max_size=3))
-                | drawn_mixed)
+                                           min_size=1, max_size=3)))
 
 
 @st.composite
@@ -255,6 +250,18 @@ def test_json_text_writes_same_keyed_entries_as_the_stdlib(entries, nest):
     payload = nest(entries)
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,
                                              default=stdlib_form)
+
+
+@examples
+@given(drawn_mixed, st.integers(1, 3))
+def test_json_text_refuses_lists_that_mix_fields(mixed, n):
+    """A list mixing fields, or elements with ints, is refused bare and as the
+    value of n same-keyed entries, as json.dumps refuses a value it has no
+    default for, and is never written on one m's template."""
+    entries = [{"colength": k, "point": mixed} for k in range(n)]
+    for payload in (mixed, tuple(mixed), entries, {"points": entries}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_text(payload)
 
 
 def _columns(row, *separators):
