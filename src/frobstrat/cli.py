@@ -68,8 +68,8 @@ _MAX_P = 10_000
 
 # largest localmodel --M: neither the quotient nor the --verify oracle looks past
 # the block i < 3, so only --verify's guard grows with M, building the tau^2 t^k at
-# M + 1, about 3M tensor elements, and no W; with --verify, q = 3 peaked at 14 MB
-# resident both at M = 100 and at M = 300
+# M + 1, about 3M tensor elements, and no W; the refusal names that guard. With
+# --verify, q = 3 peaked at 14 MB resident both at M = 100 and at M = 300
 _MAX_M = 100
 
 
@@ -322,10 +322,8 @@ def cmd_localmodel(args):
     if args.M < 3:
         raise ValueError(f"truncation level M must be at least 3, got {args.M}")
     if args.M > _MAX_M:
-        p2 = REGIME[0] ** 2
-        raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: the model's unit "
-                         f"rows alone would hold ({p2}M - {p2}) x {p2}M = "
-                         f"{_int_text((p2 * args.M - p2) * p2 * args.M)} entries")
+        raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: only --verify's "
+                         "truncation guard grows with M, building the tau^2 t^k at M + 1")
     field = field_make(REGIME[0], m)
     # the tau^2 table at M + 1, once per request and before the walk, so that a
     # failing guard still leaves every point to the full model at M

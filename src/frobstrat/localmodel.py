@@ -472,37 +472,28 @@ def stratum_census(spec):
     return counts
 
 
-def _frobenius(field):
-    """x -> x^p as a table of element indices, from the field's multiplication table."""
-    fr = list(range(field.q))
-    for _ in range(field.p - 1):
-        fr = [field._mul[y][x] for x, y in enumerate(fr)]
-    return fr
-
-
 def _plane_classes(field, verify=False):
     """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
     with ``verify`` the full-model oracle must agree on each.  The tau^2 blocks lie over
-    GF(p), so the Frobenius keeps a point's colength and claims: only the first point of
-    each orbit that the walk reaches is classified, and the rest share its result (claims
-    dict included) through ``codes``, colength + 4 * failed-claim bits by walk position."""
+    GF(p), so the Frobenius keeps a point's colength and claims: the first point of each
+    orbit that the walk reaches is classified and its whole orbit marked in ``codes``
+    (colength + 4 * failed-claim bits by walk position), read back by every point."""
     _check_characteristic(field.p)
     if any(x >= field.p for entries in _block_entries(field.p) for _, _, x in entries):
         raise RuntimeError(f"a tau^2 block entry lies outside the prime field GF({field.p})")
-    q, fr = field.q, _frobenius(field)
+    q, fr = field.q, field._frob
     codes, known = bytearray(q * q + q + 1), {}  # code -> (colength, claims)
     for i, h in enumerate(_plane_indices(q)):
-        if codes[i]:
-            col, res = known[codes[i]]
-        else:
+        if not codes[i]:
             col, res = _classify(field, h)
             code = col if all(res.values()) else col + sum(
                 4 << k for k, ok in enumerate(res.values()) if not ok)
             known[code] = col, res
             _, b, c = h  # the Frobenius fixes h_0, which is 0 or 1
-            for _ in range(field.m - 1):  # an orbit has at most m points
+            for _ in range(field.m):  # the m-th step returns to h, marking it too
                 b, c = fr[b], fr[c]
                 codes[b * q + c if h[0] else q * q + (c if b else q)] = code
+        col, res = known[codes[i]]
         if verify and (full := _full_model(field, h)) != (col, res):
             raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "
                                f"{(col, res)}, full model {full}")

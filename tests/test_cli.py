@@ -317,7 +317,7 @@ def test_localmodel_M_ceiling_builds_no_model(capsys, monkeypatch, verify):
     monkeypatch.setattr(localmodel, "_unit_rows", refuse)
     # q = 243 is the largest field: neither M bound may wait for its tables
     for M, words in ((2, "at least 3, got 2"), (_MAX_M + 1, f"ceiling {_MAX_M}"),
-                     (100000, "809991900000 entries")):
+                     (100000, "only --verify's truncation guard grows with M")):
         code, out, err = run(capsys, "localmodel", "--q", "243", "--M", str(M), *verify)
         assert (code, out) == (2, ""), M
         assert words in err
@@ -326,17 +326,18 @@ def test_localmodel_M_ceiling_builds_no_model(capsys, monkeypatch, verify):
         main(["localmodel", "--q", "3", "--M", str(_MAX_M), *verify])
 
 
-@pytest.mark.parametrize("option, value, ceiling, size", [
+@pytest.mark.parametrize("option, value, ceiling, tail", [
     ("--q", 3 ** 5000, "ceiling 243", "q^2 = about 10^4771 entries"),
-    ("--M", 10 ** 2200, "ceiling 100", "x 9M = about 10^4401 entries"),
+    ("--M", 10 ** 2200, "ceiling 100", "building the tau^2 t^k at M + 1"),
 ])
 def test_localmodel_refuses_a_size_past_the_digit_limit_at_its_ceiling(
-        capsys, option, value, ceiling, size):
-    # str() cannot write the refused size, so the refusal gives its magnitude
+        capsys, option, value, ceiling, tail):
+    # str() cannot write q's refused size, so that refusal gives its magnitude;
+    # M's names the guard that grows with M, and no size
     code, out, err = run(capsys, "localmodel", option, str(value))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "above the " + ceiling in err and err.endswith(size + "\n")
+    assert "above the " + ceiling in err and err.endswith(tail + "\n")
 
 
 def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
@@ -784,38 +785,50 @@ def test_runs_are_byte_identical(capsys, argv):
     assert first == second
 
 
+# a scalar's id is its value; every other case keeps, as an explicit id, the
+# position pytest once gave it, so that removing a case renames no other
 @pytest.mark.parametrize("payload", [
-    [], {}, 0, -7, None, True, "Psi1",
+    pytest.param([], id="payload0"),
+    pytest.param({}, id="payload1"),
+    0, -7, None, True, "Psi1",
     # a tuple of one field's elements, written as a list is
-    tuple(field_make(3, 2).elements[3:7]),
-    {"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [], "e": {}},
-    [{"label": "caf\u00e9 \"q\"\n", "vertices": ((0, 0), (2, 5))}, [[[]]], [{}]],
-    [0, [1, True, -2], False, [None, 3]],
+    pytest.param(tuple(field_make(3, 2).elements[3:7]), id="payload7"),
+    pytest.param({"b": [[0, 0], [3, -3]], "a": None, "c": {"x": True, "y": False}, "d": [],
+                  "e": {}}, id="payload8"),
+    pytest.param([{"label": "caf\u00e9 \"q\"\n", "vertices": ((0, 0), (2, 5))}, [[[]]], [{}]],
+                 id="payload9"),
+    pytest.param([0, [1, True, -2], False, [None, 3]], id="payload10"),
     # polygons: bare, at depths 1 to 3 in lists and dicts, with negative
     # heights, and with two vertices
-    LatticePolygon([(0, 0), (1, 2), (3, 3)]),
-    [LatticePolygon([(0, 0), (2, -3)])],
-    {"v": LatticePolygon([(0, 0), (1, -1), (3, -5)]), "w": []},
-    [{"label": None, "vertices": LatticePolygon([(0, 0), (1, 1), (3, 0)])}],
-    {"pairs": [{"a": LatticePolygon([(0, 0), (1, -2), (2, -5)]),
-                "b": LatticePolygon([(0, 0), (4, 1)])}]},
-    [[LatticePolygon([(0, 0), (1, 7), (2, 8), (5, 0)])], LatticePolygon([(0, 0), (1, -9)])],
+    pytest.param(LatticePolygon([(0, 0), (1, 2), (3, 3)]), id="payload11"),
+    pytest.param([LatticePolygon([(0, 0), (2, -3)])], id="payload12"),
+    pytest.param({"v": LatticePolygon([(0, 0), (1, -1), (3, -5)]), "w": []}, id="payload13"),
+    pytest.param([{"label": None, "vertices": LatticePolygon([(0, 0), (1, 1), (3, 0)])}],
+                 id="payload14"),
+    pytest.param({"pairs": [{"a": LatticePolygon([(0, 0), (1, -2), (2, -5)]),
+                             "b": LatticePolygon([(0, 0), (4, 1)])}]}, id="payload15"),
+    pytest.param([[LatticePolygon([(0, 0), (1, 7), (2, 8), (5, 0)])],
+                  LatticePolygon([(0, 0), (1, -9)])], id="payload16"),
     # plane points' coordinates over GF(3^m), m = 1..4: bare, one and three levels
     # down in lists and dicts, as a localmodel entry and beside a polygon
-    list(ProjectivePoint.of(field_make(3), (1, 2, 0)).coords),
-    [list(ProjectivePoint.of(field_make(3, 2), ((0, 1), (2, 2), 1)).coords)],
-    {"colength": 3, "label": "Psi2",
-     "point": list(ProjectivePoint.of(field_make(3, 3), (0, 1, (1, 0, 2))).coords)},
-    {"points": [{"point": list(ProjectivePoint.of(field_make(3, 4),
-                                                  ((2, 0, 1, 1), 0, (0, 0, 0, 2))).coords)},
-                [list(ProjectivePoint.of(field_make(3, 4), (0, 0, 1)).coords)]],
-     "v": LatticePolygon([(0, 0), (1, 2), (3, 3)])},
+    pytest.param(list(ProjectivePoint.of(field_make(3), (1, 2, 0)).coords), id="payload17"),
+    pytest.param([list(ProjectivePoint.of(field_make(3, 2), ((0, 1), (2, 2), 1)).coords)],
+                 id="payload18"),
+    pytest.param({"colength": 3, "label": "Psi2",
+                  "point": list(ProjectivePoint.of(field_make(3, 3), (0, 1, (1, 0, 2))).coords)},
+                 id="payload19"),
+    pytest.param({"points": [{"point": list(ProjectivePoint.of(
+                      field_make(3, 4), ((2, 0, 1, 1), 0, (0, 0, 0, 2))).coords)},
+                             [list(ProjectivePoint.of(field_make(3, 4), (0, 0, 1)).coords)]],
+                  "v": LatticePolygon([(0, 0), (1, 2), (3, 3)])}, id="payload20"),
     # a 13-vertex polygon, the shape of r = 12, and two polygons of different
     # vertex counts at one depth, whose templates are different cache entries
-    LatticePolygon([(k, k * (12 - k)) for k in range(13)]),
-    [LatticePolygon([(0, 0), (1, 4), (3, 5)]), LatticePolygon([(0, 0), (1, 2), (2, 3), (4, 2)])],
+    pytest.param(LatticePolygon([(k, k * (12 - k)) for k in range(13)]), id="payload21"),
+    pytest.param([LatticePolygon([(0, 0), (1, 4), (3, 5)]),
+                  LatticePolygon([(0, 0), (1, 2), (2, 3), (4, 2)])], id="payload22"),
     # a point's coordinates over GF(3^5), the largest field localmodel accepts
-    [list(ProjectivePoint.of(field_make(3, 5), ((1, 0, 2, 0, 1), (0, 2, 2, 1, 0), 1)).coords)],
+    pytest.param([list(ProjectivePoint.of(
+        field_make(3, 5), ((1, 0, 2, 0, 1), (0, 2, 2, 1, 0), 1)).coords)], id="payload23"),
 ])
 def test_json_text_matches_the_stdlib(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,

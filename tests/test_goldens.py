@@ -38,7 +38,7 @@ REFUSALS = {
     ("localmodel", "--q", "2"): "acd529ee417f87156cefc9e256b9101d",
     ("localmodel", "--q", "3", "--M", "2"): "27a80fefb95d9a9dbd6dd9ed2a2ddddb",
     ("localmodel", "--q", "729"): "d5d8afd6e3cb36b1b4bd341d39d9976e",
-    ("localmodel", "--q", "3", "--M", "101"): "4db5613a850a10a1830d43dc4a12974b",
+    ("localmodel", "--q", "3", "--M", "101"): "2ac2587374f175dac12a12579fd7ed14",
     ("enumerate", "--g", "1", "--d", "0"): "a7b968ef42585cced816b0f3b891c41b",
     ("enumerate", "--p", "4", "--d", "0"): "cb73ef57df4207754bce4a683717aa2c",
     ("enumerate", "--r", "0"): "421a10e2ca7aa6292efd7d5801c4a4d6",

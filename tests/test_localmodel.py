@@ -319,14 +319,20 @@ def test_tensor_elements_are_built_only_by_the_truncation_guard(capsys, argv, gu
     assert bool(calls["tensor"]) == guarded, calls
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_the_frobenius_table_is_x_cubed(m):
-    """_frobenius(field) is x -> x^3 by FieldElement arithmetic; it fixes exactly
-    the prime field's indices 0, 1, 2, and its m-th iterate is the identity."""
-    field = field_make(3, m)
-    fr = localmodel._frobenius(field)
-    assert fr == [(x * x * x).index for x in field.elements]
-    assert [x for x in range(field.q) if fr[x] == x] == [0, 1, 2]
+# the p = 3 fields keep their ids by m alone
+@pytest.mark.parametrize("p, m", [
+    *(pytest.param(3, m, id=str(m)) for m in range(1, 6)),
+    *(pytest.param(p, m, id=f"{p}^{m}") for p, top in ((2, 4), (5, 3), (7, 2))
+      for m in range(1, top + 1)),
+])
+def test_the_frobenius_table_is_x_cubed(p, m):
+    """The field's _frob is x -> x^p (x^3 at p = 3) by FieldElement arithmetic; it
+    fixes exactly the prime field's indices 0 .. p - 1, and its m-th iterate is the
+    identity."""
+    field = field_make(p, m)
+    fr = field._frob
+    assert fr == [(x ** p).index for x in field.elements]
+    assert [x for x in range(field.q) if fr[x] == x] == list(range(p))
     iterate = list(range(field.q))
     for _ in range(m):
         iterate = [fr[x] for x in iterate]
