@@ -15,7 +15,7 @@ field decide which stratum each plane point belongs to.  The truncation level
 M >= 3 keeps every exponent the classification touches (at most 5) alive.
 """
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import count, takewhile
 from math import comb
 
@@ -249,8 +249,7 @@ class SubspaceBasis:
     __slots__ = ("spec", "_mat", "_pivots", "dim")
 
     def __init__(self, spec, mat, pivots):
-        """Wrap reduced echelon rows and their pivot columns.  Rows may be shared
-        between bases (see _unit_rows): never write into them."""
+        """Wrap reduced echelon rows and their pivot columns."""
         self.spec, self._mat, self._pivots, self.dim = spec, mat, pivots, len(mat)
 
     @classmethod
@@ -317,21 +316,12 @@ def pullback_span(V):
     The rows of _kernel_rows, then a unit row per column of U, sorted by pivot, are
     the unique reduced row echelon form of W, which row-reducing the spanning set gives."""
     p, dimension = V.spec.p, V.spec.dimension
-    rows = _kernel_rows(V.spec.field, V.h)
+    # U's unit rows after the kernel rows, as triples whose other column is the pivot
+    rows = _kernel_rows(V.spec.field, V.h) + [(k, k, 0) for k in range(p * p, dimension)]
     # index 1 is the field's one
     mat = [[1 if col == k else x if col == other else 0 for col in range(dimension)]
            for k, other, x in rows]
-    unit_rows, unit_pivots = _unit_rows(p * p, dimension)
-    return SubspaceBasis(V.spec, mat + unit_rows, [k for k, _, _ in rows] + unit_pivots)
-
-
-@lru_cache(maxsize=8)
-def _unit_rows(p2, dimension):
-    """U's unit rows, one per column from p^2 on, and their pivots: the same in
-    every field, so shared by every W of every model of that size; never mutated."""
-    pivots = list(range(p2, dimension))
-    # index 1 is the field's one
-    return [[1 if k == c else 0 for k in range(dimension)] for c in pivots], pivots
+    return SubspaceBasis(V.spec, mat, [k for k, _, _ in rows])
 
 
 def _tau_square_multiples(spec):

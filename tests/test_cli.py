@@ -140,6 +140,20 @@ def test_localmodel_q9_json_round_trips_to_the_table(capsys):
         assert line == f"  {point!r:<24} colength {entry['colength']}  {entry['label']}"
 
 
+@pytest.mark.parametrize("fmt, names", [("json", 0), ("table", 27)])
+def test_localmodel_builds_element_names_only_for_the_table(capsys, monkeypatch, fmt, names):
+    """The JSON payload writes coefficients, so only the table builds the q names."""
+    poly_str, calls = gfield._poly_str, []
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return poly_str(coeffs)
+
+    monkeypatch.setattr(gfield, "_poly_str", counting)
+    code, _, _ = run(capsys, "localmodel", "--q", "27", "--format", fmt)
+    assert (code, len(calls)) == (0, names)
+
+
 def test_localmodel_verify(capsys):
     code, out, _ = run(capsys, "localmodel", "--q", "3", "--verify")
     assert code == 0
@@ -314,7 +328,7 @@ def test_localmodel_M_ceiling_builds_no_model(capsys, monkeypatch, verify):
         raise _Built
 
     monkeypatch.setattr("frobstrat.cli.field_make", refuse)
-    monkeypatch.setattr(localmodel, "_unit_rows", refuse)
+    monkeypatch.setattr(localmodel, "pullback_span", refuse)
     # q = 243 is the largest field: neither M bound may wait for its tables
     for M, words in ((2, "at least 3, got 2"), (_MAX_M + 1, f"ceiling {_MAX_M}"),
                      (100000, "only --verify's truncation guard grows with M")):
@@ -389,6 +403,15 @@ def test_localmodel_verify_fails_on_a_wrong_census(capsys, monkeypatch, fmt):
     assert "verify: claims and colengths stable at M=4: PASS" in verdicts
     if fmt == "json":
         assert json.loads(out)["census"] == {"Psi2": 12, "Psi3": 0, "Psi4": 1}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_localmodel_names_the_point_whose_label_disagrees(capsys, monkeypatch, fmt):
+    # a Psi3 point's colength 2 now reads Psi2; a JSON run builds the names for this refusal
+    monkeypatch.setattr("frobstrat.cli._COLENGTH_LABEL", {1: "Psi4", 2: "Psi2", 3: "Psi2"})
+    code, out, err = run(capsys, "localmodel", "--q", "9", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: point [1 : 1 : 0] has colength 2 but stratum label Psi3\n"
 
 
 def test_strata_table_output(capsys):

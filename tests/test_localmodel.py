@@ -225,6 +225,19 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
         assert W._pivots == [next(k for k, v in enumerate(r) if v) for r in want], point
 
 
+def test_each_W_owns_its_rows():
+    """Two W of one model share no row, U's unit rows included: writing into one
+    leaves the other as pullback_span builds it."""
+    field = field_make(3, 2)
+    spec = ModelSpec(field, 4)
+    V1, V2 = (SubmoduleV(spec, pt(field, *h)) for h in ((1, 0, 0), (0, 1, 1)))
+    W1, W2 = pullback_span(V1), pullback_span(V2)
+    assert not {id(row) for row in W1._mat} & {id(row) for row in W2._mat}
+    before = [row[:] for row in W2._mat]
+    W1._mat[-1][0] = 1
+    assert W2._mat == before == pullback_span(V2)._mat
+
+
 def _count_calls(capsys, argv):
     """Calls of _rank, pullback_span, the quotient's colength, the shared
     colength-and-claims step, the full-model oracle, the truncation guard and the
@@ -416,10 +429,6 @@ def test_block_residues_are_the_full_residues(m, M):
         # the quotient h^T X_k and the full model W give the same classification
         assert localmodel._full_model(field, V.h) == \
             (intersection_colength(V), claim_results(V)), point
-    # every W shares U's unit rows; nothing above may have written into them
-    dim = spec.dimension
-    unit = [[int(k == c) for k in range(dim)] for c in range(p2, dim)]
-    assert localmodel._unit_rows(p2, dim) == (unit, list(range(p2, dim)))
 
 
 def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
@@ -475,13 +484,15 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
         assert len(ranked) == _frobenius_orbits(2) + 91 and max(ranked) <= 3, (M, max(ranked))
 
 
-def test_localmodel_verify_builds_no_unit_rows(capsys):
+def test_localmodel_verify_builds_no_dense_W(capsys, monkeypatch):
     """The oracle reduces on the block i < p alone, so --verify at the M ceiling
-    leaves the cache of U's unit rows empty."""
-    localmodel._unit_rows.cache_clear()
+    builds no dense W."""
+    def refuse(V):
+        raise AssertionError("pullback_span called")
+
+    monkeypatch.setattr(localmodel, "pullback_span", refuse)
     assert main(["localmodel", "--q", "3", "--M", str(_MAX_M), "--verify"]) == 0
     assert f"stable at M={_MAX_M + 1}: PASS" in capsys.readouterr().out
-    assert localmodel._unit_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3], ids=["GF3", "GF9", "GF27"])

@@ -45,8 +45,6 @@ UNREACHED = {
     "localmodel:SubspaceBasis.contains": (API, "exact membership, the lemma the tests check"),
     "localmodel:pullback_span": (FROBBENCH, "a traced layer, and the dense W whose rows and "
                                  "residues the tests hold the --verify oracle to"),
-    "localmodel:_unit_rows": (API, "U's rows in pullback_span's dense W; the oracle "
-                              "reduces on the block i < p alone"),
     "localmodel:_reduce_against": (API, "membership in a dense W, SubspaceBasis.contains"),
     "localmodel:SubspaceBasis.__init__":
         (API, "a dense basis; the oracle eliminates against W's kernel rows as triples"),

@@ -40,7 +40,7 @@ from frobstrat import (
 )
 from frobstrat._record import Record
 from frobstrat.cli import main
-from frobstrat.localmodel import _block_entries, _tau_square_blocks, _unit_rows
+from frobstrat.localmodel import _block_entries, _tau_square_blocks
 from oracles import psi_polygon
 
 F3, F9, F27 = field_make(3), field_make(3, 2), field_make(3, 3)
@@ -223,12 +223,11 @@ def test_validation_messages(make, message):
 
 
 # the arguments each table is looked up with, derived from a model as its call site does
-_TABLE_KEYS = {_unit_rows: lambda spec: (spec.p ** 2, spec.dimension),
-               _tau_square_blocks: lambda spec: (spec.p,),
+_TABLE_KEYS = {_tau_square_blocks: lambda spec: (spec.p,),
                _block_entries: lambda spec: (spec.p,)}
 
 
-@pytest.mark.parametrize("lookup", [_unit_rows, _tau_square_blocks, _block_entries])
+@pytest.mark.parametrize("lookup", [_tau_square_blocks, _block_entries])
 def test_equal_model_specs_share_one_cache_entry(lookup):
     a, b = ModelSpec(field_make(3, 2), 3), ModelSpec(field_make(3, 2), 3)
     assert a is not b and a.field is not b.field
