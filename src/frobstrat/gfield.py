@@ -10,6 +10,7 @@ are small (q <= 243, the ``localmodel --q`` ceiling), so element arithmetic is a
 table lookup and all linear algebra built on top stays exact.
 """
 
+from functools import lru_cache
 from itertools import chain, product
 
 from ._record import Record, _set
@@ -311,9 +312,11 @@ def _point_text(names, h):
     return f"[{names[h[0]]} : {names[h[1]]} : {names[h[2]]}]"
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 == 3 must still be refused
 def field_make(p, m=1):
-    """Construct GF(p^m) over the lexicographically smallest monic irreducible
-    modulus of degree m, so repeated runs agree."""
+    """GF(p^m) over the lexicographically smallest monic irreducible modulus of
+    degree m, so repeated runs agree: built by the first call with these arguments and
+    shared by every later one in the process; FieldSpec(p, m) builds a new field."""
     return FieldSpec(p, m)
 
 

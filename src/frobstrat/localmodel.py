@@ -236,10 +236,8 @@ def _rank(field, rows):
                 mrow = mul[mul[neg[x]][lead]]
                 for k in range(pc, len(v)):
                     v[k] = add[v[k]][mrow[prow[k]]]
-        for pc, x in enumerate(v):
-            if x:
-                basis.append((pc, v, inv[x]))
-                break
+        if x := next(filter(None, v), 0):  # the leading entry, found in C
+            basis.append((v.index(x), v, inv[x]))
     return len(basis)
 
 
@@ -298,13 +296,24 @@ class SubmoduleV(Record):
         _set(self, "h", (a.index, b.index, c.index))
 
 
+@cache
+def _kernel_pattern(p, c):
+    """W's rows e_(i,j) - (h_i/h_c) e_(c,j), i != c, j < p, for the points h whose last
+    nonzero coordinate is c, as (pivot column, other column, i) on the block i < p: the
+    one place the lemma's rows are written.  No row is nonzero in another's pivot column."""
+    return tuple((i * p + j, c * p + j, i) for i in range(p) if i != c for j in range(p))
+
+
+def _last_and_scale(field, h):
+    """The last nonzero coordinate c of h and the table x -> -x/h_c."""
+    c = 2 if h[2] else 1 if h[1] else 0
+    return c, field._mul[field._neg[field._inv[h[c]]]]
+
+
 def _kernel_rows(field, h):
-    """W's rows e_(i,j) - (h_i/h_c) e_(c,j), i != c, j < p, c the last nonzero coordinate
-    of h, as (pivot column, other column, entry) triples on the block i < p: the one place
-    the lemma's rows are written.  No row is nonzero in another's pivot column."""
-    p, c = field.p, 2 if h[2] else 1 if h[1] else 0
-    scale = field._mul[field._neg[field._inv[h[c]]]]  # x -> -x/h_c
-    return [(i * p + j, c * p + j, scale[h[i]]) for i in range(p) if i != c for j in range(p)]
+    """_kernel_pattern's rows of the point h as (pivot column, other column, entry)."""
+    c, scale = _last_and_scale(field, h)
+    return [(k, other, scale[h[i]]) for k, other, i in _kernel_pattern(field.p, c)]
 
 
 def pullback_span(V):
@@ -400,18 +409,23 @@ def _classify(field, h):
     return c, claims
 
 
+@cache
+def _block_actions(p, c):
+    """Per tau^2 block, the _kernel_pattern(p, c) rows whose pivot entry in it is nonzero:
+    as no row's other column is a pivot, the rows that reducing the block applies."""
+    return tuple(tuple(r for r in _kernel_pattern(p, c) if b[r[0]]) for b in _tau_square_blocks(p))
+
+
 def _oracle_residues(field, h):
-    """Residues modulo W of the tau^2 blocks X_k of the point h, reduced against
-    _kernel_rows alone: exact at every M, as U's unit rows clear W past the block,
-    where the kernel rows are zero.  No row's other column is a pivot: one pass."""
+    """Residues modulo W of the tau^2 blocks X_k of the point h, reduced against W's
+    kernel rows alone: exact at every M, as U's unit rows clear W past the block,
+    where the kernel rows are zero.  Only the rows that act are evaluated."""
     add, neg, mul = field._add, field._neg, field._mul
-    rows = _kernel_rows(field, h)
+    c, scale = _last_and_scale(field, h)
     residues = [list(block) for block in _tau_square_blocks(field.p)]
-    for v in residues:
-        for k, other, x in rows:
-            y = v[k]
-            if y:  # v -= y * row: the pivot entry is one, the other entry x
-                v[k], v[other] = 0, add[v[other]][neg[mul[y][x]]]
+    for v, actions in zip(residues, _block_actions(field.p, c)):
+        for k, other, i in actions:  # v -= v[k] * row: its pivot entry one, its other -h_i/h_c
+            v[k], v[other] = 0, add[v[other]][neg[mul[v[k]][scale[h[i]]]]]
     return residues
 
 

@@ -47,6 +47,17 @@ def test_rejects_bad_degree():
         field_make(3, 0)
 
 
+def test_field_make_shares_one_field_and_keeps_every_refusal():
+    f9 = field_make(3, 2)
+    assert field_make(3, 2) is f9
+    twin = FieldSpec(3, 2)
+    assert twin is not f9 and twin == f9
+    # 3.0 == 3 and 2.0 == 2 hash alike: the cache must not answer them with GF(9)
+    for p, m in ((3.0, 2), (3, 2.0)):
+        with pytest.raises(ValueError):
+            field_make(p, m)
+
+
 def test_inverse_examples(f3, f9):
     two = f3.element(2)
     assert two.inverse() == two                     # 2*2 = 4 = 1
@@ -138,7 +149,7 @@ def test_mixed_field_arithmetic_is_an_error(f3, f9):
 
 
 def test_equal_specs_interoperate(f9):
-    twin = field_make(3, 2)
+    twin = FieldSpec(3, 2)
     assert twin == f9 and twin is not f9
     assert hash(twin) == hash(f9)
     assert f9 == f9 and f9 != field_make(3)
@@ -180,8 +191,8 @@ def test_spec_repr_mentions_size(f3, f9):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_point_repr_reads_element_names_built_on_first_use(m):
-    spec = field_make(3, m)
-    assert not hasattr(spec, "_names")  # field_make pays nothing for them
+    spec = FieldSpec(3, m)
+    assert not hasattr(spec, "_names")  # building a field pays nothing for them
     # the reference: each coordinate's text built afresh
     for point in projective_plane(spec):
         want = " : ".join(gfield._poly_str(c.coeffs) for c in point.coords)
@@ -229,5 +240,5 @@ def test_tables_take_at_most_four_products_per_unit(monkeypatch, m):
         return poly_mul(a, b, p)
 
     monkeypatch.setattr(gfield, "_poly_mul", spy)
-    field_make(3, m)
+    FieldSpec(3, m)  # a new field: field_make may hand back one built earlier
     assert len(calls) <= 4 * (3 ** m - 1)

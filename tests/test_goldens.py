@@ -79,9 +79,13 @@ def test_every_golden_argv_replays_byte_identically():
         goldens = json.load(fh)
     assert len(goldens) == 359
     diffs = []
-    for key, want in goldens.items():
-        got = _record(key.split(" "))
-        diffs += [f"{key!r}: {part} differs" for part, g, w in zip(_PARTS, got, want) if g != w]
+    # the second pass, in reverse order, meets the fields and tables that every
+    # other request of the process has built and cached
+    for n, items in enumerate((list(goldens.items()), reversed(goldens.items()))):
+        for key, want in items:
+            got = _record(key.split(" "))
+            diffs += [f"pass {n + 1}, {key!r}: {part} differs"
+                      for part, g, w in zip(_PARTS, got, want) if g != w]
     assert not diffs, "\n".join(diffs)
 
 

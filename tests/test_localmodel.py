@@ -441,25 +441,26 @@ def test_tau_square_residues_refuse_a_W_without_U(f3, model3):
 
 
 def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
-    """At q = 9 the oracle of --verify reduces each tau^2 block against the
-    p(p-1) = 6 kernel rows of W alone, and each colength, of the quotient (once
-    per Frobenius orbit) or of the oracle (once per point), ranks at most p = 3
-    rows; the same at M = 3 and at the ceiling, since the oracle never looks past
-    the block."""
-    kernel_rows, residues_of = localmodel._kernel_rows, localmodel._oracle_residues
+    """At q = 9 the oracle of --verify reduces each tau^2 block by the kernel rows
+    of W that act on it, one per nonzero block entry off the row c of the point's
+    last nonzero coordinate: 3, 4 or 5 per point for c = 2, 1 or 0, so
+    81*3 + 9*4 + 1*5 = 284 row actions, and it writes no list of rows.  Each
+    colength, of the quotient (once per Frobenius orbit) or of the oracle (once per
+    point), ranks at most p = 3 rows; the same at M = 3 and at the ceiling, since
+    the oracle never looks past the block."""
+    actions_of, residues_of = localmodel._block_actions, localmodel._oracle_residues
     rank = localmodel._rank
-    rows_per_point, reduced, ranked = [], [], []
+    acted, reduced, ranked, written = [], [], [], []
 
-    def kernel_rows_spy(field, h):
-        rows = kernel_rows(field, h)
+    def actions_spy(p, c):
+        actions = actions_of(p, c)
         if sys._getframe(1).f_code is residues_of.__code__:
-            rows_per_point.append(len(rows))
-        return rows
+            acted.append([len(a) for a in actions])
+        return actions
 
     def residues_spy(field, h):
-        # each residue is one block reduced against the point's kernel rows
         residues = residues_of(field, h)
-        reduced.extend((rows_per_point[-1], len(v)) for v in residues)
+        reduced.extend(len(v) for v in residues)
         return residues
 
     def rank_spy(field, rows):
@@ -468,19 +469,25 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
             ranked.append(len(rows))
         return rank(field, rows)
 
-    monkeypatch.setattr(localmodel, "_kernel_rows", kernel_rows_spy)
+    monkeypatch.setattr(localmodel, "_block_actions", actions_spy)
     monkeypatch.setattr(localmodel, "_oracle_residues", residues_spy)
+    monkeypatch.setattr(localmodel, "_kernel_rows", lambda *a: written.append(a))
     monkeypatch.setattr(localmodel, "_rank", rank_spy)
+    # one action per nonzero entry (i, j) of a block with i != c, by the points' c
+    entries = [i for block in localmodel._block_entries(3) for i, _, _ in block]
+    last = Counter(2 if h[2] else 1 if h[1] else 0 for h in _plane_indices(9))
+    want = sum(n * sum(i != c for i in entries) for c, n in last.items())
+    assert want == 81 * 3 + 9 * 4 + 1 * 5 == 284
     for M in (3, _MAX_M):
-        rows_per_point.clear()
-        reduced.clear()
-        ranked.clear()
+        for log in (acted, reduced, ranked):
+            log.clear()
         assert main(["localmodel", "--q", "9", "--M", str(M), "--verify"]) == 0
         capsys.readouterr()
         # the oracle reduces the three nonzero blocks per point, at M only; the
         # quotient is ranked once per Frobenius orbit and the oracle once per point
-        assert len(rows_per_point) == 91 and len(reduced) == 3 * 91, M
-        assert all(n <= 6 and length <= 9 for n, length in reduced), (M, max(reduced))
+        assert len(acted) == 91 and len(reduced) == 3 * 91, M
+        assert sum(map(sum, acted)) == want and max(map(max, acted)) <= 6, M
+        assert max(reduced) <= 9 and written == [], M
         assert len(ranked) == _frobenius_orbits(2) + 91 and max(ranked) <= 3, (M, max(ranked))
 
 

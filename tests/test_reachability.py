@@ -45,6 +45,8 @@ UNREACHED = {
     "localmodel:SubspaceBasis.contains": (API, "exact membership, the lemma the tests check"),
     "localmodel:pullback_span": (FROBBENCH, "a traced layer, and the dense W whose rows and "
                                  "residues the tests hold the --verify oracle to"),
+    "localmodel:_kernel_rows": (FROBBENCH, "W's kernel rows for the traced pullback_span; the "
+                                "--verify oracle evaluates only the entries that act"),
     "localmodel:_reduce_against": (API, "membership in a dense W, SubspaceBasis.contains"),
     "localmodel:SubspaceBasis.__init__":
         (API, "a dense basis; the oracle eliminates against W's kernel rows as triples"),

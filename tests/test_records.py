@@ -229,7 +229,7 @@ _TABLE_KEYS = {_tau_square_blocks: lambda spec: (spec.p,),
 
 @pytest.mark.parametrize("lookup", [_tau_square_blocks, _block_entries])
 def test_equal_model_specs_share_one_cache_entry(lookup):
-    a, b = ModelSpec(field_make(3, 2), 3), ModelSpec(field_make(3, 2), 3)
+    a, b = ModelSpec(FieldSpec(3, 2), 3), ModelSpec(FieldSpec(3, 2), 3)
     assert a is not b and a.field is not b.field
     first = lookup(*_TABLE_KEYS[lookup](a))
     before = lookup.cache_info()
@@ -258,6 +258,23 @@ def test_a_repeated_request_compares_no_records(monkeypatch, capsys):
         second[command] = len(calls)
     capsys.readouterr()
     assert second == {"localmodel --q 27 --verify": 0, "strata --verify": 0}
+
+
+def test_repeated_requests_build_their_field_once(monkeypatch, capsys):
+    """field_make builds GF(27) for the first localmodel --q 27 request of the
+    process and hands the same field, tables and all, to the next one."""
+    build, built = FieldSpec._build_tables, []
+
+    def counting(self):
+        built.append((self.p, self.m))
+        build(self)
+
+    monkeypatch.setattr(FieldSpec, "_build_tables", counting)
+    field_make.cache_clear()  # a GF(27) cached by an earlier test would hide the build
+    for _ in range(2):
+        assert main(["localmodel", "--q", "27"]) == 0
+    capsys.readouterr()
+    assert built == [(3, 3)]
 
 
 _FRACTION_MODULES = ("fractions", "decimal", "numbers")
