@@ -377,8 +377,9 @@ def cmd_strata(args):
     checks = []
     if args.verify:
         # a fiber of dimension n is an affine n-space: over GF(3) the local
-        # model's census must put 3^n plane points in its stratum
-        census = stratum_census(ModelSpec(field_make(p)))
+        # model's census must put 3^n plane points in its stratum; the field
+        # is looked up as localmodel --q 3 looks it up, so both share one
+        census = stratum_census(ModelSpec(field_make(p, 1)))
         ok = all([census[rec.label] == p ** rec.fiber_dim
                   for rec in table.records if rec.label != PSI1])
         # duality transports the first stratum onto the second at degree -d

@@ -81,7 +81,7 @@ def test_every_golden_argv_replays_byte_identically():
     diffs = []
     # the second pass, in reverse order, meets the fields and tables that every
     # other request of the process has built and cached
-    for n, items in enumerate((list(goldens.items()), reversed(goldens.items()))):
+    for n, items in enumerate((goldens.items(), reversed(goldens.items()))):
         for key, want in items:
             got = _record(key.split(" "))
             diffs += [f"pass {n + 1}, {key!r}: {part} differs"

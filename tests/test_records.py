@@ -260,9 +260,13 @@ def test_a_repeated_request_compares_no_records(monkeypatch, capsys):
     assert second == {"localmodel --q 27 --verify": 0, "strata --verify": 0}
 
 
-def test_repeated_requests_build_their_field_once(monkeypatch, capsys):
-    """field_make builds GF(27) for the first localmodel --q 27 request of the
-    process and hands the same field, tables and all, to the next one."""
+@pytest.mark.parametrize("first, second, field", [
+    ("localmodel --q 27", "localmodel --q 27", (3, 3)),
+    ("strata --verify", "localmodel --q 3 --verify", (3, 1)),
+])
+def test_repeated_requests_build_their_field_once(monkeypatch, capsys, first, second, field):
+    """field_make builds a field for the first request of the process that needs
+    it and hands the same field, tables and all, to the next one."""
     build, built = FieldSpec._build_tables, []
 
     def counting(self):
@@ -270,11 +274,11 @@ def test_repeated_requests_build_their_field_once(monkeypatch, capsys):
         build(self)
 
     monkeypatch.setattr(FieldSpec, "_build_tables", counting)
-    field_make.cache_clear()  # a GF(27) cached by an earlier test would hide the build
-    for _ in range(2):
-        assert main(["localmodel", "--q", "27"]) == 0
+    field_make.cache_clear()  # a field cached by an earlier test would hide the build
+    for command in (first, second):
+        assert main(command.split()) == 0
     capsys.readouterr()
-    assert built == [(3, 3)]
+    assert built == [field]
 
 
 _FRACTION_MODULES = ("fractions", "decimal", "numbers")
