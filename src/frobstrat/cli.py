@@ -19,6 +19,7 @@ from math import gcd, log10
 from .gfield import FieldElement, _point_text, field_make
 from .localmodel import (
     ModelSpec,
+    _check_level,
     _plane_classes,
     _truncation_stable,
     stratum_census,
@@ -319,8 +320,7 @@ def cmd_localmodel(args):
                          f"q^2 + q + 1 = {_int_text(args.q ** 2 + args.q + 1)} plane points "
                          f"with field tables of q^2 = {_int_text(args.q ** 2)} entries")
     # both M bounds are checked here, before any field table is built
-    if args.M < 3:
-        raise ValueError(f"truncation level M must be at least 3, got {args.M}")
+    _check_level(args.M)
     if args.M > _MAX_M:
         raise ValueError(f"M = {args.M} is above the ceiling {_MAX_M}: only --verify's "
                          "truncation guard grows with M, building the tau^2 t^k at M + 1")
@@ -377,8 +377,8 @@ def cmd_strata(args):
     checks = []
     if args.verify:
         # a fiber of dimension n is an affine n-space: over GF(3) the local
-        # model's census must put 3^n plane points in its stratum; the field
-        # is looked up as localmodel --q 3 looks it up, so both share one
+        # model's census must put 3^n plane points in its stratum, over the
+        # one GF(3) that field_make also hands localmodel --q 3
         census = stratum_census(ModelSpec(field_make(p, 1)))
         ok = all([census[rec.label] == p ** rec.fiber_dim
                   for rec in table.records if rec.label != PSI1])

@@ -5,9 +5,10 @@ an element's index is ``c0 + c1*p + ...``.  Every field precomputes its full
 q x q operation tables at construction: addition one base-p digit at a time,
 multiplication and inverses from the discrete logarithms of one generator.  The
 only polynomial products taken are the powers of the elements tried as that
-generator, about q of them rather than one per pair.  The fields used downstream
-are small (q <= 243, the ``localmodel --q`` ceiling), so element arithmetic is a
-table lookup and all linear algebra built on top stays exact.
+generator, about q of them rather than one per pair.  The fields are small:
+``FieldSpec`` refuses one of more than ``_MAX_Q`` = 3^6 = 729 elements before
+it builds anything.  Element arithmetic is a table lookup, and all linear
+algebra built on top stays exact.
 """
 
 from functools import lru_cache
@@ -90,6 +91,10 @@ def _poly_str(coeffs):
     return " + ".join(terms) if terms else "0"
 
 
+# the largest field built, 3^6: its tables took 0.1 s to a 32 MB peak, 3^7's 1.75 s and 207 MB
+_MAX_Q = 3 ** 6
+
+
 class FieldSpec(Record):
     """A finite field GF(p^m) with interned elements and full lookup tables.
 
@@ -103,10 +108,16 @@ class FieldSpec(Record):
                                   "_add", "_mul", "_neg", "_inv", "_frob", "_names")
 
     def __init__(self, p, m=1):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise ValueError(f"characteristic must be a prime integer, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m!r}")
+        # 2^m exceeds _MAX_Q from m = its bit length on, so p ** m is taken for small m only
+        if m >= _MAX_Q.bit_length() or p ** m > _MAX_Q:
+            raise ValueError(f"q = {p}^{m} is above the ceiling {_MAX_Q}: the field would "
+                             "build q x q addition and multiplication tables")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be a prime integer, got {p!r}")
         _set(self, "p", p)
         _set(self, "m", m)
         _set(self, "modulus", None if m == 1 else _default_modulus(p, m))
@@ -192,78 +203,29 @@ class FieldElement(Record):
     def __bool__(self):
         return self.index != 0
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            # identity first: != would run the Python-level Record.__eq__
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise ValueError(
-                    f"mixed-field arithmetic between {self.spec!r} and {other.spec!r}")
-            return other
-        if isinstance(other, int):
-            return self.spec.element(other)
-        return None
+    def _lookup(self, table, other):
+        """The element at (self, other) of one of the field's q x q tables."""
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        # identity first: != would run the Python-level Record.__eq__
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise ValueError(f"mixed-field arithmetic between {self.spec!r} and {other.spec!r}")
+        return self.spec.elements[table[self.index][other.index]]
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.spec.elements[self.spec._add[self.index][o.index]]
-
-    __radd__ = __add__
+        return self._lookup(self.spec._add, other)
 
     def __neg__(self):
         return self.spec.elements[self.spec._neg[self.index]]
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.spec.elements[self.spec._mul[self.index][o.index]]
-
-    __rmul__ = __mul__
+        return self._lookup(self.spec._mul, other)
 
     def inverse(self):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.index == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.spec!r}")
         return self.spec.elements[self.spec._inv[self.index]]
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result, base = self.spec.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __repr__(self):
         return f"{_poly_str(self.coeffs)} in {self.spec!r}"
@@ -312,12 +274,16 @@ def _point_text(names, h):
     return f"[{names[h[0]]} : {names[h[1]]} : {names[h[2]]}]"
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 3.0 == 3 must still be refused
 def field_make(p, m=1):
     """GF(p^m) over the lexicographically smallest monic irreducible modulus of
-    degree m, so repeated runs agree: built by the first call with these arguments and
-    shared by every later one in the process; FieldSpec(p, m) builds a new field."""
-    return FieldSpec(p, m)
+    degree m, so repeated runs agree: built by the first call for (p, m), however
+    the call is written, and shared by every later one in the process;
+    FieldSpec(p, m) builds a new field."""
+    return _fields(p, m)
+
+
+# keyed on (p, m) as field_make passes them; typed: 3.0 == 3 must still be refused
+_fields = lru_cache(maxsize=None, typed=True)(FieldSpec)
 
 
 def _plane_indices(q):

@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def _check_level(M):
+    """Refuse a truncation level M below 3, which drops exponents the classification uses."""
+    if M < 3:
+        raise ValueError(f"truncation level M must be at least 3, got {M}")
+
+
 class ModelSpec(Record):
     """Field and truncation level of one local model, with the field's characteristic
     ``p``, the left exponents' bound ``left_bound`` = pM and ``dimension`` = p^2 M."""
@@ -48,8 +54,7 @@ class ModelSpec(Record):
     __slots__ = __match_args__ + ("p", "left_bound", "dimension")
 
     def __init__(self, field: FieldSpec, M: int = 3):
-        if M < 3:
-            raise ValueError(f"truncation level M must be at least 3, got {M}")
+        _check_level(M)
         _set(self, "field", field)
         _set(self, "M", M)
         _set(self, "p", field.p)

@@ -86,6 +86,15 @@ def to_pairs(P):
     return [[r, dg] for r, dg in P.vertices]
 
 
+def power(e, n):
+    """e^n for n >= 0 as n products by e, so that it does not read the
+    field's Frobenius table _frob."""
+    result = e.spec.one
+    for _ in range(n):
+        result = result * e
+    return result
+
+
 def to_coeffs(e):
     """A field element as its little-endian list of residues."""
     return list(e.coeffs)

@@ -9,7 +9,7 @@ from frobstrat.gfield import (
     field_make,
     projective_plane,
 )
-from oracles import to_coeffs, to_lists
+from oracles import power, to_coeffs, to_lists
 
 # every field with q <= 9, for the exhaustive axiom sweeps
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -58,6 +58,65 @@ def test_field_make_shares_one_field_and_keeps_every_refusal():
             field_make(p, m)
 
 
+def test_field_make_answers_every_call_shape_with_one_field():
+    f3, f9 = field_make(3), field_make(3, 2)
+    assert field_make(3, 1) is f3 and field_make(p=3, m=1) is f3 and field_make(3, m=1) is f3
+    assert field_make(p=3) is f3 and field_make(m=2, p=3) is f9
+
+
+class _NoPower(int):
+    """An int whose powers fail the test: p ** m must wait until m is bounded."""
+
+    def __pow__(self, other):
+        raise AssertionError(f"{self} ** {other} was computed")
+
+
+def _fail(*args):
+    raise AssertionError("a field above the ceiling reached its primality test or tables")
+
+
+@pytest.mark.parametrize("p, m", [
+    (733, 1), (10007, 1), (10**18 + 3, 1), (3, 7), (3, 8), (2, 10), (5, 5), (28, 2),
+    (4, 20), (_NoPower(3), 10**18),
+], ids=["733", "10007", "10^18+3", "3^7", "3^8", "2^10", "5^5", "28^2", "4^20", "3^10^18"])
+def test_a_field_above_the_ceiling_is_refused_before_any_work(monkeypatch, p, m):
+    monkeypatch.setattr(FieldSpec, "_build_tables", _fail)
+    monkeypatch.setattr(gfield, "_is_prime", _fail)
+    for make in (FieldSpec, field_make):
+        with pytest.raises(ValueError, match="is above the ceiling 729: the field would build"):
+            make(p, m)
+
+
+class _Built(Exception):
+    pass
+
+
+def _built(self):
+    raise _Built
+
+
+@pytest.mark.parametrize("p, m", [(3, 6), (2, 9), (5, 4), (727, 1)])
+def test_a_field_at_or_below_the_ceiling_is_built(monkeypatch, p, m):
+    monkeypatch.setattr(FieldSpec, "_build_tables", _built)
+    with pytest.raises(_Built):
+        FieldSpec(p, m)
+
+
+def test_the_types_come_before_the_size_and_the_size_before_primality(monkeypatch):
+    monkeypatch.setattr(FieldSpec, "_build_tables", _fail)
+    with pytest.raises(ValueError, match="^characteristic must be a prime integer, got 3.0$"):
+        FieldSpec(3.0, 10**18)
+    with pytest.raises(ValueError, match="^extension degree must be a positive integer, got 8.0$"):
+        FieldSpec(10**18 + 3, 8.0)
+    with pytest.raises(ValueError, match="^extension degree must be a positive integer, got 0$"):
+        field_make(3, 0)
+    with pytest.raises(ValueError, match="^characteristic must be a prime integer, got 4$"):
+        FieldSpec(4)
+    monkeypatch.setattr(gfield, "_is_prime", _fail)
+    with pytest.raises(ValueError, match="^q = 4\\^20 is above the ceiling 729"):
+        FieldSpec(4, 20)
+
+
 def test_inverse_examples(f3, f9):
     two = f3.element(2)
     assert two.inverse() == two                     # 2*2 = 4 = 1
@@ -93,7 +152,7 @@ def test_frobenius_identity_exhaustive(p, m):
     spec = field_make(p, m)
     for a in spec.elements:
         for b in spec.elements:
-            assert (a + b) ** p == a ** p + b ** p
+            assert power(a + b, p) == power(a, p) + power(b, p)
 
 
 @pytest.mark.parametrize("p,m,expected", [(3, 1, 13), (3, 2, 91), (2, 1, 7)])
@@ -134,8 +193,8 @@ def test_projective_normalization_is_canonical(f3):
 def test_projective_normalization_with_a_later_non_one_pivot(f9):
     x, y = f9.element([0, 1]), f9.element([1, 1])
     point = ProjectivePoint((f9.zero, x, y))
-    assert point.coords == (f9.zero, f9.one, y / x)
-    assert point == ProjectivePoint((f9.zero, f9.one, y / x))
+    assert point.coords == (f9.zero, f9.one, y * x.inverse())
+    assert point == ProjectivePoint((f9.zero, f9.one, y * x.inverse()))
 
 
 def test_projective_point_rejects_zero(f3):
@@ -164,24 +223,24 @@ def test_serialization_roundtrip(f9):
     assert ProjectivePoint.of(f9, to_lists(pt)) == pt
 
 
-def test_integer_operands_lift(f3, f9):
-    assert f3.element(1) + 2 == f3.zero
-    assert 2 * f3.element(2) == f3.one
-    assert f3.element(1) - 2 == f3.element(2)
-    x, inv = f9.element([0, 1]), f9.element([0, 2])  # x * 2x = 2x^2 = -2 = 1
-    assert 2 - x == f9.element([2, 2])
-    assert 1 / x == inv
-    assert x ** -1 == inv
-
-
 def test_other_operands_are_refused(f9):
     x = f9.element([0, 1])
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-        for a, b in ((x, "1"), ("1", x)):
-            with pytest.raises(TypeError):
-                op(a, b)
+        for other in ("1", 1, 2):
+            for a, b in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    op(a, b)
     with pytest.raises(TypeError):
         x ** 0.5
+
+
+def test_elements_subtract_and_divide_through_negation_and_inverse(f9):
+    x, y = f9.element([0, 1]), f9.element([1, 1])
+    for op, b in ((operator.sub, y), (operator.truediv, y), (operator.pow, y), (operator.pow, 2)):
+        with pytest.raises(TypeError):
+            op(x, b)
+    assert x + -y == f9.element([2, 0])              # x - (1 + x) = -1
+    assert (y * x.inverse()) * x == y
 
 
 def test_spec_repr_mentions_size(f3, f9):

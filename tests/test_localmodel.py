@@ -29,7 +29,7 @@ from frobstrat.localmodel import (
     times_t_right,
 )
 from frobstrat.polygon import PSI2, PSI3, PSI4
-from oracles import basis_rows, tau_square_residues
+from oracles import basis_rows, power, tau_square_residues
 
 
 def pt(spec_field, *coords):
@@ -344,7 +344,7 @@ def test_the_frobenius_table_is_x_cubed(p, m):
     identity."""
     field = field_make(p, m)
     fr = field._frob
-    assert fr == [(x ** p).index for x in field.elements]
+    assert fr == [power(x, p).index for x in field.elements]
     assert [x for x in range(field.q) if fr[x] == x] == list(range(p))
     iterate = list(range(field.q))
     for _ in range(m):

@@ -57,14 +57,10 @@ UNREACHED = {
     "gfield:ProjectivePoint.spec": (API, "a point's field, read by SubmoduleV and repr"),
     "gfield:FieldSpec.element": (API, "an element from an int or coefficients"),
     "gfield:ProjectivePoint.of": (API, "a point from ints or coefficient lists"),
-    "gfield:FieldElement.__sub__": (API, "element arithmetic; commands use the index tables"),
-    "gfield:FieldElement.__rsub__": (API, "element arithmetic; commands use the index tables"),
-    "gfield:FieldElement.__mul__": (API, "element arithmetic; commands use the index tables"),
-    "gfield:FieldElement.__truediv__": (API, "element arithmetic; commands use the index tables"),
-    "gfield:FieldElement.__rtruediv__":
-        (API, "element arithmetic; commands use the index tables"),
-    "gfield:FieldElement.__pow__": (API, "element arithmetic; commands use the index tables"),
-    "gfield:FieldElement.inverse": (API, "element arithmetic; commands use the index tables"),
+    "gfield:FieldElement.__mul__":
+        (API, "ProjectivePoint's normalization uses it; commands use the index tables"),
+    "gfield:FieldElement.inverse":
+        (API, "ProjectivePoint's normalization uses it; commands use the index tables"),
     "gfield:FieldSpec.__repr__": (API, "repr; a mixed-field error names its fields"),
     "gfield:FieldElement.__repr__": (API, "repr"),
     "gfield:ProjectivePoint.__repr__":

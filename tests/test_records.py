@@ -34,6 +34,7 @@ from frobstrat import (
     bruteforce_destabilized_polygons,
     canonical_filtration_degrees,
     field_make,
+    gfield,
     projective_plane,
     pushforward_degree,
     tau_power,
@@ -274,7 +275,7 @@ def test_repeated_requests_build_their_field_once(monkeypatch, capsys, first, se
         build(self)
 
     monkeypatch.setattr(FieldSpec, "_build_tables", counting)
-    field_make.cache_clear()  # a field cached by an earlier test would hide the build
+    gfield._fields.cache_clear()  # a field cached by an earlier test would hide the build
     for command in (first, second):
         assert main(command.split()) == 0
     capsys.readouterr()
