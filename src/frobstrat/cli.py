@@ -16,7 +16,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
 
-from .gfield import FieldElement, _point_text, field_make
+from .gfield import FieldElement, _check_p_ceiling, _point_text, field_make
 from .localmodel import (
     ModelSpec,
     _check_level,
@@ -63,9 +63,6 @@ _VERDICTS = object()
 
 # largest localmodel --q: time and the plane's points and output entries grow as q^2
 _MAX_Q = REGIME[0] ** 5
-
-# largest --p, checked before its primality is tested by trial division up to sqrt(p)
-_MAX_P = 10_000
 
 # largest localmodel --M: neither the quotient nor the --verify oracle looks past
 # the block i < 3, so only --verify's guard grows with M, building the tau^2 t^k at
@@ -583,8 +580,8 @@ def main(argv=None):
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        if getattr(args, "p", 0) > _MAX_P:
-            raise ValueError(f"p = {args.p} is above the ceiling {_MAX_P} for trial division")
+        # p's ceiling ahead of every command's own checks; the library applies it too
+        _check_p_ceiling(getattr(args, "p", 0))
         # rendering too can refuse an input, an int past str()'s digit limit
         return _render(args, *args.func(args))
     except ValueError as exc:

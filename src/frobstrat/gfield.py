@@ -25,6 +25,16 @@ __all__ = [
 ]
 
 
+# largest p whose primality is tested: trial division runs up to sqrt(p)
+_MAX_P = 10_000
+
+
+def _check_p_ceiling(p):
+    """Refuse an int p above _MAX_P, before its primality is tested."""
+    if isinstance(p, int) and p > _MAX_P:
+        raise ValueError(f"p = {p} is above the ceiling {_MAX_P} for trial division")
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -12,7 +12,7 @@ from functools import cache
 from math import prod
 
 from ._record import Record, _set
-from .gfield import _is_prime
+from .gfield import _check_p_ceiling, _is_prime
 from .slopecalc import canonical_filtration_degrees
 
 __all__ = [
@@ -77,8 +77,14 @@ class CurveParams(Record):
     __slots__ = __match_args__ = ("p", "g", "r", "d")
 
     def __init__(self, p: int, g: int, r: int, d: int):
+        _check_p_ceiling(p)
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p!r}")
+        # ints, not bool, as LatticePolygon's vertices: the search's vertices
+        # are built from them and not checked again (see _searched_polygon)
+        for name, value in (("genus", g), ("rank", r), ("degree", d)):
+            if not isinstance(value, int) or type(value) is bool:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if g < 1:
             raise ValueError(f"genus must be at least 1, got {g}")
         if r < 1:
@@ -144,6 +150,14 @@ class LatticePolygon(Record):
         return f"LatticePolygon[{pts}]"
 
 
+def _searched_polygon(vertices, new=object.__new__, cls=LatticePolygon):
+    """A ``LatticePolygon`` of vertices the directed search has checked, not
+    walked again; the class is bound here, not looked up per call."""
+    P = new(cls)
+    _set(P, "vertices", vertices)
+    return P
+
+
 def _integer_heights(P):
     """Heights of P at x = 1..m, each as (numerator, positive denominator)."""
     return [(y0 * (x1 - x0) + (y1 - y0) * (x - x0), x1 - x0)
@@ -182,12 +196,20 @@ def enumerate_destabilized_polygons(params):
     below the last slope by at most 2g - 2 and pass a reachability cut: the
     mean slope left lies strictly below dy/w, by at most (2g-2) per remaining
     segment.  So the closing segment falls strictly and only its gap is
-    checked.  The cut drops no chain that can finish but keeps some that
+    tested.  The cut drops no chain that can finish but keeps some that
     cannot (each with 2 or more units of width left); on the tested cases the
     search visits at most 2 nodes per polygon.  The slope window is derived,
     not imposed: the first slope lies in (p*d/r, p*d/r + (2g-2)(r-1)^2/r], and
     at most r - 1 drops of at most 2g - 2 follow it, so every slope is within
     p*d/r +- (r-1)(2g-2).  Results are sorted lexicographically by vertex list.
+
+    Each step's strict fall, the closing step's too, is checked by
+    cross-multiplication as it is taken, apart from the floor-division bounds
+    that ensure it; a failure raises RuntimeError.  So the polygons are built
+    without ``LatticePolygon``'s walk: their vertices are ints (``CurveParams``
+    checks g, r and d), start at the root (0, 0), make two segments or more
+    (only a chain with a first one is closed) and have widths drawn from
+    ``range(1, span)``.  The box scan keeps the validating constructor.
     """
     if params.g < 2:
         raise ValueError(f"enumeration needs genus >= 2, got {params.g}")
@@ -197,7 +219,8 @@ def enumerate_destabilized_polygons(params):
     found = []
 
     def extend(chain, x0, y0, pdy, pw):
-        # (x0, y0) ends the chain; (pdy, pw) is its last segment, pw == 0 before the first
+        # (x0, y0) ends the chain; (pdy, pw) is its last segment, (1, 0) before
+        # the first: an infinite slope, which every first segment falls below
         span, left = r - x0, end_y - y0
         for w in range(1, span):
             # the rest must still reach (r, p*d): its mean slope lies strictly
@@ -216,14 +239,21 @@ def enumerate_destabilized_polygons(params):
                     low = bound
             x = x0 + w
             for dy in range(low, high + 1):
+                # the strict fall, checked apart from the bounds that ensure it
+                if dy * pw >= pdy * w:
+                    raise RuntimeError(f"search step from {(x0, y0)} to {(x, y0 + dy)} "
+                                       f"does not fall below slope {pdy}/{pw}")
                 extend(chain + ((x, y0 + dy),), x, y0 + dy, dy, w)
         # pw: not a single segment; the closing slope left/span falls by at most 2g-2
         if pw and pdy * span <= (left + gap * span) * pw:
-            found.append(LatticePolygon(chain + ((r, end_y),)))
+            if left * pw >= pdy * span:
+                raise RuntimeError(f"closing step from {(x0, y0)} to {(r, end_y)} "
+                                   f"does not fall below slope {pdy}/{pw}")
+            found.append(_searched_polygon(chain + ((r, end_y),)))
 
     # widths, then rises, are tried in ascending order, so chains come out sorted
     try:
-        extend(((0, 0),), 0, 0, 0, 0)
+        extend(((0, 0),), 0, 0, 1, 0)
     except RecursionError:
         # one level per segment, so the rank sets the depth: a refusal of the input
         raise ValueError(f"r = {r} needs a polygon search deeper than Python's "

@@ -6,7 +6,7 @@ anywhere.
 """
 
 from ._record import Record, _set
-from .gfield import _is_prime
+from .gfield import _check_p_ceiling, _is_prime
 
 __all__ = [
     "BundleData",
@@ -94,6 +94,7 @@ class CertificateReport(Record):
 
 
 def _certificate(kind, p, g, r, d, t):
+    _check_p_ceiling(p)
     if not _is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     # r = 1 has no proper subranks, so both certificates hold vacuously

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from frobstrat import cli, gfield, localmodel, polygon, slopecalc, strata
-from frobstrat.cli import _COMMANDS, _MAX_M, _MAX_P, _json_text, build_parser, main
-from frobstrat.gfield import ProjectivePoint, field_make, projective_plane
+from frobstrat.cli import _COMMANDS, _MAX_M, _json_text, build_parser, main
+from frobstrat.gfield import _MAX_P, ProjectivePoint, field_make, projective_plane
 from frobstrat.polygon import (
     REGIME,
     CurveParams,

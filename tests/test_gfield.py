@@ -2,8 +2,9 @@ import operator
 
 import pytest
 
-from frobstrat import gfield
+from frobstrat import gfield, polygon, slopecalc
 from frobstrat.gfield import (
+    _MAX_P,
     FieldSpec,
     ProjectivePoint,
     field_make,
@@ -85,6 +86,21 @@ def test_a_field_above_the_ceiling_is_refused_before_any_work(monkeypatch, p, m)
     for make in (FieldSpec, field_make):
         with pytest.raises(ValueError, match="is above the ceiling 729: the field would build"):
             make(p, m)
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: polygon.CurveParams(p, 2, 3, 0),
+    lambda p: slopecalc.stability_certificate(p, 2, 1, 0, 0),
+    lambda p: slopecalc.embedding_certificate(p, 2, 1, 0, 0),
+], ids=["CurveParams", "stability_certificate", "embedding_certificate"])
+def test_trial_division_callers_refuse_p_above_its_ceiling_first(monkeypatch, make):
+    # trial division up to sqrt(10^18 + 3) would take about 10^9 steps
+    for module in (gfield, polygon, slopecalc):
+        monkeypatch.setattr(module, "_is_prime", _fail)
+    for p in (_MAX_P + 1, 10**18 + 3):
+        with pytest.raises(ValueError, match=f"^p = {p} is above the ceiling {_MAX_P} "
+                                             "for trial division$"):
+            make(p)
 
 
 class _Built(Exception):

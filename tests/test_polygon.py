@@ -2,13 +2,15 @@ import inspect
 import math
 import re
 import sys
+import types
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from frobstrat import polygon
+from frobstrat import cli, polygon
 from frobstrat.polygon import (
     EQUAL,
     GREATER_OR_EQUAL,
@@ -448,11 +450,14 @@ def test_enumeration_shears_by_the_finer_step(p, g, r, d):
     assert enumerate_destabilized_polygons(CurveParams(p, g, r, d + r // k)) == sheared
 
 
-@pytest.mark.parametrize("p, g, r, d", [
+SEARCH_GRID = [
     *product((2, 3, 5, 7), [2], range(2, 8), (0, 1)),
     *product((3, 5), [3], range(2, 6), (0, 1)),
     (3, 2, 8, 1),
-])
+]
+
+
+@pytest.mark.parametrize("p, g, r, d", SEARCH_GRID)
 def test_enumeration_count_matches_the_definition(p, g, r, d):
     """The search lists exactly as many polygons as the definition admits, counted
     by a path that shares no code with it, above the box scan's ceiling too."""
@@ -565,3 +570,47 @@ def test_name_polygon_matches_the_template_polygons():
         named = polygon.regime_polygons(d)
         assert list(named.values()) == listed
         assert named == {lab: psi_polygon(i, d) for i, lab in enumerate(PSI_LABELS, start=1)}
+
+
+@pytest.mark.parametrize("p, g, r, d", SEARCH_GRID)
+def test_every_searched_polygon_passes_the_class_validation(p, g, r, d):
+    """The search builds its polygons without the constructor's walk; each is
+    the polygon the validating constructor makes of its vertices."""
+    polys = enumerate_destabilized_polygons(CurveParams(p, g, r, d))
+    assert all(type(P) is LatticePolygon for P in polys)
+    assert polys == [LatticePolygon(P.vertices) for P in polys]
+
+
+def _polygon_copy(old, new):
+    """polygon.py loaded as a module of its own, with its one ``old`` replaced by ``new``."""
+    source = Path(polygon.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("frobstrat._polygon_copy")
+    module.__package__ = "frobstrat"
+    exec(compile(source.replace(old, new), polygon.__file__, "exec"), module.__dict__)
+    return module
+
+
+# a bound loosened in the search, and the check that must catch the step it admits
+SEARCH_FAULTS = {
+    "fall bound admits an equal slope": (
+        "(pdy * w - 1) // pw", "(pdy * w) // pw",
+        "search step from (2, 1) to (3, 1) does not fall below slope 0/1"),
+    "reachability cut admits a rise at the mean": (
+        "low = left * w // span + 1", "low = left * w // span",
+        "closing step from (1, 0) to (4, 0) does not fall below slope 0/1"),
+}
+
+
+@pytest.mark.parametrize("fault", list(SEARCH_FAULTS))
+def test_a_loosened_search_bound_is_a_broken_invariant(capsys, monkeypatch, fault):
+    """The step checks stand apart from the bounds: a copy of the search with
+    one bound loosened raises RuntimeError at the first step it wrongly admits,
+    and main reports it as a broken invariant, exit 1, not as bad input."""
+    old, new, message = SEARCH_FAULTS[fault]
+    search = _polygon_copy(old, new).enumerate_destabilized_polygons
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        search(CurveParams(3, 2, 4, 0))
+    monkeypatch.setattr(cli, "enumerate_destabilized_polygons", search)
+    code = cli.main(["enumerate", "--p", "3", "--g", "2", "--r", "4", "--d", "0"])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))

@@ -17,14 +17,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from frobstrat.cli import (  # noqa: E402
     _COMMANDS,
     _MAX_M,
-    _MAX_P,
     _MAX_Q,
     _exact_args,
     _json_text,
     build_parser,
     main,
 )
-from frobstrat.gfield import FieldElement, field_make  # noqa: E402
+from frobstrat.gfield import _MAX_P, FieldElement, field_make  # noqa: E402
 from frobstrat.localmodel import _rank, _reduce_against, _rref  # noqa: E402
 from frobstrat.polygon import (  # noqa: E402
     EQUAL,

@@ -167,6 +167,13 @@ def test_polygon_normalises_its_vertices_to_tuples():
     (lambda: CurveParams("3", 2, 3, 0), "characteristic must be prime, got '3'"),
     (lambda: CurveParams(3, 0, 3, 0), "genus must be at least 1, got 0"),
     (lambda: CurveParams(3, 2, 0, 0), "rank must be positive, got 0"),
+    # the polygon search builds its vertices from g, r and d and does not check them again
+    (lambda: CurveParams(3, 2.0, 3, 1), "genus must be an integer, got 2.0"),
+    (lambda: CurveParams(3, True, 3, 1), "genus must be an integer, got True"),
+    (lambda: CurveParams(3, 2, 3.0, 1), "rank must be an integer, got 3.0"),
+    (lambda: CurveParams(3, 2, True, 1), "rank must be an integer, got True"),
+    (lambda: CurveParams(3, 2, 3, 0.5), "degree must be an integer, got 0.5"),
+    (lambda: CurveParams(3, 2, 3, False), "degree must be an integer, got False"),
     (lambda: LatticePolygon(((0, 0), (1, 1.5))),
      "vertices must be integral lattice points, got (1, 1.5)"),
     (lambda: LatticePolygon(((0, 0), (1, 2, 3))),
