@@ -596,7 +596,7 @@ SEARCH_FAULTS = {
     "fall bound admits an equal slope": (
         "(pdy * w - 1) // pw", "(pdy * w) // pw",
         "search step from (2, 1) to (3, 1) does not fall below slope 0/1"),
-    "reachability cut admits a rise at the mean": (
+    "reachability cut admits a rise not above the mean": (
         "low = left * w // span + 1", "low = left * w // span",
         "closing step from (1, 0) to (4, 0) does not fall below slope 0/1"),
 }
