@@ -16,7 +16,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
 
-from .gfield import FieldElement, _check_p_ceiling, _point_text, field_make
+from .gfield import FieldElement, _point_text, field_make
 from .localmodel import (
     ModelSpec,
     _check_level,
@@ -580,8 +580,6 @@ def main(argv=None):
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        # p's ceiling ahead of every command's own checks; the library applies it too
-        _check_p_ceiling(getattr(args, "p", 0))
         # rendering too can refuse an input, an int past str()'s digit limit
         return _render(args, *args.func(args))
     except ValueError as exc:

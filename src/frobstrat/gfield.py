@@ -25,7 +25,8 @@ __all__ = [
 ]
 
 
-# largest p whose primality is tested: trial division runs up to sqrt(p)
+# largest p the package takes, the library and the CLI alike: primality is tested
+# by trial division up to sqrt(p), and certify --r p prints a row per subrank
 _MAX_P = 10_000
 
 

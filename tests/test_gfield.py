@@ -103,6 +103,15 @@ def test_trial_division_callers_refuse_p_above_its_ceiling_first(monkeypatch, ma
             make(p)
 
 
+def test_trial_division_callers_take_the_largest_prime_under_its_ceiling():
+    # the ceiling the library keeps: 9973 is the last prime at or below _MAX_P
+    assert gfield._is_prime(9973) and not any(map(gfield._is_prime, range(9974, _MAX_P + 1)))
+    params = polygon.CurveParams(9973, 2, 3, 1)
+    assert len(polygon.enumerate_destabilized_polygons(params)) == 4
+    assert slopecalc.stability_certificate(9973, 2, 1, 0, 0).passed
+    assert slopecalc.embedding_certificate(9973, 2, 1, 0, 0).passed
+
+
 class _Built(Exception):
     pass
 
