@@ -15,6 +15,7 @@ from functools import cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
+from types import FunctionType
 
 from .gfield import FieldElement, _point_text, field_make
 from .localmodel import (
@@ -89,10 +90,11 @@ _JSON_SCALARS = {None: "null", True: "true", False: "false"}
 
 @cache
 def _rows_format(n, width, indent):
-    """The %-template of a list of n lists of ``width`` ints written at ``indent``."""
+    """The %-template of a list of n lists of ``width`` ints written at ``indent``, or of
+    n texts (%s) where ``width`` is 0."""
     inner = indent + "  "
     deeper = inner + "  "
-    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]" if width else "%s"
     return "[" + inner + ("," + inner).join([row] * n) + indent + "]"
 
 
@@ -100,7 +102,7 @@ def _rows_format(n, width, indent):
 def _entry_format(keys, shape, indent):
     """The %-template of a dict with the sorted ``keys`` written at ``indent``, a value per
     part of ``shape``: "%d", "%s" or a literal as written, n for a polygon of n vertices,
-    (n, m) for n field elements of m coefficients."""
+    (n, m) for n field elements of m coefficients, or n texts where m is 0."""
     inner = indent + "  "
     items = []
     for key, part in zip(keys, shape):
@@ -168,11 +170,13 @@ def _json_text(value, indent="\n"):
     """json.dumps(value, indent=2, sort_keys=True, default=...) for what payloads hold:
     str-keyed dicts, lists, tuples, ints, strs, bools, None, polygons and lists of field
     elements of one m, the default writing a polygon as its vertex pairs and an element as
-    its coefficients.  Anything else, such as a float, a point, a bare element or a list
-    mixing fields, raises TypeError, as json.dumps does without a default.  This writer
-    makes one call per container, one % per polygon or element list on a template cached
-    per shape and depth, and one % per entry of a list of dicts that share their keys, such
-    as the entries of enumerate, localmodel, strata and dual (_entry_texts)."""
+    its coefficients.  A function stands for a list: called with the indent of its
+    entries, it returns their texts, which this writer lays out as the list's, as
+    localmodel's points.  Anything else, such as a float, a point, a bare element or a
+    list mixing fields, raises TypeError, as json.dumps does without a default.  This
+    writer makes one call per container, one % per polygon or element list on a template
+    cached per shape and depth, and one % per entry of a list of dicts that share their
+    keys, such as the entries of enumerate, strata and dual (_entry_texts)."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -191,13 +195,16 @@ def _json_text(value, indent="\n"):
         if not value:
             return "[]"
         if m := _field_m(value):
-            # the localmodel payload's points: their coordinates' coefficient lists
+            # a plane point's coordinates, as their coefficient lists
             return _rows_format(len(value), m, indent) % sum([e.coeffs for e in value], ())
         if type(value[0]) is dict and value[0]:
             items = _entry_texts(value, inner)
         else:
             items = [_json_text(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if kind is FunctionType:
+        items = value(inner)
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     if kind is LatticePolygon:
         # the polygons of every payload; their vertex pairs are most of the
         # enumerate and dual payloads
@@ -327,13 +334,13 @@ def cmd_localmodel(args):
     stable = args.verify and _truncation_stable(ModelSpec(field, args.M + 1))
 
     # one walk of the plane, the full model W (--verify) rechecking every point
-    # at M; only the requested format's entry is kept, a point as its field's
-    # elements or its text
+    # at M; only the requested format's entry is kept, a point as its element
+    # indices or its text
     as_json = args.format == "json"
     census = {PSI2: 0, PSI3: 0, PSI4: 0}
     bad = 0
     entries = []
-    elements, names = field.elements, None if as_json else field.names
+    names = None if as_json else field.names
     for h, col, res, lab in _plane_classes(field, args.verify):
         if _COLENGTH_LABEL[col] != lab:
             raise RuntimeError(f"point {_point_text(field.names, h)} has colength {col} "
@@ -342,7 +349,7 @@ def cmd_localmodel(args):
         ok = all(res.values())
         bad += not ok
         if as_json:
-            entries.append({"point": [elements[i] for i in h], "label": lab, "colength": col})
+            entries.append((col, lab, h))
         else:
             flag = "" if ok else "  CLAIM-FAIL " + ",".join(k for k, v in res.items() if not v)
             entries.append(f"  {_point_text(names, h):<24} colength {col}  {lab}{flag}")
@@ -354,8 +361,18 @@ def cmd_localmodel(args):
                   (f"claims and colengths stable at M={args.M + 1}", stable)]
     claims_ok = not bad
     if as_json:
+        def points(indent):
+            # each element's coefficient list written once, at the depth of a point's
+            # coordinates in the entry template, as the table's lines read field.names
+            coords = [_json_text(e.coeffs, indent + "    ") for e in field.elements]
+            quoted = {lab: encode_basestring_ascii(lab) for lab in census}
+            template = _entry_format(("colength", "label", "point"), ("%d", "%s", (3, 0)), indent)
+            # the exact-size copy of each text, as in _entry_texts
+            return ["".join((template % (col, quoted[lab], coords[a], coords[b], coords[c]), ""))
+                    for col, lab, (a, b, c) in entries]
+
         return claims_ok, {"q": args.q, "M": args.M, "census": census, "claims_pass": claims_ok,
-                           "points": entries}, None, checks
+                           "points": points}, None, checks
     return claims_ok, None, [
         f"local pull-back model over GF({args.q}), truncation M={args.M}",
         f"census: {PSI2}={census[PSI2]} {PSI3}={census[PSI3]} {PSI4}={census[PSI4]} "

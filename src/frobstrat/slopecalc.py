@@ -94,6 +94,17 @@ class CertificateReport(Record):
 
 
 def _certificate(kind, p, g, r, d, t):
+    # a p, g, r, d or t that is not an int, or is a bool, is refused with CurveParams'
+    # messages before p's ceiling and trial division, which finds 3.0 prime
+    if not isinstance(p, int) or type(p) is bool:
+        raise ValueError(f"characteristic must be prime, got {p!r}")
+    for name, value in (("genus", g), ("rank", r), ("degree", d),
+                        ("auxiliary line-bundle degree", t)):
+        if not isinstance(value, int) or type(value) is bool:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if kind == "stability" and (fl_degree := pushforward_degree(BundleData(1, t), p, g)) < d:
+        raise ValueError(
+            f"push-forward degree {fl_degree} cannot contain a full-rank subsheaf of degree {d}")
     _check_p_ceiling(p)
     if not _is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
@@ -118,10 +129,6 @@ def stability_certificate(p, g, r, d, t):
     slope d/r; equality is enough because the bound itself is strict.  The
     report records each subrank's inequality.
     """
-    fl_degree = pushforward_degree(BundleData(1, t), p, g)
-    if fl_degree < d:
-        raise ValueError(
-            f"push-forward degree {fl_degree} cannot contain a full-rank subsheaf of degree {d}")
     return _certificate("stability", p, g, r, d, t)
 
 

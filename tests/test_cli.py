@@ -154,6 +154,31 @@ def test_localmodel_builds_element_names_only_for_the_table(capsys, monkeypatch,
     assert (code, len(calls)) == (0, names)
 
 
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+@pytest.mark.parametrize("M", [3, 4])
+@pytest.mark.parametrize("q, m", [(3, 1), (9, 2), (27, 3), (81, 4)])
+def test_localmodel_json_writes_what_the_generic_writer_writes(capsys, monkeypatch, q, m, M,
+                                                               verify):
+    # the points are written from index triples on one template, never through
+    # _entry_texts; the generic writer, given each point as its coordinates'
+    # FieldElements in a dict, must write the same bytes
+    entered = []
+    monkeypatch.setattr(cli, "_entry_texts", lambda *args: entered.append(args))
+    code, out, _ = run(capsys, "localmodel", "--q", str(q), "--M", str(M), "--format", "json",
+                       *verify)
+    assert (code, entered) == (0, [])
+    monkeypatch.undo()
+    field = field_make(3, m)
+    points = [{"point": [field.elements[i] for i in h], "label": lab, "colength": col}
+              for h, col, _, lab in localmodel._plane_classes(field)]
+    census = {lab: [e["label"] for e in points].count(lab) for lab in ("Psi2", "Psi3", "Psi4")}
+    payload = {"q": q, "M": M, "census": census, "claims_pass": True, "points": points}
+    # as line lists, whose failure pytest reports by the first differing index
+    # without diffing megabytes of text
+    assert out.splitlines() == _json_text(payload).splitlines()
+    assert out.endswith("}\n")
+
+
 def test_localmodel_verify(capsys):
     code, out, _ = run(capsys, "localmodel", "--q", "3", "--verify")
     assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobstrat import slopecalc
 from frobstrat.cli import main
 from frobstrat.gfield import projective_plane
 from frobstrat.localmodel import (
@@ -106,6 +107,31 @@ def test_certificates_reject_bad_regimes():
         embedding_certificate(3, 2, 2, 0, -1)   # rank differs from characteristic
     with pytest.raises(ValueError):
         stability_certificate(3, 2, 3, 5, 0)    # push-forward too small to contain E
+
+
+@pytest.mark.parametrize("certificate", [stability_certificate, embedding_certificate])
+@pytest.mark.parametrize("args, message", [
+    # 3.0 passes trial division, and a float reached Fraction as a TypeError
+    ((3.0, 2, 3.0, 1, 0), "characteristic must be prime, got 3.0"),
+    ((True, 2, 3, 0, -1), "characteristic must be prime, got True"),
+    ((3, 2.0, 3, 0, -1), "genus must be an integer, got 2.0"),
+    ((3, 2, True, 0, -1), "rank must be an integer, got True"),
+    ((3, 2, 3, "0", -1), "degree must be an integer, got '0'"),
+    ((3, 2, 3, 0, True), "auxiliary line-bundle degree must be an integer, got True"),
+    ((3, 2, 3, 0, -1.0), "auxiliary line-bundle degree must be an integer, got -1.0"),
+])
+def test_certificates_refuse_arguments_that_are_not_ints(monkeypatch, certificate, args,
+                                                         message):
+    # the refusal comes before p's ceiling and its trial division, with
+    # CurveParams' messages
+    def unreached(p):
+        raise AssertionError("p tested before the argument types")
+
+    monkeypatch.setattr(slopecalc, "_check_p_ceiling", unreached)
+    monkeypatch.setattr(slopecalc, "_is_prime", unreached)
+    with pytest.raises(ValueError) as err:
+        certificate(*args)
+    assert str(err.value) == message
 
 
 def test_rank_one_is_vacuously_certified():
