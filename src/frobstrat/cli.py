@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd, log10
 from types import FunctionType
 
-from .gfield import FieldElement, _point_text, field_make
+from .gfield import _point_text, field_make
 from .localmodel import (
     ModelSpec,
     _check_level,
@@ -102,7 +102,7 @@ def _rows_format(n, width, indent):
 def _entry_format(keys, shape, indent):
     """The %-template of a dict with the sorted ``keys`` written at ``indent``, a value per
     part of ``shape``: "%d", "%s" or a literal as written, n for a polygon of n vertices,
-    (n, m) for n field elements of m coefficients, or n texts where m is 0."""
+    or (n, 0) for a list of n texts."""
     inner = indent + "  "
     items = []
     for key, part in zip(keys, shape):
@@ -115,21 +115,10 @@ def _entry_format(keys, shape, indent):
     return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
 
 
-def _field_m(value):
-    """The m of a non-empty list or tuple of field elements that all share it, else None."""
-    m = type(value[0]) is FieldElement and value[0].spec.m
-    # a loop: all() over a generator took 1.2 us a localmodel point against 0.4 us
-    # (timeit, Python 3.11, 2-vCPU x86-64)
-    for e in value:
-        if type(e) is not FieldElement or e.spec.m != m:
-            return None
-    return m
-
-
 def _entry_texts(entries, indent):
     """The texts of a list's entries at ``indent``, the first a non-empty dict.
-    An entry with the first's keys whose values are ints, strs, None, bools, polygons or
-    lists of field elements of one m fills its shape's template; any other, _json_text."""
+    An entry with the first's keys whose values are ints, strs, None, bools or polygons
+    fills its shape's template; any other, _json_text."""
     keys = tuple(sorted(entries[0]))
     same = entries[0].keys()
     texts = []
@@ -150,9 +139,6 @@ def _entry_texts(entries, indent):
                     fill.append(v)
                 elif v is None or kind is bool:
                     shape.append(_JSON_SCALARS[v])
-                elif (kind is list or kind is tuple) and v and (m := _field_m(v)):
-                    shape.append((len(v), m))
-                    fill += sum([e.coeffs for e in v], ())
                 else:
                     break
             else:
@@ -168,15 +154,14 @@ def _entry_texts(entries, indent):
 
 def _json_text(value, indent="\n"):
     """json.dumps(value, indent=2, sort_keys=True, default=...) for what payloads hold:
-    str-keyed dicts, lists, tuples, ints, strs, bools, None, polygons and lists of field
-    elements of one m, the default writing a polygon as its vertex pairs and an element as
-    its coefficients.  A function stands for a list: called with the indent of its
-    entries, it returns their texts, which this writer lays out as the list's, as
-    localmodel's points.  Anything else, such as a float, a point, a bare element or a
-    list mixing fields, raises TypeError, as json.dumps does without a default.  This
-    writer makes one call per container, one % per polygon or element list on a template
-    cached per shape and depth, and one % per entry of a list of dicts that share their
-    keys, such as the entries of enumerate, strata and dual (_entry_texts)."""
+    str-keyed dicts, lists, tuples, ints, strs, bools, None and polygons, the default
+    writing a polygon as its vertex pairs.  A function stands for a list: called with the
+    indent of its entries, it returns their texts, which this writer lays out as the
+    list's, as localmodel's points.  Anything else, such as a float, a point or a field
+    element, raises TypeError, as json.dumps does without a default.  This writer makes
+    one call per container, one % per polygon on a template cached per shape and depth,
+    and one % per entry of a list of dicts that share their keys, such as the entries of
+    enumerate, strata and dual (_entry_texts)."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -194,9 +179,6 @@ def _json_text(value, indent="\n"):
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if m := _field_m(value):
-            # a plane point's coordinates, as their coefficient lists
-            return _rows_format(len(value), m, indent) % sum([e.coeffs for e in value], ())
         if type(value[0]) is dict and value[0]:
             items = _entry_texts(value, inner)
         else:
@@ -206,8 +188,7 @@ def _json_text(value, indent="\n"):
         items = value(inner)
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     if kind is LatticePolygon:
-        # the polygons of every payload; their vertex pairs are most of the
-        # enumerate and dual payloads
+        # unrun by commands: an entry _entry_texts cannot template writes its polygons here
         verts = value.vertices
         return _rows_format(len(verts), 2, indent) % sum(verts, ())
     if value is None or kind is bool:

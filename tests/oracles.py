@@ -1,9 +1,9 @@
 """Reference forms the tests hold the program to, built from public state.
 
 Nothing in ``frobstrat`` computes these: a polygon's exact slopes and their
-largest gap come from its ``vertices``, the list forms ``json.dumps`` writes
-for polygons, plane points and field elements from ``vertices`` and
-``coeffs``, a basis's tensor elements from its reduced rows ``_mat``, and the
+largest gap come from its ``vertices``, the list forms of polygons, plane
+points and field elements, as the JSON output writes them, from ``vertices``
+and ``coeffs``, a basis's tensor elements from its reduced rows ``_mat``, and the
 tau^2 residues modulo a dense W from its reduced rows and pivots.
 The four (3, 2, 3) polygons are spelled out as the paper's vertex formulas in
 d, which the names ``frobstrat`` computes by rule must match.  The number of
@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from frobstrat.gfield import FieldElement
 from frobstrat.localmodel import TensorElement, _reduce_against, _tau_square_blocks
 from frobstrat.polygon import LatticePolygon
 
@@ -103,13 +102,6 @@ def to_coeffs(e):
 def to_lists(pt):
     """A plane point as three coefficient lists."""
     return [to_coeffs(c) for c in pt.coords]
-
-
-def stdlib_form(value):
-    """The json.dumps default for the values _json_text writes itself."""
-    if isinstance(value, FieldElement):
-        return to_coeffs(value)
-    return to_pairs(value)
 
 
 def basis_rows(W):

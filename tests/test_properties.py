@@ -37,7 +37,7 @@ from frobstrat.polygon import (  # noqa: E402
     enumerate_destabilized_polygons,
 )
 from frobstrat.strata import dualize_polygon  # noqa: E402
-from oracles import slopes, stdlib_form, to_pairs  # noqa: E402
+from oracles import slopes, to_pairs  # noqa: E402
 
 # every enumeration with p in {2, 3, 5}, g in {2, 3}, r in 2..4, d in -2..2:
 # (p, polygons sharing the endpoint (r, p*d)), empty ones left out
@@ -181,10 +181,6 @@ def convex(segments):
 # polygons with plain-int vertices, heights of either sign
 drawn_polygons = st.lists(st.tuples(st.integers(), st.integers(1, 4)),
                           min_size=1, max_size=5).map(convex)
-# lists and tuples of one field's elements, as localmodel writes a point
-drawn_elements = st.sampled_from(list(FIELDS.values())).flatmap(
-    lambda field: st.lists(st.sampled_from(field.elements), min_size=1, max_size=4)).flatmap(
-        lambda elems: st.sampled_from([elems, tuple(elems)]))
 # lists that mix elements of several fields, or elements with ints, which no
 # payload holds and no template of one m can write
 all_elements = [e for field in FIELDS.values() for e in field.elements]
@@ -192,17 +188,17 @@ drawn_mixed = st.lists(st.sampled_from(all_elements) | st.integers(), min_size=2
                        max_size=4).filter(
     lambda v: len({e.spec.m if isinstance(e, FieldElement) else None for e in v}) > 1)
 payloads = st.recursive(
-    scalars | drawn_polygons | drawn_elements,
+    scalars | drawn_polygons,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(keys, inner, max_size=4)),
     max_leaves=30)
 
 
 def as_loaded(x):
-    """x as json.loads would give it back: tuples become lists, polygons their
-    [rank, degree] pairs, and elements their coefficient lists."""
-    if isinstance(x, (LatticePolygon, FieldElement)):
-        return stdlib_form(x)
+    """x as json.loads would give it back: tuples become lists and polygons their
+    [rank, degree] pairs."""
+    if isinstance(x, LatticePolygon):
+        return to_pairs(x)
     if isinstance(x, (list, tuple)):
         return [as_loaded(v) for v in x]
     if isinstance(x, dict):
@@ -214,17 +210,14 @@ def as_loaded(x):
 @given(payloads)
 def test_json_text_is_the_stdlib_dump_and_round_trips(x):
     text = _json_text(x)
-    assert text == json.dumps(x, indent=2, sort_keys=True, default=stdlib_form)
+    assert text == json.dumps(x, indent=2, sort_keys=True, default=to_pairs)
     assert json.loads(text) == as_loaded(x)
 
 
 # keys and strings holding %, which an entry's template must keep as text
 percent = st.sampled_from(["%", "%d", "%s", "%%", "100%", "%(x)s", "caf\u00e9 %d"])
 entry_values = (st.integers() | st.booleans() | st.none() | strings | percent
-                | drawn_polygons | drawn_polygons.map(lambda P: P.vertices)
-                | st.sampled_from([FIELDS[1], FIELDS[2]]).flatmap(
-                    lambda field: st.lists(st.sampled_from(field.elements),
-                                           min_size=1, max_size=3)))
+                | drawn_polygons | drawn_polygons.map(lambda P: P.vertices))
 
 
 @st.composite
@@ -248,7 +241,7 @@ def same_keyed_entries(draw):
 def test_json_text_writes_same_keyed_entries_as_the_stdlib(entries, nest):
     payload = nest(entries)
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True,
-                                             default=stdlib_form)
+                                             default=to_pairs)
 
 
 @examples

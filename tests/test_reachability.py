@@ -1,28 +1,35 @@
-"""Every def in ``src/frobstrat`` is entered by some command, or listed here.
+"""Every def in ``src/frobstrat`` is entered by some command, or listed here,
+and so is every statement inside a def of ``cli.py``.
 
 The trace runs every argv that ``test_goldens.py`` pins (the recorded golden
 requests, the refusals and the ``--help`` texts) and README's command-line
-examples through ``main`` under ``cProfile``, the C form of ``sys.setprofile``,
-and collects every Python function entered.  Each ``def`` of the package's
-modules, found in their source and keyed ``module:Qualname``, that none of
-them enters must appear in ``UNREACHED`` with its group and reason.  A def
-newly left unreached fails the test until it is wired in, moved to the tests
-or listed; a listed def that a command now enters fails it until its entry
-is dropped.
+examples through ``main`` under one ``sys.settrace`` hook, which collects every
+Python function entered and every line of ``cli.py`` run.  Each ``def`` of the
+package's modules, found in their source and keyed ``module:Qualname``, that
+none of them enters must appear in ``UNREACHED`` with its group and reason.
+Each statement inside a def of ``cli.py`` that holds code and that none of
+them runs must appear in ``UNRUN``, keyed by its def's qualname and its first
+line's text, with its group and the test that drives it.  A def or statement
+newly left unrun fails its test until it is wired in, moved to the tests or
+listed; a listed one that a command now runs fails it until its entry is
+dropped.
 """
 
 import ast
-import cProfile
 import importlib
 import json
 import re
+import sys
+from functools import cache
 from pathlib import Path
 
 import frobstrat
+from frobstrat import cli
 from test_goldens import GOLDENS, HELP, REFUSALS, _record as run_argv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(frobstrat.__file__).parent.glob("*.py"))
+CLI = Path(cli.__file__).resolve()
 
 FROBBENCH = "frobbench LAYERS"
 API = "API boundary"
@@ -76,6 +83,38 @@ UNREACHED = {
         (IMPORT, "runs as each record class is defined, before the trace starts"),
 }
 
+REFUSAL = "a refusal"
+INVARIANT = "a broken invariant"
+PARITY = "json.dumps parity"
+READER = "a reader that closes stdout"
+
+# (cli def's qualname, stripped first line) -> (group, the test that drives it) of
+# each statement that no command runs; statements of one def that read alike share one
+UNRUN = {
+    ("_int_text", "except ValueError:"):
+        (REFUSAL, "test_localmodel_refuses_a_size_past_the_digit_limit_at_its_ceiling"),
+    ("_int_text", 'return f"about 10^{int((n.bit_length() - 1) * log10(2))}"'):
+        (REFUSAL, "test_localmodel_refuses_a_size_past_the_digit_limit_at_its_ceiling"),
+    ("_json_text", 'return "{}"'): (PARITY, "test_json_text_matches_the_stdlib"),
+    ("_json_text", 'return "[]"'): (PARITY, "test_json_output_is_the_stdlib_dump_of_its_payload"),
+    ("_json_text", "verts = value.vertices"): (PARITY, "test_json_text_matches_the_stdlib"),
+    ("_json_text", "return _rows_format(len(verts), 2, indent) % sum(verts, ())"):
+        (PARITY, "test_json_text_matches_the_stdlib"),
+    ("_json_text", 'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
+        (PARITY, "test_json_text_refuses_what_no_payload_holds"),
+    ("cmd_localmodel",
+     'raise RuntimeError(f"point {_point_text(field.names, h)} has colength {col} "'):
+        (INVARIANT, "test_label_colength_mismatch_exits_1"),
+    ("main", "except RuntimeError as exc:"): (INVARIANT, "test_broken_colength_exits_1"),
+    ("main", "return _fail(exc, 1)"): (INVARIANT, "test_broken_colength_exits_1"),
+    ("main", "except BrokenPipeError:"):
+        (READER, "test_a_reader_that_closes_stdout_early_ends_the_run_with_141"),
+    ("main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
+        (READER, "test_a_reader_that_closes_stdout_early_ends_the_run_with_141"),
+    ("main", "return 141"):
+        (READER, "test_a_reader_that_closes_stdout_early_ends_the_run_with_141"),
+}
+
 
 def _readme_examples():
     """The argv of each `frobstrat ...  # comment` line in README."""
@@ -107,38 +146,103 @@ def _defs():
     return defs
 
 
-def _entered(argvs):
-    """(file, first line, name) of every function entered while ``main`` runs
-    each argv."""
+def _statements(path):
+    """((def qualname, stripped first line), lines) of each statement inside a def of the
+    file at ``path``: a simple statement's lines, or a compound statement's and an except
+    clause's up to its body."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    found = []
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if owner and isinstance(child, (ast.stmt, ast.excepthandler)):
+                body = getattr(child, "body", None)
+                end = body[0].lineno - 1 if type(body) is list else child.end_lineno
+                found.append(((owner, lines[child.lineno - 1].strip()),
+                              set(range(child.lineno, end + 1))))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, owner, f"{prefix}{child.name}.")
+            else:
+                visit(child, owner, prefix)
+
+    visit(ast.parse(text), None, "")
+    return found
+
+
+def _code_lines(code):
+    """The lines that hold bytecode of ``code`` or of a code object nested in it."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if type(const) is type(code):
+            lines |= _code_lines(const)
+    return lines
+
+
+@cache
+def _traced():
+    """(file, first line, name) of every function entered, and every line of cli.py run,
+    while ``main`` runs each pinned argv and README example."""
+    with open(GOLDENS, encoding="utf-8") as fh:
+        argvs = [key.split(" ") for key in json.load(fh)]
+    argvs += [*HELP, *REFUSALS, *_readme_examples()]
     # a cached result would hide its function's body from the trace
     for path in SOURCES:
         if path.stem != "__main__":
             module = importlib.import_module(f"frobstrat.{path.stem}")
             for value in vars(module).values():
                 getattr(value, "cache_clear", lambda: None)()
-    # cProfile installs its hook as sys.setprofile does, but in C: the trace
-    # costs about twice the unprofiled run, where a Python-level hook costs four
-    profiler = cProfile.Profile(builtins=False)
-    profiler.enable()
+    codes, lines = set(), set()
+    cli_file = cli.__file__
+
+    def on_line(frame, event, arg):
+        lines.add(frame.f_lineno)
+        return on_line
+
+    def on_call(frame, event, arg):
+        codes.add(frame.f_code)
+        # only cli.py's frames report their lines, each event a Python call: about
+        # 1.1 million over these argv, half of the traced run's time
+        return on_line if frame.f_code.co_filename == cli_file else None
+
+    outer = sys.gettrace()
+    sys.settrace(on_call)
     try:
         for argv in argvs:
             run_argv(argv)
     finally:
-        profiler.disable()
-    return {(str(Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name)
-            for code in (entry.code for entry in profiler.getstats())
-            if not isinstance(code, str)}
+        sys.settrace(outer)
+    entered = {(str(Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name)
+               for code in codes}
+    return entered, lines
 
 
 def test_every_unreached_def_is_listed():
-    with open(GOLDENS, encoding="utf-8") as fh:
-        argvs = [key.split(" ") for key in json.load(fh)]
-    argvs += [*HELP, *REFUSALS, *_readme_examples()]
     defs = _defs()
-    unreached = set(defs.values()) - {defs.get(key) for key in _entered(argvs)}
+    unreached = set(defs.values()) - {defs.get(key) for key in _traced()[0]}
     faults = [f"{name}: no command enters it; wire it in, move it to the tests "
               "or list it in UNREACHED" for name in sorted(unreached - UNREACHED.keys())]
     faults += [f"{name}: listed in UNREACHED, but "
                + ("no such def exists" if name not in defs.values() else "a command enters it")
                for name in sorted(UNREACHED.keys() - unreached)]
+    assert not faults, "\n".join(faults)
+
+
+def test_every_unrun_cli_statement_is_listed():
+    executable = _code_lines(compile(CLI.read_text(encoding="utf-8"), str(CLI), "exec"))
+    ran = _traced()[1]
+    statements = [(key, own & executable) for key, own in _statements(CLI)]
+    unrun = {key for key, own in statements if own and not own & ran}
+    tests = "".join(path.read_text(encoding="utf-8")
+                    for path in Path(__file__).parent.glob("test_*.py"))
+    faults = [f"{key}: no command runs it; wire it in or list it in UNRUN"
+              for key in sorted(unrun - UNRUN.keys())]
+    faults += [f"{key}: listed in UNRUN, but "
+               + ("a command runs it" if any(k == key and own for k, own in statements)
+                  else "no such statement exists")
+               for key in sorted(UNRUN.keys() - unrun)]
+    faults += [f"{key}: UNRUN names {test}, which no test file defines"
+               for key, (_, test) in sorted(UNRUN.items()) if f"def {test}(" not in tests]
     assert not faults, "\n".join(faults)
