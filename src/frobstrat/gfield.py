@@ -116,7 +116,7 @@ class FieldSpec(Record):
 
     __match_args__ = ("p", "m")
     __slots__ = __match_args__ + ("modulus", "q", "elements", "zero", "one", "_coeff_index",
-                                  "_add", "_mul", "_neg", "_inv", "_frob", "_names")
+                                  "_add", "_mul", "_neg", "_inv", "_names")
 
     def __init__(self, p, m=1):
         if not isinstance(p, int) or p < 2:
@@ -170,12 +170,10 @@ class FieldSpec(Record):
         exp2 = exp + exp  # log a + log b < 2(q - 1)
         mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         inv = [None] + [exp[-la] for la in logs]  # g^-l is g^(q - 1 - l)
-        frob = [0] + [exp[la * p % (q - 1)] for la in logs]  # (g^l)^p is g^(pl)
         _set(self, "_add", add)
         _set(self, "_mul", mul)
         _set(self, "_neg", neg)
         _set(self, "_inv", inv)
-        _set(self, "_frob", frob)
 
     def element(self, value):
         """Intern an element from an int (constant) or a coefficient sequence."""

@@ -473,7 +473,7 @@ def claim_results(V):
 
 def stratum_census(spec):
     """{label: count} over the plane points, each counted by its colength, the rank
-    of the quotient h^T X_k taken once per Frobenius orbit, never by its coordinate
+    of the quotient h^T X_k taken once per unit-group orbit, never by its coordinate
     label: q^2, q and 1 for Psi2, Psi3 and Psi4, partitioning all q^2 + q + 1 points."""
     counts = {PSI2: 0, PSI3: 0, PSI4: 0}
     for _, col, _, _ in _plane_classes(spec.field):
@@ -483,14 +483,22 @@ def stratum_census(spec):
 
 def _plane_classes(field, verify=False):
     """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
-    with ``verify`` the full-model oracle must agree on each.  The tau^2 blocks lie over
-    GF(p), so the Frobenius keeps a point's colength and claims: the first point of each
-    orbit that the walk reaches is classified and its whole orbit marked in ``codes``
-    (colength + 4 * failed-claim bits by walk position), read back by every point."""
+    with ``verify`` the full-model oracle must agree on each.  Each tau^2 block's entry
+    at (i, j) depends on i + j >= 2 alone, so the quotient rows are D T(h) for a fixed D,
+    T(h) = h2 I + h1 N + h0 N^2 being multiplication by a = h2 + h1 s + h0 s^2 in k[s]/(s^3).
+    A unit u = 1 + u1 s + u2 s^2 gives D T(h) T(u) = D T(a u), of the same rank and zero
+    rows: the first point of each unit-group orbit that the walk reaches is classified and
+    its whole orbit marked in ``codes`` (colength + 4 * failed-claim bits by walk position),
+    read back by every point.  The orbits, the colength classes, have leaders [1:0:0],
+    [1:0:1] and [1:1:0]."""
     _check_characteristic(field.p)
-    if any(x >= field.p for entries in _block_entries(field.p) for _, _, x in entries):
-        raise RuntimeError(f"a tau^2 block entry lies outside the prime field GF({field.p})")
-    q, fr = field.q, field._frob
+    for block in _block_entries(field.p):
+        by_sum = {i + j: x for i, j, x in block}
+        if set(block) != {(i, s - i, x) for s, x in by_sum.items() if s >= 2
+                          for i in range(s - 2, 3)}:
+            raise RuntimeError("a tau^2 block entry depends on more than i + j: "
+                               "the unit-orbit walk's premise fails")
+    q, add, mul, inv = field.q, field._add, field._mul, field._inv
     codes, known = bytearray(q * q + q + 1), {}  # code -> (colength, claims)
     for i, h in enumerate(_plane_indices(q)):
         if not codes[i]:
@@ -498,10 +506,14 @@ def _plane_classes(field, verify=False):
             code = col if all(res.values()) else col + sum(
                 4 << k for k, ok in enumerate(res.values()) if not ok)
             known[code] = col, res
-            _, b, c = h  # the Frobenius fixes h_0, which is 0 or 1
-            for _ in range(field.m):  # the m-th step returns to h, marking it too
-                b, c = fr[b], fr[c]
-                codes[b * q + c if h[0] else q * q + (c if b else q)] = code
+            h0, h1, h2 = h
+            # a u = (h0 + h1 u1 + h2 u2, h1 + h2 u1, h2); u1 and u2 act only through h1, h2
+            for u1 in range(q) if h1 or h2 else (0,):
+                a1, b = add[h0][mul[h1][u1]], add[h1][mul[h2][u1]]
+                for u2 in range(q) if h2 else (0,):
+                    a = add[a1][mul[h2][u2]]
+                    row = mul[inv[a or b or h2]]  # scales the first nonzero coordinate to one
+                    codes[row[b] * q + row[h2] if a else q * q + (row[h2] if b else q)] = code
         col, res = known[codes[i]]
         if verify and (full := _full_model(field, h)) != (col, res):
             raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "

@@ -86,8 +86,8 @@ def to_pairs(P):
 
 
 def power(e, n):
-    """e^n for n >= 0 as n products by e, so that it does not read the
-    field's Frobenius table _frob."""
+    """e^n for n >= 0 as n products by e, through the field's multiplication
+    table alone."""
     result = e.spec.one
     for _ in range(n):
         result = result * e

@@ -229,26 +229,28 @@ def test_localmodel_verify_fails_on_a_wrong_tau_square_table(capsys, x2_negated,
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, monkeypatch, fmt):
+    # [1 : 0 : 0] leads the walk's one-point orbit, so the flip reaches it alone
     classify = localmodel._classify
-    last = ProjectivePoint.of(field_make(3), (0, 0, 1))
+    alone = ProjectivePoint.of(field_make(3), (1, 0, 0))
 
     def one_claim_flipped(field, h):
         col, res = classify(field, h)
-        if h == tuple(c.index for c in last.coords):
+        if h == tuple(c.index for c in alone.coords):
             res = {**res, "d": not res["d"]}
         return col, res
 
     monkeypatch.setattr("frobstrat.localmodel._classify", one_claim_flipped)
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
     assert (code, out) == (1, "")
-    assert err.startswith("error: point [0 : 0 : 1]: ")
+    assert err.startswith("error: point [1 : 0 : 0]: ")
     assert "full model" in err
     # without --verify the flipped claim is reported, not an error
     code, out, _ = run(capsys, "localmodel", "--q", "3")
-    assert code == 1 and out.endswith(f"  {last!r:<24} colength 3  Psi2  CLAIM-FAIL d\n")
+    assert code == 1 and out.count("CLAIM-FAIL") == 1
+    assert f"  {alone!r:<24} colength 1  Psi4  CLAIM-FAIL d\n" in out
 
     # a failing guard at M + 1 stops nothing: the full model still runs at M
-    # on every point and names the last one
+    # on every point and names the flipped one
     deeper = []
 
     def also_unstable(spec):
@@ -258,23 +260,22 @@ def test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M(capsys, mo
     monkeypatch.setattr("frobstrat.cli._truncation_stable", also_unstable)
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
     assert (code, out) == (1, "")
-    assert err.startswith("error: point [0 : 0 : 1]: ")
+    assert err.startswith("error: point [1 : 0 : 0]: ")
     # the guard ran once, at M + 1
     assert deeper == [4]
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_a_wrong_orbit_representative_reaches_exactly_its_orbit(capsys, monkeypatch, fmt):
-    """The walk classifies the first point of each Frobenius orbit that it reaches
-    and hands the result to the rest: a claim broken there fails on exactly that
-    orbit's points, and --verify, whose oracle runs on every point, names it."""
+    """The walk classifies the first point of each unit-group orbit that it reaches
+    and hands the result to the rest: a claim broken at [1 : 0 : 1], the first point
+    with h2 != 0, fails on exactly the q^2 = 81 points of its orbit, those with
+    h2 != 0, and --verify, whose oracle runs on every point, names it."""
     field = field_make(3, 2)
-    x = field.element([0, 1])
-    rep = ProjectivePoint([field.one, field.zero, x])
-    partner = ProjectivePoint([field.one, field.zero, x * x * x])
-    order = list(gfield._plane_indices(9))
+    rep = ProjectivePoint.of(field, (1, 0, 1))
     h = tuple(c.index for c in rep.coords)
-    assert partner != rep and order.index(h) < order.index(tuple(c.index for c in partner.coords))
+    orbit = [point for point in projective_plane(field) if point.coords[2]]
+    assert len(orbit) == 81 and orbit[0] == rep
     classify = localmodel._classify
 
     def one_claim_flipped(field, point):
@@ -291,16 +292,16 @@ def test_a_wrong_orbit_representative_reaches_exactly_its_orbit(capsys, monkeypa
         assert json.loads(out)["claims_pass"] is False
     else:
         failed = [line for line in out.splitlines() if "CLAIM-FAIL" in line]
-        assert [line.split(" colength")[0].strip() for line in failed] == [repr(rep),
-                                                                          repr(partner)]
+        assert [line.split(" colength")[0].strip() for line in failed] == list(map(repr, orbit))
         assert all(line.endswith("  CLAIM-FAIL d") for line in failed)
-        assert "membership claims a-d: FAIL on 89/91 points" in out
+        assert "membership claims a-d: FAIL on 10/91 points" in out
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_a_block_entry_outside_the_prime_field_exits_1(capsys, monkeypatch, fmt):
-    # the orbit walk rests on the tau^2 blocks lying over GF(3): an entry that is
-    # the index of x in GF(9) is refused before any point, with or without --verify
+    # the orbit walk rests on each tau^2 block's entries depending on i + j alone: an
+    # entry of X_0 that is the index of x in GF(9), beside entries one on its
+    # anti-diagonal, is refused before any point, with or without --verify
     entries = localmodel._block_entries(3)
     x = field_make(3, 2).element([0, 1]).index
     bad = ((entries[0][0][:2] + (x,),) + entries[0][1:],) + entries[1:]
@@ -308,7 +309,8 @@ def test_a_block_entry_outside_the_prime_field_exits_1(capsys, monkeypatch, fmt)
     for verify in ((), ("--verify",)):
         code, out, err = run(capsys, "localmodel", "--q", "9", "--format", fmt, *verify)
         assert (code, out, err) == (
-            1, "", "error: a tau^2 block entry lies outside the prime field GF(3)\n")
+            1, "", "error: a tau^2 block entry depends on more than i + j: "
+                   "the unit-orbit walk's premise fails\n")
 
 
 @pytest.mark.parametrize("fmt, owner, other_format", [

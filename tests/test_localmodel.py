@@ -3,7 +3,6 @@ import random
 import sys
 from collections import Counter
 from itertools import product
-from math import gcd
 
 import pytest
 
@@ -28,7 +27,7 @@ from frobstrat.localmodel import (
     times_t_left,
     times_t_right,
 )
-from frobstrat.polygon import PSI2, PSI3, PSI4
+from frobstrat.polygon import _COLENGTH_LABEL, _FIBER_DIM, PSI2, PSI3, PSI4
 from oracles import basis_rows, power, tau_square_residues
 
 
@@ -283,32 +282,27 @@ def _points(q):
     return q * q + q + 1
 
 
-def _frobenius_orbits(m):
-    """Orbits of the Frobenius on the plane over GF(3^m), by Burnside's formula:
-    (1/m) sum over d | m of phi(m/d) times the points over GF(3^d), those that the
-    d-th power of the Frobenius fixes; 13, 52 and 261 at m = 1, 2, 3."""
-    def phi(n):
-        return sum(gcd(k, n) == 1 for k in range(1, n + 1))
-
-    return sum(phi(m // d) * _points(3 ** d) for d in range(1, m + 1) if m % d == 0) // m
+# the unit group's orbits on the plane, one per colength, at every q: the walk
+# ranks their leaders [1:0:0], [1:0:1] and [1:1:0] and nothing else
+ORBITS = 3
 
 
 def test_localmodel_row_reduces_only_for_colengths(capsys):
-    """localmodel classifies one point per Frobenius orbit from its quotient
-    h^T X_k and builds no W; --verify runs the full-model oracle once per point,
+    """localmodel classifies one point per unit-group orbit, three per field, from
+    its quotient h^T X_k and builds no W; --verify runs the full-model oracle once per point,
     at M, on W's kernel rows as index triples, and checks the tau^2 table at
     M + 1 once per request; no dense W is built at either.  The quotient's
     colength is taken once per orbit, at M.  _rank runs at most once per
     colength, of the quotient or of the oracle.  The walk and the oracle run on
     index triples: neither builds a plane point or a submodule."""
-    for m in (2, 3):
-        q, orbits = str(3 ** m), _frobenius_orbits(m)
+    for m in (2, 3, 4, 5):
+        q = str(3 ** m)
         calls = _count_calls(capsys, ["localmodel", "--q", q])
-        assert calls["colength"] == orbits and calls["span"] == calls["oracle"] == 0, calls
+        assert calls["colength"] == ORBITS and calls["span"] == calls["oracle"] == 0, calls
         assert calls["rank"] <= calls["colength"], calls
         assert calls["point"] == calls["submodule"] == 0, calls
         calls = _count_calls(capsys, ["localmodel", "--q", q, "--verify"])
-        assert calls["colength"] == orbits and calls["span"] == 0, calls
+        assert calls["colength"] == ORBITS and calls["span"] == 0, calls
         assert calls["oracle"] == _points(3 ** m), calls
         assert calls["rref in span"] == 0
         assert calls["rank"] <= calls["colength"] + calls["oracle"], calls
@@ -339,12 +333,12 @@ def test_tensor_elements_are_built_only_by_the_truncation_guard(capsys, argv, gu
       for m in range(1, top + 1)),
 ])
 def test_the_frobenius_table_is_x_cubed(p, m):
-    """The field's _frob is x -> x^p (x^3 at p = 3) by FieldElement arithmetic; it
+    """The Frobenius x -> x^p (x^3 at p = 3), tabled here from FieldElement products,
     fixes exactly the prime field's indices 0 .. p - 1, and its m-th iterate is the
-    identity."""
+    identity: the field's multiplication table has GF(p^m)'s Galois group.  No command
+    reads a Frobenius table since the plane walk marks unit-group orbits."""
     field = field_make(p, m)
-    fr = field._frob
-    assert fr == [power(x, p).index for x in field.elements]
+    fr = [power(x, p).index for x in field.elements]
     assert [x for x in range(field.q) if fr[x] == x] == list(range(p))
     iterate = list(range(field.q))
     for _ in range(m):
@@ -354,7 +348,7 @@ def test_the_frobenius_table_is_x_cubed(p, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_the_orbit_walk_is_the_per_point_walk(m):
-    """Classifying one point per Frobenius orbit changes no yielded tuple: with and
+    """Classifying one point per unit-group orbit changes no yielded tuple: with and
     without the oracle, the walk is _classify and the coordinate label taken at
     every point, in _plane_indices's order."""
     field = field_make(3, m)
@@ -362,6 +356,37 @@ def test_the_orbit_walk_is_the_per_point_walk(m):
             for h in _plane_indices(field.q)]
     for verify in (False, True):
         assert list(localmodel._plane_classes(field, verify)) == want, verify
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_unit_group_orbits_are_the_colength_classes(m):
+    """The units u = 1 + u1 s + u2 s^2 of k[s]/(s^3) act on the plane by h -> a u, with
+    a = h2 + h1 s + h0 s^2, so a u = (h0 + h1 u1 + h2 u2, h1 + h2 u1, h2).  The first
+    point of colength c in the walk's order has q^(c - 1) distinct images and q^(3 - c)
+    units fixing it; each orbit is the whole colength-c class, the three partition the
+    plane, and c - 1 is the fiber dimension of the class's label.  Run on FieldElement
+    arithmetic and ProjectivePoint's scaling, with no call of _plane_classes."""
+    field = field_make(3, m)
+    q = field.q
+    colength = {h: localmodel._classify(field, h)[0] for h in _plane_indices(q)}
+    leaders = {}
+    for h, c in colength.items():
+        leaders.setdefault(c, h)
+    units = list(product(field.elements, repeat=2))
+    orbits = []
+    for c, h in sorted(leaders.items()):
+        h0, h1, h2 = (field.elements[i] for i in h)
+        images = [ProjectivePoint((h0 + h1 * u1 + h2 * u2, h1 + h2 * u1, h2))
+                  for u1, u2 in units]
+        orbit = set(images)
+        assert len(orbit) == q ** (c - 1), (q, c)
+        assert images.count(ProjectivePoint((h0, h1, h2))) == q ** (3 - c), (q, c)
+        assert {colength[tuple(x.index for x in point.coords)] for point in orbit} == {c}
+        assert c - 1 == _FIBER_DIM[_COLENGTH_LABEL[c]]
+        orbits.append(orbit)
+    assert sorted(leaders) == [1, 2, 3]
+    assert sum(map(len, orbits)) == _points(q)
+    assert set().union(*orbits) == set(projective_plane(field))
 
 
 def test_census_refuses_a_characteristic_other_than_3():
@@ -377,22 +402,22 @@ def test_census_refuses_a_characteristic_other_than_3():
 
 def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
     """strata --verify's census walks the plane as localmodel does, without
-    the oracle: GF(3)'s 13 points each take one colength, and no W, plane point
-    or submodule is built."""
+    the oracle: GF(3)'s 13 points take one colength per unit-group orbit, three in
+    all, and no W, plane point or submodule is built."""
     calls = _count_calls(capsys, ["strata", "--verify"])
-    assert calls["colength"] == 13 and calls["span"] == calls["oracle"] == 0, calls
+    assert calls["colength"] == ORBITS and calls["span"] == calls["oracle"] == 0, calls
     assert calls["point"] == calls["submodule"] == 0, calls
 
 
 @pytest.mark.parametrize("argv, steps", [
-    (["localmodel", "--q", "9"], _frobenius_orbits(2)),
-    (["localmodel", "--q", "9", "--verify"], _frobenius_orbits(2) + _points(9)),
-    (["strata", "--verify"], 13),
+    (["localmodel", "--q", "9"], ORBITS),
+    (["localmodel", "--q", "9", "--verify"], ORBITS + _points(9)),
+    (["strata", "--verify"], ORBITS),
 ], ids=["localmodel", "localmodel-verify", "strata-verify"])
 def test_quotient_and_oracle_share_one_step_per_point(capsys, argv, steps):
-    """The quotient's images go through _colength_and_claims once per Frobenius
+    """The quotient's images go through _colength_and_claims once per unit-group
     orbit and, under localmodel --verify, the full model's residues once per
-    point; over GF(3) every orbit is one point."""
+    point."""
     assert _count_calls(capsys, argv)["step"] == steps
 
 
@@ -445,7 +470,7 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     of W that act on it, one per nonzero block entry off the row c of the point's
     last nonzero coordinate: 3, 4 or 5 per point for c = 2, 1 or 0, so
     81*3 + 9*4 + 1*5 = 284 row actions, and it writes no list of rows.  Each
-    colength, of the quotient (once per Frobenius orbit) or of the oracle (once per
+    colength, of the quotient (once per unit-group orbit) or of the oracle (once per
     point), ranks at most p = 3 rows; the same at M = 3 and at the ceiling, since
     the oracle never looks past the block."""
     actions_of, residues_of = localmodel._block_actions, localmodel._oracle_residues
@@ -484,11 +509,11 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
         assert main(["localmodel", "--q", "9", "--M", str(M), "--verify"]) == 0
         capsys.readouterr()
         # the oracle reduces the three nonzero blocks per point, at M only; the
-        # quotient is ranked once per Frobenius orbit and the oracle once per point
+        # quotient is ranked once per unit-group orbit and the oracle once per point
         assert len(acted) == 91 and len(reduced) == 3 * 91, M
         assert sum(map(sum, acted)) == want and max(map(max, acted)) <= 6, M
         assert max(reduced) <= 9 and written == [], M
-        assert len(ranked) == _frobenius_orbits(2) + 91 and max(ranked) <= 3, (M, max(ranked))
+        assert len(ranked) == ORBITS + 91 and max(ranked) <= 3, (M, max(ranked))
 
 
 def test_localmodel_verify_builds_no_dense_W(capsys, monkeypatch):
