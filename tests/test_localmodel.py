@@ -289,9 +289,9 @@ ORBITS = 3
 
 def test_localmodel_row_reduces_only_for_colengths(capsys):
     """localmodel classifies one point per unit-group orbit, three per field, from
-    its quotient h^T X_k and builds no W; --verify runs the full-model oracle once per point,
-    at M, on W's kernel rows as index triples, and checks the tau^2 table at
-    M + 1 once per request; no dense W is built at either.  The quotient's
+    its quotient h^T X_k and builds no W; --verify runs the full-model oracle once
+    per point, at M, on W's kernel rows as index triples, and checks the tau^2 table
+    at M + 1 once per request; no dense W is built at either.  The quotient's
     colength is taken once per orbit, at M.  _rank runs at most once per
     colength, of the quotient or of the oracle.  The walk and the oracle run on
     index triples: neither builds a plane point or a submodule."""
@@ -335,8 +335,7 @@ def test_tensor_elements_are_built_only_by_the_truncation_guard(capsys, argv, gu
 def test_the_frobenius_table_is_x_cubed(p, m):
     """The Frobenius x -> x^p (x^3 at p = 3), tabled here from FieldElement products,
     fixes exactly the prime field's indices 0 .. p - 1, and its m-th iterate is the
-    identity: the field's multiplication table has GF(p^m)'s Galois group.  No command
-    reads a Frobenius table since the plane walk marks unit-group orbits."""
+    identity: the field's multiplication table has GF(p^m)'s Galois group."""
     field = field_make(p, m)
     fr = [power(x, p).index for x in field.elements]
     assert [x for x in range(field.q) if fr[x] == x] == list(range(p))
@@ -372,6 +371,7 @@ def test_the_unit_group_orbits_are_the_colength_classes(m):
     leaders = {}
     for h, c in colength.items():
         leaders.setdefault(c, h)
+    assert sorted(leaders) == [1, 2, 3]
     units = list(product(field.elements, repeat=2))
     orbits = []
     for c, h in sorted(leaders.items()):
@@ -384,7 +384,6 @@ def test_the_unit_group_orbits_are_the_colength_classes(m):
         assert {colength[tuple(x.index for x in point.coords)] for point in orbit} == {c}
         assert c - 1 == _FIBER_DIM[_COLENGTH_LABEL[c]]
         orbits.append(orbit)
-    assert sorted(leaders) == [1, 2, 3]
     assert sum(map(len, orbits)) == _points(q)
     assert set().union(*orbits) == set(projective_plane(field))
 
