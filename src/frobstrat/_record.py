@@ -29,8 +29,6 @@ class Record:
         cls._key = property(attrgetter(*cls.__match_args__))
 
     def __eq__(self, other):
-        if other is self:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key == other._key

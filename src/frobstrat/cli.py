@@ -88,7 +88,6 @@ def _fail(message, code):
 _JSON_SCALARS = {None: "null", True: "true", False: "false"}
 
 
-@cache
 def _rows_format(n, width, indent):
     """The %-template of a list of n lists of ``width`` ints written at ``indent``, or of
     n texts (%s) where ``width`` is 0."""
@@ -159,9 +158,9 @@ def _json_text(value, indent="\n"):
     indent of its entries, it returns their texts, which this writer lays out as the
     list's, as localmodel's points.  Anything else, such as a float, a point or a field
     element, raises TypeError, as json.dumps does without a default.  This writer makes
-    one call per container, one % per polygon on a template cached per shape and depth,
-    and one % per entry of a list of dicts that share their keys, such as the entries of
-    enumerate, strata and dual (_entry_texts)."""
+    one call per container, one % per polygon on a template of its shape and depth, and
+    one % per entry of a list of dicts that share their keys, such as the entries of
+    enumerate, strata and dual, on a template cached per entry shape (_entry_texts)."""
     kind = type(value)
     if kind is int:
         return str(value)

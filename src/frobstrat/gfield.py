@@ -255,8 +255,7 @@ class ProjectivePoint(Record):
             raise ValueError("projective points here live in P^2: need 3 coordinates")
         spec = coords[0].spec if isinstance(coords[0], FieldElement) else None
         for c in coords:
-            # identity first: != would run the Python-level Record.__eq__
-            if not isinstance(c, FieldElement) or (c.spec is not spec and c.spec != spec):
+            if not isinstance(c, FieldElement) or c.spec != spec:
                 raise ValueError("coordinates must all belong to one field")
         pivot = coords[0] or coords[1] or coords[2]
         if not pivot:

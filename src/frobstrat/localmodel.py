@@ -224,23 +224,18 @@ def _rref(field, rows):
 
 
 def _rank(field, rows):
-    """Rank of the element-index rows by forward elimination; a row is copied only
-    to be reduced, so input rows are not mutated."""
+    """Rank of the element-index rows by forward elimination; each reduction step
+    makes a new row, so input rows are not mutated."""
     add, neg, mul, inv = field._add, field._neg, field._mul, field._inv
     # (pivot column, pivot row, inverse of its entry there): the rows stay
     # unscaled, each zero in the pivot columns of the rows before it
     basis = []
-    for row in rows:
-        v = row
+    for v in rows:
         for pc, prow, lead in basis:
-            x = v[pc]
-            if x:
-                if v is row:
-                    v = list(row)
-                # v -= (x / prow[pc]) * prow; prow is zero before pc
+            if x := v[pc]:
+                # v -= (x / prow[pc]) * prow
                 mrow = mul[mul[neg[x]][lead]]
-                for k in range(pc, len(v)):
-                    v[k] = add[v[k]][mrow[prow[k]]]
+                v = [add[a][mrow[b]] for a, b in zip(v, prow)]
         if x := next(filter(None, v), 0):  # the leading entry, found in C
             basis.append((v.index(x), v, inv[x]))
     return len(basis)
@@ -292,8 +287,7 @@ class SubmoduleV(Record):
 
     def __init__(self, spec: ModelSpec, hyperplane: ProjectivePoint):
         _check_characteristic(spec.p)
-        # identity first: != would run the Python-level Record.__eq__
-        if hyperplane.spec is not spec.field and hyperplane.spec != spec.field:
+        if hyperplane.spec != spec.field:
             raise ValueError("hyperplane point lives over a different field")
         _set(self, "spec", spec)
         _set(self, "hyperplane", hyperplane)
@@ -301,7 +295,6 @@ class SubmoduleV(Record):
         _set(self, "h", (a.index, b.index, c.index))
 
 
-@cache
 def _kernel_pattern(p, c):
     """W's rows e_(i,j) - (h_i/h_c) e_(c,j), i != c, j < p, for the points h whose last
     nonzero coordinate is c, as (pivot column, other column, i) on the block i < p: the

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 
@@ -150,6 +151,8 @@ def test_localmodel_builds_element_names_only_for_the_table(capsys, monkeypatch,
         return poly_str(coeffs)
 
     monkeypatch.setattr(gfield, "_poly_str", counting)
+    # a field of its own: one that an earlier test cached may hold its names already
+    monkeypatch.setattr(gfield, "_fields", lru_cache(maxsize=None, typed=True)(gfield.FieldSpec))
     code, _, _ = run(capsys, "localmodel", "--q", "27", "--format", fmt)
     assert (code, len(calls)) == (0, names)
 

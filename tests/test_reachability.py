@@ -1,18 +1,19 @@
 """Every def in ``src/frobstrat`` is entered by some command, or listed here,
-and so is every statement inside a def of ``cli.py``.
+and so is every statement inside an entered def of ``cli.py`` and
+``localmodel.py``.
 
 The trace runs every argv that ``test_goldens.py`` pins (the recorded golden
 requests, the refusals and the ``--help`` texts) and README's command-line
 examples through ``main`` under one ``sys.settrace`` hook, which collects every
-Python function entered and every line of ``cli.py`` run.  Each ``def`` of the
-package's modules, found in their source and keyed ``module:Qualname``, that
-none of them enters must appear in ``UNREACHED`` with its group and reason.
-Each statement inside a def of ``cli.py`` that holds code and that none of
-them runs must appear in ``UNRUN``, keyed by its def's qualname and its first
-line's text, with its group and the test that drives it.  A def or statement
-newly left unrun fails its test until it is wired in, moved to the tests or
-listed; a listed one that a command now runs fails it until its entry is
-dropped.
+Python function entered and every line of ``cli.py`` and ``localmodel.py`` run.
+Each ``def`` of the package's modules, found in their source and keyed
+``module:Qualname``, that none of them enters must appear in ``UNREACHED`` with
+its group and reason.  Each statement inside a def of those two files that holds
+code, that none of them runs and whose def is not in ``UNREACHED`` must appear
+in ``UNRUN``, keyed by its def's ``module:Qualname`` and its first line's text,
+with its group and the test that drives it.  A def or statement newly left
+unrun fails its test until it is wired in, moved to the tests or listed; a
+listed one that a command now runs fails it until its entry is dropped.
 """
 
 import ast
@@ -24,12 +25,12 @@ from functools import cache
 from pathlib import Path
 
 import frobstrat
-from frobstrat import cli
 from test_goldens import GOLDENS, HELP, REFUSALS, _record as run_argv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(frobstrat.__file__).parent.glob("*.py"))
-CLI = Path(cli.__file__).resolve()
+# the files whose statements are traced, by module name
+LEDGERED = {path.stem: path for path in SOURCES if path.stem in ("cli", "localmodel")}
 
 FROBBENCH = "frobbench LAYERS"
 API = "API boundary"
@@ -87,32 +88,76 @@ REFUSAL = "a refusal"
 INVARIANT = "a broken invariant"
 PARITY = "json.dumps parity"
 READER = "a reader that closes stdout"
+ECHELON = "rows not in echelon form"
 
-# (cli def's qualname, stripped first line) -> (group, the test that drives it) of
-# each statement that no command runs; statements of one def that read alike share one
+# (module:Qualname of its def, stripped first line) -> (group, the test that drives it)
+# of each statement of a LEDGERED file that no command runs, inside a def that one
+# enters; statements of one def that read alike share one
 UNRUN = {
-    ("_int_text", "except ValueError:"):
+    ("cli:_int_text", "except ValueError:"):
         (REFUSAL, "test_localmodel_refuses_a_size_past_the_digit_limit_at_its_ceiling"),
-    ("_int_text", 'return f"about 10^{int((n.bit_length() - 1) * log10(2))}"'):
+    ("cli:_int_text", 'return f"about 10^{int((n.bit_length() - 1) * log10(2))}"'):
         (REFUSAL, "test_localmodel_refuses_a_size_past_the_digit_limit_at_its_ceiling"),
-    ("_json_text", 'return "{}"'): (PARITY, "test_json_text_matches_the_stdlib"),
-    ("_json_text", 'return "[]"'): (PARITY, "test_json_output_is_the_stdlib_dump_of_its_payload"),
-    ("_json_text", "verts = value.vertices"): (PARITY, "test_json_text_matches_the_stdlib"),
-    ("_json_text", "return _rows_format(len(verts), 2, indent) % sum(verts, ())"):
+    ("cli:_json_text", 'return "{}"'): (PARITY, "test_json_text_matches_the_stdlib"),
+    ("cli:_json_text", 'return "[]"'):
+        (PARITY, "test_json_output_is_the_stdlib_dump_of_its_payload"),
+    ("cli:_json_text", "verts = value.vertices"): (PARITY, "test_json_text_matches_the_stdlib"),
+    ("cli:_json_text", "return _rows_format(len(verts), 2, indent) % sum(verts, ())"):
         (PARITY, "test_json_text_matches_the_stdlib"),
-    ("_json_text", 'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
+    ("cli:_json_text",
+     'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
         (PARITY, "test_json_text_refuses_what_no_payload_holds"),
-    ("cmd_localmodel",
+    ("cli:cmd_localmodel",
      'raise RuntimeError(f"point {_point_text(field.names, h)} has colength {col} "'):
         (INVARIANT, "test_label_colength_mismatch_exits_1"),
-    ("main", "except RuntimeError as exc:"): (INVARIANT, "test_broken_colength_exits_1"),
-    ("main", "return _fail(exc, 1)"): (INVARIANT, "test_broken_colength_exits_1"),
-    ("main", "except BrokenPipeError:"):
+    ("cli:main", "except RuntimeError as exc:"): (INVARIANT, "test_broken_colength_exits_1"),
+    ("cli:main", "return _fail(exc, 1)"): (INVARIANT, "test_broken_colength_exits_1"),
+    ("cli:main", "except BrokenPipeError:"):
         (READER, "test_a_reader_that_closes_stdout_early_ends_the_run_with_141"),
-    ("main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
+    ("cli:main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
         (READER, "test_a_reader_that_closes_stdout_early_ends_the_run_with_141"),
-    ("main", "return 141"):
+    ("cli:main", "return 141"):
         (READER, "test_a_reader_that_closes_stdout_early_ends_the_run_with_141"),
+    ("localmodel:_check_coefficient",
+     'raise ValueError(f"coefficient {c!r} is not an element of {spec.field!r}")'):
+        (GUARD, "test_validation_messages"),
+    ("localmodel:TensorElement.__init__",
+     'raise ValueError(f"t^{i}(x)t^{j} is outside the normal form "'):
+        (GUARD, "test_validation_messages"),
+    ("localmodel:TensorElement.monomial", "elif isinstance(coeff, int):"):
+        (API, "test_left_and_right_multiplication_commute"),
+    ("localmodel:TensorElement.monomial", "coeff = spec.field.element(coeff)"):
+        (API, "test_left_and_right_multiplication_commute"),
+    ("localmodel:TensorElement.monomial", 'raise ValueError(f"negative left exponent {i}")'):
+        (GUARD, "test_tensor_normal_form_bounds"),
+    ("localmodel:TensorElement.monomial", 'raise ValueError(f"negative right exponent {j}")'):
+        (GUARD, "test_tensor_normal_form_bounds"),
+    ("localmodel:TensorElement._check",
+     'raise ValueError("elements belong to different local models")'):
+        (GUARD, "test_validation_messages"),
+    ("localmodel:TensorElement.__add__", "return NotImplemented"):
+        (API, "test_tensor_arithmetic_with_a_non_tensor_raises_type_error"),
+    ("localmodel:TensorElement.__sub__", "return NotImplemented"):
+        (API, "test_tensor_arithmetic_with_a_non_tensor_raises_type_error"),
+    ("localmodel:tau_power", 'raise ValueError(f"exponent must be non-negative, got {n}")'):
+        (GUARD, "test_validation_messages"),
+    # every row list _classify and _full_model rank is in echelon form already
+    ("localmodel:_rank", "mrow = mul[mul[neg[x]][lead]]"):
+        (ECHELON, "test_rank_counts_the_pivots_of_the_reduced_form"),
+    ("localmodel:_rank", "v = [add[a][mrow[b]] for a, b in zip(v, prow)]"):
+        (ECHELON, "test_rank_counts_the_pivots_of_the_reduced_form"),
+    ("localmodel:_check_characteristic",
+     'raise ValueError("the hyperplane encoding of colength-1 submodules is "'):
+        (GUARD, "test_census_refuses_a_characteristic_other_than_3"),
+    ("localmodel:_classify",
+     'raise RuntimeError(f"colength {c} outside 1..3: local-model invariant broken")'):
+        (INVARIANT, "test_broken_colength_exits_1"),
+    ("localmodel:_plane_classes",
+     'raise RuntimeError("a tau^2 block entry depends on more than i + j: "'):
+        (INVARIANT, "test_a_block_entry_outside_the_prime_field_exits_1"),
+    ("localmodel:_plane_classes",
+     'raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "'):
+        (INVARIANT, "test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M"),
 }
 
 
@@ -183,8 +228,8 @@ def _code_lines(code):
 
 @cache
 def _traced():
-    """(file, first line, name) of every function entered, and every line of cli.py run,
-    while ``main`` runs each pinned argv and README example."""
+    """(file, first line, name) of every function entered, and (file, line) of every
+    line of a LEDGERED file run, while ``main`` runs each pinned argv and README example."""
     with open(GOLDENS, encoding="utf-8") as fh:
         argvs = [key.split(" ") for key in json.load(fh)]
     argvs += [*HELP, *REFUSALS, *_readme_examples()]
@@ -195,17 +240,16 @@ def _traced():
             for value in vars(module).values():
                 getattr(value, "cache_clear", lambda: None)()
     codes, lines = set(), set()
-    cli_file = cli.__file__
+    ledgered = {str(path) for path in LEDGERED.values()}
 
     def on_line(frame, event, arg):
-        lines.add(frame.f_lineno)
+        lines.add((frame.f_code.co_filename, frame.f_lineno))
         return on_line
 
     def on_call(frame, event, arg):
         codes.add(frame.f_code)
-        # only cli.py's frames report their lines, each event a Python call: about
-        # 1.1 million over these argv, half of the traced run's time
-        return on_line if frame.f_code.co_filename == cli_file else None
+        # only the LEDGERED files' frames report their lines, each event a Python call
+        return on_line if frame.f_code.co_filename in ledgered else None
 
     outer = sys.gettrace()
     sys.settrace(on_call)
@@ -230,11 +274,17 @@ def test_every_unreached_def_is_listed():
     assert not faults, "\n".join(faults)
 
 
-def test_every_unrun_cli_statement_is_listed():
-    executable = _code_lines(compile(CLI.read_text(encoding="utf-8"), str(CLI), "exec"))
+def test_every_unrun_statement_is_listed():
     ran = _traced()[1]
-    statements = [(key, own & executable) for key, own in _statements(CLI)]
-    unrun = {key for key, own in statements if own and not own & ran}
+    statements, unrun = [], set()
+    for module, path in LEDGERED.items():
+        executable = _code_lines(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+        for (owner, line), own in _statements(path):
+            key, own = (f"{module}:{owner}", line), own & executable
+            statements.append((key, own))
+            # an unreached def's statements are its UNREACHED entry's
+            if own and key[0] not in UNREACHED and not {(str(path), n) for n in own} & ran:
+                unrun.add(key)
     tests = "".join(path.read_text(encoding="utf-8")
                     for path in Path(__file__).parent.glob("test_*.py"))
     faults = [f"{key}: no command runs it; wire it in or list it in UNRUN"

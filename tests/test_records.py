@@ -87,6 +87,7 @@ def test_equal_values_give_equal_objects_and_hashes(cls, args, kwargs):
     a, b = cls(*args), cls(*args)
     assert a is not b
     assert a == b and not a != b
+    assert a.__eq__(a) is True
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
 
