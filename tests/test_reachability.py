@@ -274,25 +274,42 @@ def test_every_unreached_def_is_listed():
     assert not faults, "\n".join(faults)
 
 
-def test_every_unrun_statement_is_listed():
-    ran = _traced()[1]
+def _unrun_faults(module):
+    """What ``UNRUN`` gets wrong about the statements of LEDGERED file ``module``."""
+    path, ran = LEDGERED[module], _traced()[1]
+    listed = {key: entry for key, entry in UNRUN.items()
+              if key[0].partition(":")[0] == module}
     statements, unrun = [], set()
-    for module, path in LEDGERED.items():
-        executable = _code_lines(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
-        for (owner, line), own in _statements(path):
-            key, own = (f"{module}:{owner}", line), own & executable
-            statements.append((key, own))
-            # an unreached def's statements are its UNREACHED entry's
-            if own and key[0] not in UNREACHED and not {(str(path), n) for n in own} & ran:
-                unrun.add(key)
+    executable = _code_lines(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    for (owner, line), own in _statements(path):
+        key, own = (f"{module}:{owner}", line), own & executable
+        statements.append((key, own))
+        # an unreached def's statements are its UNREACHED entry's
+        if own and key[0] not in UNREACHED and not {(str(path), n) for n in own} & ran:
+            unrun.add(key)
     tests = "".join(path.read_text(encoding="utf-8")
                     for path in Path(__file__).parent.glob("test_*.py"))
     faults = [f"{key}: no command runs it; wire it in or list it in UNRUN"
-              for key in sorted(unrun - UNRUN.keys())]
+              for key in sorted(unrun - listed.keys())]
     faults += [f"{key}: listed in UNRUN, but "
                + ("a command runs it" if any(k == key and own for k, own in statements)
                   else "no such statement exists")
-               for key in sorted(UNRUN.keys() - unrun)]
+               for key in sorted(listed.keys() - unrun)]
     faults += [f"{key}: UNRUN names {test}, which no test file defines"
-               for key, (_, test) in sorted(UNRUN.items()) if f"def {test}(" not in tests]
+               for key, (_, test) in sorted(listed.items()) if f"def {test}(" not in tests]
+    return faults
+
+
+def test_every_unrun_cli_statement_is_listed():
+    faults = _unrun_faults("cli")
     assert not faults, "\n".join(faults)
+
+
+def test_every_unrun_localmodel_statement_is_listed():
+    faults = _unrun_faults("localmodel")
+    assert not faults, "\n".join(faults)
+
+
+def test_every_unrun_entry_names_a_ledgered_module():
+    strays = sorted(key for key in UNRUN if key[0].partition(":")[0] not in LEDGERED)
+    assert not strays, strays
