@@ -320,10 +320,10 @@ def cmd_localmodel(args):
     census = {PSI2: 0, PSI3: 0, PSI4: 0}
     bad = 0
     entries = []
-    names = None if as_json else field.names
+    names = field.names
     for h, col, res, lab in _plane_classes(field, args.verify):
         if _COLENGTH_LABEL[col] != lab:
-            raise RuntimeError(f"point {_point_text(field.names, h)} has colength {col} "
+            raise RuntimeError(f"point {_point_text(names, h)} has colength {col} "
                                f"but stratum label {lab}")
         census[lab] += 1
         ok = all(res.values())

@@ -116,7 +116,7 @@ class FieldSpec(Record):
 
     __match_args__ = ("p", "m")
     __slots__ = __match_args__ + ("modulus", "q", "elements", "zero", "one", "_coeff_index",
-                                  "_add", "_mul", "_neg", "_inv", "_names")
+                                  "_add", "_mul", "_neg", "_inv", "names")
 
     def __init__(self, p, m=1):
         if not isinstance(p, int) or p < 2:
@@ -142,6 +142,7 @@ class FieldSpec(Record):
         _set(self, "zero", self.elements[0])
         _set(self, "one", self.elements[1])
         _set(self, "_coeff_index", {c: i for i, c in enumerate(coeffs_of)})
+        _set(self, "names", tuple(map(_poly_str, coeffs_of)))  # each element's text, by index
 
         # index a holds the base-p digits of a's coefficients, so addition and
         # negation act on the lowest digit mod p and on the rest by the table
@@ -185,13 +186,6 @@ class FieldSpec(Record):
                 raise ValueError(f"coefficient vector longer than extension degree {self.m}")
             coeffs = tuple(vals) + (0,) * (self.m - len(vals))
         return self.elements[self._coeff_index[coeffs]]
-
-    @property
-    def names(self):
-        """Each element's polynomial text, by index, built on first use."""
-        if not hasattr(self, "_names"):
-            _set(self, "_names", tuple(_poly_str(c.coeffs) for c in self.elements))
-        return self._names
 
     def __repr__(self):
         if self.m == 1:
@@ -260,9 +254,7 @@ class ProjectivePoint(Record):
         pivot = coords[0] or coords[1] or coords[2]
         if not pivot:
             raise ValueError("projective point needs a nonzero coordinate")
-        if pivot.index != 1:
-            coords = tuple(c * pivot.inverse() for c in coords)
-        _set(self, "coords", coords)
+        _set(self, "coords", tuple(c * pivot.inverse() for c in coords))
 
     @classmethod
     def of(cls, spec, values):

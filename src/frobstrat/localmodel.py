@@ -192,13 +192,11 @@ def _reduce_against(field, mat, pivots, vec):
     add, neg, mul = field._add, field._neg, field._mul
     v = list(vec)
     for prow, pc in zip(mat, pivots):
-        x = v[pc]
-        if x:
-            # v -= x * prow; prow is zero before its pivot column pc, and a zero
-            # entry of it adds index 0, the field's zero
-            mrow = mul[neg[x]]
-            for k in range(pc, len(v)):
-                v[k] = add[v[k]][mrow[prow[k]]]
+        # v -= v[pc] * prow; prow is zero before its pivot column pc, and a zero
+        # entry of it, or a zero v[pc], adds index 0, the field's zero
+        mrow = mul[neg[v[pc]]]
+        for k in range(pc, len(v)):
+            v[k] = add[v[k]][mrow[prow[k]]]
     return v
 
 
@@ -383,8 +381,7 @@ def _quotient(field, h):
     for entries in _block_entries(field.p):
         v = [0] * field.p
         for i, j, x in entries:
-            if h[i]:
-                v[j] = add[v[j]][mul[h[i]][x]]
+            v[j] = add[v[j]][mul[h[i]][x]]
         images.append(v)
     return images
 
@@ -481,8 +478,8 @@ def _plane_classes(field, verify=False):
     T(h) = h2 I + h1 N + h0 N^2 being multiplication by a = h2 + h1 s + h0 s^2 in k[s]/(s^3).
     A unit u = 1 + u1 s + u2 s^2 gives D T(h) T(u) = D T(a u), of the same rank and zero
     rows: the first point of each unit-group orbit that the walk reaches is classified and
-    its whole orbit marked in ``codes`` (colength + 4 * failed-claim bits by walk position),
-    read back by every point.  The orbits, the colength classes, have leaders [1:0:0],
+    its whole orbit marked in ``codes`` (the orbit's number from 1, by walk position), read
+    back by every point.  The orbits, the colength classes, have leaders [1:0:0],
     [1:0:1] and [1:1:0]."""
     _check_characteristic(field.p)
     for block in _block_entries(field.p):
@@ -492,13 +489,11 @@ def _plane_classes(field, verify=False):
             raise RuntimeError("a tau^2 block entry depends on more than i + j: "
                                "the unit-orbit walk's premise fails")
     q, add, mul, inv = field.q, field._add, field._mul, field._inv
-    codes, known = bytearray(q * q + q + 1), {}  # code -> (colength, claims)
+    codes, known = bytearray(q * q + q + 1), [None]  # orbit number -> (colength, claims)
     for i, h in enumerate(_plane_indices(q)):
         if not codes[i]:
-            col, res = _classify(field, h)
-            code = col if all(res.values()) else col + sum(
-                4 << k for k, ok in enumerate(res.values()) if not ok)
-            known[code] = col, res
+            code = len(known)
+            known.append(_classify(field, h))
             h0, h1, h2 = h
             # a u = (h0 + h1 u1 + h2 u2, h1 + h2 u1, h2); u1 and u2 act only through h1, h2
             for u1 in range(q) if h1 or h2 else (0,):

@@ -8,7 +8,7 @@ by 2g - 2, which together with the fixed average slope p*d/r makes the
 enumeration finite.
 """
 
-from functools import cache, partial
+from functools import cache
 from math import prod
 
 from ._record import Record, _set
@@ -150,14 +150,10 @@ class LatticePolygon(Record):
         return f"LatticePolygon[{pts}]"
 
 
-# the class bound once, not looked up per polygon the search emits
-_new_polygon = partial(object.__new__, LatticePolygon)
-
-
 def _searched_polygon(vertices):
     """A ``LatticePolygon`` of vertices the directed search has checked, not
     walked again."""
-    P = _new_polygon()
+    P = object.__new__(LatticePolygon)
     _set(P, "vertices", vertices)
     return P
 

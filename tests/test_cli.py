@@ -141,9 +141,10 @@ def test_localmodel_q9_json_round_trips_to_the_table(capsys):
         assert line == f"  {point!r:<24} colength {entry['colength']}  {entry['label']}"
 
 
-@pytest.mark.parametrize("fmt, names", [("json", 0), ("table", 27)])
-def test_localmodel_builds_element_names_only_for_the_table(capsys, monkeypatch, fmt, names):
-    """The JSON payload writes coefficients, so only the table builds the q names."""
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_localmodel_builds_element_names_with_the_field_only(capsys, monkeypatch, fmt):
+    """A field builds its q names with its tables; a request on a field already
+    built builds none, in either format."""
     poly_str, calls = gfield._poly_str, []
 
     def counting(coeffs):
@@ -151,10 +152,13 @@ def test_localmodel_builds_element_names_only_for_the_table(capsys, monkeypatch,
         return poly_str(coeffs)
 
     monkeypatch.setattr(gfield, "_poly_str", counting)
-    # a field of its own: one that an earlier test cached may hold its names already
+    # a field of its own, built by the first request alone
     monkeypatch.setattr(gfield, "_fields", lru_cache(maxsize=None, typed=True)(gfield.FieldSpec))
     code, _, _ = run(capsys, "localmodel", "--q", "27", "--format", fmt)
-    assert (code, len(calls)) == (0, names)
+    assert (code, len(calls)) == (0, 27)
+    calls.clear()
+    code, _, _ = run(capsys, "localmodel", "--q", "27", "--format", fmt)
+    assert (code, calls) == (0, [])
 
 
 @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
@@ -388,15 +392,15 @@ def test_localmodel_refuses_a_size_past_the_digit_limit_at_its_ceiling(
 def test_enumerate_verify_above_the_box_ceiling_exits_2(capsys, monkeypatch):
     walk = next(c for c in polygon.bruteforce_destabilized_polygons.__code__.co_consts
                 if getattr(c, "co_name", None) == "walk")
-    build = polygon.LatticePolygon
+    init = polygon.LatticePolygon.__init__
 
-    def no_scan(vertices):
-        # the directed search still builds its polygons; the scan's walk may not
+    def no_scan(self, vertices):
+        # any other caller still builds its polygons; the scan's walk may not
         if sys._getframe(1).f_code is walk:
             raise AssertionError("brute-force scan started above the ceiling")
-        return build(vertices)
+        init(self, vertices)
 
-    monkeypatch.setattr("frobstrat.polygon.LatticePolygon", no_scan)
+    monkeypatch.setattr(polygon.LatticePolygon, "__init__", no_scan)
     code, out, err = run(capsys, "enumerate", "--p", "3", "--g", "2", "--r", "6",
                          "--d", "1", "--verify")
     assert (code, out) == (2, "")

@@ -30,6 +30,14 @@ def test_gf9_default_modulus_is_lex_smallest(f9):
     assert f9.q == 9
 
 
+def test_a_degree_without_an_irreducible_modulus_is_a_broken_invariant(monkeypatch):
+    # every degree has a monic irreducible over GF(p); a search that finds none
+    # raises rather than build a field on no modulus
+    monkeypatch.setattr(gfield, "_is_irreducible", lambda coeffs, p: False)
+    with pytest.raises(RuntimeError, match=r"^no irreducible degree-2 polynomial over GF\(3\)$"):
+        FieldSpec(3, 2)
+
+
 def test_a_field_is_named_by_p_and_m():
     assert FieldSpec.__match_args__ == ("p", "m")
     with pytest.raises(TypeError):
@@ -274,14 +282,15 @@ def test_spec_repr_mentions_size(f3, f9):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_point_repr_reads_element_names_built_on_first_use(m):
-    spec = FieldSpec(3, m)
-    assert not hasattr(spec, "_names")  # building a field pays nothing for them
+def test_point_repr_reads_element_names_built_with_the_field(monkeypatch, m):
+    spec, poly_str = FieldSpec(3, m), gfield._poly_str
+    assert spec.names == tuple(poly_str(e.coeffs) for e in spec.elements)
+    # once the field is built, a point's text reads its names and formats nothing
+    monkeypatch.setattr(gfield, "_poly_str", None)
     # the reference: each coordinate's text built afresh
     for point in projective_plane(spec):
-        want = " : ".join(gfield._poly_str(c.coeffs) for c in point.coords)
+        want = " : ".join(poly_str(c.coeffs) for c in point.coords)
         assert repr(point) == f"[{want}]"
-    assert spec.names == tuple(gfield._poly_str(e.coeffs) for e in spec.elements)
 
 
 def _poly_index(poly, p):

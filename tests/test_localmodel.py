@@ -224,6 +224,22 @@ def test_pullback_span_is_the_reduced_form_of_its_spanning_rows(m, M):
         assert W._pivots == [next(k for k, v in enumerate(r) if v) for r in want], point
 
 
+@pytest.mark.parametrize("m, rows", [
+    (1, [[1, 2, 0], [2, 1, 0], [0, 1, 1]]),
+    (1, [[0, 1, 2], [1, 2, 0], [1, 0, 1], [2, 2, 2]]),
+    (2, [[1, 3, 5, 0], [4, 7, 2, 8], [5, 1, 0, 3], [0, 0, 6, 6]]),
+    (2, [[2, 0, 7], [5, 0, 1], [0, 4, 4], [7, 0, 2]]),
+])
+def test_rank_eliminates_rows_not_in_echelon_form(m, rows):
+    """A later row nonzero at the first row's leading column is reduced against it:
+    the rank is the reduced form's pivot count, and the rows are left as given."""
+    field = field_make(3, m)
+    assert rows[1][next(k for k, x in enumerate(rows[0]) if x)]
+    before = [list(r) for r in rows]
+    assert localmodel._rank(field, rows) == len(_rref(field, rows)[1])
+    assert rows == before
+
+
 def test_each_W_owns_its_rows():
     """Two W of one model share no row, U's unit rows included: writing into one
     leaves the other as pullback_span builds it."""

@@ -181,6 +181,9 @@ def test_curve_params_validation():
         CurveParams(3, 0, 3, 0)
     with pytest.raises(ValueError):
         CurveParams(3, 2, 0, 0)
+    for p in (1, 0, -3):  # primality fails below 2 without a trial division
+        with pytest.raises(ValueError, match=f"^characteristic must be prime, got {p}$"):
+            CurveParams(p, 2, 3, 0)
 
 
 def test_enumeration_agrees_with_bruteforce_everywhere():

@@ -1,19 +1,18 @@
 """Every def in ``src/frobstrat`` is entered by some command, or listed here,
-and so is every statement inside an entered def of ``cli.py`` and
-``localmodel.py``.
+and so is every statement inside an entered def.
 
 The trace runs every argv that ``test_goldens.py`` pins (the recorded golden
 requests, the refusals and the ``--help`` texts) and README's command-line
 examples through ``main`` under one ``sys.settrace`` hook, which collects every
-Python function entered and every line of ``cli.py`` and ``localmodel.py`` run.
-Each ``def`` of the package's modules, found in their source and keyed
-``module:Qualname``, that none of them enters must appear in ``UNREACHED`` with
-its group and reason.  Each statement inside a def of those two files that holds
-code, that none of them runs and whose def is not in ``UNREACHED`` must appear
-in ``UNRUN``, keyed by its def's ``module:Qualname`` and its first line's text,
-with its group and the test that drives it.  A def or statement newly left
-unrun fails its test until it is wired in, moved to the tests or listed; a
-listed one that a command now runs fails it until its entry is dropped.
+Python function entered and every line of the package run.  Each ``def`` of the
+package's modules, found in their source and keyed ``module:Qualname``, that
+none of them enters must appear in ``UNREACHED`` with its group and reason.
+Each statement inside a def that holds code, that none of them runs and whose
+def is not in ``UNREACHED`` must appear in ``UNRUN``, keyed by its def's
+``module:Qualname`` and its first line's text, with its group and the test that
+drives it.  A def or statement newly left unrun fails its test until it is wired
+in, moved to the tests or listed; a listed one that a command now runs fails it
+until its entry is dropped.
 """
 
 import ast
@@ -24,13 +23,15 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import pytest
+
 import frobstrat
 from test_goldens import GOLDENS, HELP, REFUSALS, _record as run_argv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(frobstrat.__file__).parent.glob("*.py"))
-# the files whose statements are traced, by module name
-LEDGERED = {path.stem: path for path in SOURCES if path.stem in ("cli", "localmodel")}
+# the files whose statements are traced, by module name: all of them
+LEDGERED = {path.stem: path for path in SOURCES}
 
 FROBBENCH = "frobbench LAYERS"
 API = "API boundary"
@@ -108,7 +109,7 @@ UNRUN = {
      'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
         (PARITY, "test_json_text_refuses_what_no_payload_holds"),
     ("cli:cmd_localmodel",
-     'raise RuntimeError(f"point {_point_text(field.names, h)} has colength {col} "'):
+     'raise RuntimeError(f"point {_point_text(names, h)} has colength {col} "'):
         (INVARIANT, "test_label_colength_mismatch_exits_1"),
     ("cli:main", "except RuntimeError as exc:"): (INVARIANT, "test_broken_colength_exits_1"),
     ("cli:main", "return _fail(exc, 1)"): (INVARIANT, "test_broken_colength_exits_1"),
@@ -143,9 +144,9 @@ UNRUN = {
         (GUARD, "test_validation_messages"),
     # every row list _classify and _full_model rank is in echelon form already
     ("localmodel:_rank", "mrow = mul[mul[neg[x]][lead]]"):
-        (ECHELON, "test_rank_counts_the_pivots_of_the_reduced_form"),
+        (ECHELON, "test_rank_eliminates_rows_not_in_echelon_form"),
     ("localmodel:_rank", "v = [add[a][mrow[b]] for a, b in zip(v, prow)]"):
-        (ECHELON, "test_rank_counts_the_pivots_of_the_reduced_form"),
+        (ECHELON, "test_rank_eliminates_rows_not_in_echelon_form"),
     ("localmodel:_check_characteristic",
      'raise ValueError("the hyperplane encoding of colength-1 submodules is "'):
         (GUARD, "test_census_refuses_a_characteristic_other_than_3"),
@@ -158,6 +159,127 @@ UNRUN = {
     ("localmodel:_plane_classes",
      'raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "'):
         (INVARIANT, "test_localmodel_verify_exits_1_when_the_full_model_disagrees_at_M"),
+    ("_record:Record.__eq__", "return NotImplemented"):
+        (API, "test_another_class_with_the_same_values_is_unequal"),
+    ("gfield:_is_prime", "return False"): (GUARD, "test_curve_params_validation"),
+    ("gfield:_default_modulus",
+     'raise RuntimeError(f"no irreducible degree-{m} polynomial over GF({p})")'):
+        (INVARIANT, "test_a_degree_without_an_irreducible_modulus_is_a_broken_invariant"),
+    ("gfield:FieldSpec.__init__",
+     'raise ValueError(f"characteristic must be a prime integer, got {p!r}")'):
+        (GUARD, "test_rejects_non_prime_characteristic"),
+    ("gfield:FieldSpec.__init__",
+     'raise ValueError(f"extension degree must be a positive integer, got {m!r}")'):
+        (GUARD, "test_rejects_bad_degree"),
+    ("gfield:FieldSpec.__init__",
+     'raise ValueError(f"q = {p}^{m} is above the ceiling {_MAX_Q}: the field would "'):
+        (GUARD, "test_a_field_above_the_ceiling_is_refused_before_any_work"),
+    ("gfield:FieldElement._lookup", "return NotImplemented"):
+        (API, "test_other_operands_are_refused"),
+    ("gfield:FieldElement._lookup",
+     'raise ValueError(f"mixed-field arithmetic between {self.spec!r} and {other.spec!r}")'):
+        (GUARD, "test_mixed_field_arithmetic_is_an_error"),
+    ("polygon:CurveParams.__init__",
+     'raise ValueError(f"{name} must be an integer, got {value!r}")'):
+        (GUARD, "test_validation_messages"),
+    ("polygon:CurveParams.__init__", 'raise ValueError(f"genus must be at least 1, got {g}")'):
+        (GUARD, "test_curve_params_validation"),
+    # each fault LatticePolygon's walk reports; no command builds a faulty polygon
+    ("polygon:LatticePolygon.__init__",
+     'raise ValueError(f"vertices must be integral lattice points, got {v!r}")'):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:LatticePolygon.__init__", "narrow = True"):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:LatticePolygon.__init__", "from fractions import Fraction"):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:LatticePolygon.__init__",
+     'falls = f"{Fraction(pdy, pw)} then {Fraction(dy, w)}"'):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:LatticePolygon.__init__",
+     'raise ValueError("polygon needs at least two vertices")'):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:LatticePolygon.__init__",
+     'raise ValueError(f"polygon must start at (0, 0), got {verts[0]}")'):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:LatticePolygon.__init__",
+     'raise ValueError("vertex ranks must strictly increase")'):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:LatticePolygon.__init__",
+     'raise ValueError(f"segment slopes must strictly decrease, got {falls}")'):
+        (GUARD, "test_validation_reports_one_fault_of_several_in_a_fixed_order"),
+    ("polygon:dominates", "raise ValueError("):
+        (GUARD, "test_dominates_requires_shared_endpoints"),
+    # the commands compare only polygons that one dominates
+    ("polygon:dominates", "if below:"): (API, "test_dominates_examples"),
+    ("polygon:dominates", "return LESS_OR_EQUAL"): (API, "test_dominates_examples"),
+    ("polygon:dominates", "return INCOMPARABLE"): (API, "test_dominates_examples"),
+    ("polygon:enumerate_destabilized_polygons.<locals>.extend",
+     'raise RuntimeError(f"search step from {(x0, y0)} to {(x, y0 + dy)} "'):
+        (INVARIANT, "test_a_loosened_search_bound_is_a_broken_invariant"),
+    ("polygon:enumerate_destabilized_polygons.<locals>.extend",
+     'raise RuntimeError(f"closing step from {(x0, y0)} to {(r, end_y)} "'):
+        (INVARIANT, "test_a_loosened_search_bound_is_a_broken_invariant"),
+    ("polygon:enumerate_destabilized_polygons", "except RecursionError:"):
+        (REFUSAL, "test_a_search_deeper_than_the_recursion_limit_is_refused"),
+    ("polygon:enumerate_destabilized_polygons",
+     'raise ValueError(f"r = {r} needs a polygon search deeper than Python\'s "'):
+        (REFUSAL, "test_a_search_deeper_than_the_recursion_limit_is_refused"),
+    ("polygon:bruteforce_destabilized_polygons",
+     'raise ValueError(f"enumeration needs genus >= 2, got {params.g}")'):
+        (GUARD, "test_validation_messages"),
+    ("polygon:polygon_of_filtration",
+     'raise ValueError("filtration needs at least one graded piece")'):
+        (GUARD, "test_polygon_of_filtration_rejects_non_decreasing_slopes"),
+    ("polygon:name_polygon",
+     'raise ValueError(f"polygon ends at {P.endpoint}, expected {(r, p * d)}")'):
+        (GUARD, "test_name_polygon_regime_errors"),
+    ("polygon:name_polygon", "raise ValueError("): (GUARD, "test_name_polygon_regime_errors"),
+    # the commands name only destabilized polygons, of two segments or more
+    ("polygon:name_polygon", "return SEMISTABLE"): (API, "test_name_polygon_examples"),
+    ("slopecalc:BundleData.__init__",
+     'raise ValueError(f"rank must be positive, got {rank}")'):
+        (GUARD, "test_bundle_data_validation"),
+    ("slopecalc:pushforward_degree",
+     'raise ValueError(f"characteristic must be at least 2, got {p}")'):
+        (GUARD, "test_validation_messages"),
+    ("slopecalc:pushforward_degree",
+     'raise ValueError(f"genus must be non-negative, got {g}")'):
+        (GUARD, "test_validation_messages"),
+    ("slopecalc:degree_from_colength",
+     'raise ValueError(f"colength must be 1, 2 or 3, got {colength}")'):
+        (GUARD, "test_degree_from_colength"),
+    ("slopecalc:canonical_filtration_degrees",
+     'raise ValueError(f"genus must be at least 1, got {g}")'):
+        (GUARD, "test_validation_messages"),
+    ("slopecalc:sun_upper_bound",
+     'raise ValueError(f"subrank must lie in 1..{p}, got {subrank}")'):
+        (GUARD, "test_sun_upper_bound_rejects_bad_subrank"),
+    ("slopecalc:_certificate",
+     'raise ValueError(f"{name} must be an integer, got {value!r}")'):
+        (GUARD, "test_certificates_refuse_arguments_that_are_not_ints"),
+    ("slopecalc:_certificate",
+     'raise ValueError(f"characteristic must be prime, got {p!r}")'):
+        (GUARD, "test_certificates_refuse_arguments_that_are_not_ints"),
+    ("slopecalc:_certificate",
+     'raise ValueError(f"the subsheaf slope bound needs genus >= 2, got {g}")'):
+        (REFUSAL, "test_certify_regime_error"),
+    ("strata:moduli_dimension", 'raise ValueError(f"rank must be positive, got {r}")'):
+        (GUARD, "test_moduli_dimension_formula"),
+    ("strata:moduli_dimension",
+     'raise ValueError(f"the dimension formula needs genus >= 2, got {g}")'):
+        (GUARD, "test_moduli_dimension_formula"),
+    ("strata:quot_fiber_dimension", "except KeyError:"): (GUARD, "test_quot_fiber_dimensions"),
+    ("strata:quot_fiber_dimension",
+     'raise ValueError(f"no parameter-space fiber for label {label!r}") from None'):
+        (GUARD, "test_quot_fiber_dimensions"),
+    ("strata:moduli_stratum_dimension",
+     'raise ValueError(f"unknown stratum label {label!r}")'):
+        (GUARD, "test_moduli_stratum_dimensions"),
+    ("strata:moduli_stratum_dimension", "raise ValueError("):
+        (GUARD, "test_moduli_stratum_dimensions"),
+    ("strata:strata_table",
+     'raise RuntimeError(f"the naming rule names no {\', \'.join(missing)} polygon at d = {d}")'):
+        (INVARIANT, "test_strata_exits_1_naming_a_label_the_naming_rule_misses"),
 }
 
 
@@ -307,6 +429,12 @@ def test_every_unrun_cli_statement_is_listed():
 
 def test_every_unrun_localmodel_statement_is_listed():
     faults = _unrun_faults("localmodel")
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("module", sorted(LEDGERED.keys() - {"cli", "localmodel"}))
+def test_every_unrun_statement_is_listed(module):
+    faults = _unrun_faults(module)
     assert not faults, "\n".join(faults)
 
 
