@@ -12,15 +12,17 @@ import argparse
 import os
 import sys
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 from json.encoder import encode_basestring_ascii
 from math import gcd, log10
+from operator import ne
 from types import FunctionType
 
-from .gfield import _point_text, field_make
+from .gfield import _plane_indices, _point_text, field_make
 from .localmodel import (
     ModelSpec,
     _check_level,
+    _coordinate_label,
     _plane_classes,
     _truncation_stable,
     stratum_census,
@@ -245,7 +247,8 @@ def _render(args, passed, payload, lines, checks, note=None):
             print(line, file=sys.stderr)
     else:
         at = lines.index(_VERDICTS) if _VERDICTS in lines else len(lines)
-        print(*lines[:at], *verdicts, *lines[at + 1:], sep="\n", flush=True)
+        # one write of the whole table
+        print("\n".join([*lines[:at], *verdicts, *lines[at + 1:]]), flush=True)
     if note is not None:
         print(note, file=sys.stderr)
     return 0 if passed and all(ok for _, ok in checks) else 1
@@ -313,26 +316,25 @@ def cmd_localmodel(args):
     # failing guard still leaves every point to the full model at M
     stable = args.verify and _truncation_stable(ModelSpec(field, args.M + 1))
 
-    # one walk of the plane, the full model W (--verify) rechecking every point
-    # at M; only the requested format's entry is kept, a point as its element
-    # indices or its text
-    as_json = args.format == "json"
-    census = {PSI2: 0, PSI3: 0, PSI4: 0}
-    bad = 0
-    entries = []
-    names = field.names
-    for h, col, res, lab in _plane_classes(field, args.verify):
-        if _COLENGTH_LABEL[col] != lab:
-            raise RuntimeError(f"point {_point_text(names, h)} has colength {col} "
-                               f"but stratum label {lab}")
-        census[lab] += 1
-        ok = all(res.values())
-        bad += not ok
-        if as_json:
-            entries.append((col, lab, h))
-        else:
-            flag = "" if ok else "  CLAIM-FAIL " + ",".join(k for k, v in res.items() if not v)
-            entries.append(f"  {_point_text(names, h):<24} colength {col}  {lab}{flag}")
+    # one walk of the plane: each point's orbit and each orbit's colength and claims,
+    # the full model W (--verify) rechecking every point at M
+    codes, known = _plane_classes(field, args.verify)
+    q, names = args.q, field.names
+    census, bad = {PSI2: 0, PSI3: 0, PSI4: 0}, 0
+    # per orbit: its colength label and a table line's text after the point's
+    labels, suffix = [None], [None]
+    for col, res in known[1:]:
+        labels.append(lab := _COLENGTH_LABEL[col])
+        census[lab] += (n := codes.count(len(suffix)))
+        fails = ",".join(k for k, v in res.items() if not v)
+        bad += n if fails else 0
+        suffix.append(f" colength {col}  {lab}{fails and '  CLAIM-FAIL ' + fails}")
+    # each point's coordinate label must be its orbit's colength label: the first point
+    # in walk order that breaks it is named
+    for h, k in compress(zip(_plane_indices(q), codes), map(
+            ne, map(_coordinate_label, _plane_indices(q)), map(labels.__getitem__, codes))):
+        raise RuntimeError(f"point {_point_text(names, h)} has colength {known[k][0]} "
+                           f"but stratum label {_coordinate_label(h)}")
 
     checks = []
     if args.verify:
@@ -340,28 +342,33 @@ def cmd_localmodel(args):
                    census == {PSI2: args.q * args.q, PSI3: args.q, PSI4: 1}),
                   (f"claims and colengths stable at M={args.M + 1}", stable)]
     claims_ok = not bad
-    if as_json:
+    if args.format == "json":
         def points(indent):
             # each element's coefficient list written once, at the depth of a point's
-            # coordinates in the entry template, as the table's lines read field.names
+            # coordinates in its orbit's entry template, as the table's lines read
+            # field.names; a point fills only its three coordinates
             coords = [_json_text(e.coeffs, indent + "    ") for e in field.elements]
-            quoted = {lab: encode_basestring_ascii(lab) for lab in census}
-            template = _entry_format(("colength", "label", "point"), ("%d", "%s", (3, 0)), indent)
+            templates = [None] + [
+                _entry_format(("colength", "label", "point"),
+                              (str(col), encode_basestring_ascii(lab), (3, 0)), indent)
+                for (col, _), lab in zip(known[1:], labels[1:])]
             # the exact-size copy of each text, as in _entry_texts
-            return ["".join((template % (col, quoted[lab], coords[a], coords[b], coords[c]), ""))
-                    for col, lab, (a, b, c) in entries]
+            return ["".join((templates[k] % (coords[a], coords[b], coords[c]), ""))
+                    for (a, b, c), k in zip(_plane_indices(q), codes)]
 
         return claims_ok, {"q": args.q, "M": args.M, "census": census, "claims_pass": claims_ok,
                            "points": points}, None, checks
+    # the lines joined q at a time, so that only q line texts live at once
+    texts = (f"  {_point_text(names, h):<24}{suffix[k]}" for h, k in zip(_plane_indices(q), codes))
     return claims_ok, None, [
         f"local pull-back model over GF({args.q}), truncation M={args.M}",
         f"census: {PSI2}={census[PSI2]} {PSI3}={census[PSI3]} {PSI4}={census[PSI4]} "
-        f"(total {len(entries)} = q^2+q+1)",
+        f"(total {len(codes)} = q^2+q+1)",
         f"membership claims a-d: {'PASS' if claims_ok else 'FAIL'} "
-        f"on {len(entries) - bad}/{len(entries)} points",
+        f"on {len(codes) - bad}/{len(codes)} points",
         _VERDICTS,
         "per-point classification:",
-        *entries,
+        *iter(lambda: "\n".join(islice(texts, q)), ""),
     ], checks
 
 

@@ -411,22 +411,34 @@ def _block_actions(p, c):
     return tuple(tuple(r for r in _kernel_pattern(p, c) if b[r[0]]) for b in _tau_square_blocks(p))
 
 
-def _oracle_residues(field, h):
-    """Residues modulo W of the tau^2 blocks X_k of the point h, reduced against W's
-    kernel rows alone: exact at every M, as U's unit rows clear W past the block,
-    where the kernel rows are zero.  Only the rows that act are evaluated."""
-    add, neg, mul = field._add, field._neg, field._mul
+def _oracle_plans(field):
+    """Per last nonzero coordinate c, per tau^2 block X_k: its row c, the only place its
+    residue modulo W can be nonzero (every entry off it is a kernel row's pivot or zero),
+    and the kernel rows that act, as (column j in row c, i, the table x -> X_k[i][j] x)."""
+    p, mul = field.p, field._mul
+    return [[(b[c * p:c * p + p], [(other - c * p, i, mul[b[k]]) for k, other, i in actions])
+             for b, actions in zip(_tau_square_blocks(p), _block_actions(p, c))]
+            for c in range(p)]
+
+
+def _oracle_residues(field, h, plans):
+    """Row c of each tau^2 block's residue modulo W for the point h, by the acting kernel
+    rows in ``plans``, the request's _oracle_plans: exact at every M, as U's unit rows
+    clear W past the block, where the kernel rows are zero."""
+    add, neg = field._add, field._neg
     c, scale = _last_and_scale(field, h)
-    residues = [list(block) for block in _tau_square_blocks(field.p)]
-    for v, actions in zip(residues, _block_actions(field.p, c)):
-        for k, other, i in actions:  # v -= v[k] * row: its pivot entry one, its other -h_i/h_c
-            v[k], v[other] = 0, add[v[other]][neg[mul[v[k]][scale[h[i]]]]]
+    residues = []
+    for row, actions in plans[c]:
+        v = list(row)
+        for j, i, times in actions:  # v -= X_k[i][j] * row, whose entry in row c is -h_i/h_c
+            v[j] = add[v[j]][neg[times[scale[h[i]]]]]
+        residues.append(v)
     return residues
 
 
-def _full_model(field, h):
+def _full_model(field, h, plans):
     """The --verify oracle for _classify, from the tau^2 residues modulo W itself."""
-    return _colength_and_claims(field, h, _oracle_residues(field, h))
+    return _colength_and_claims(field, h, _oracle_residues(field, h, plans))
 
 
 def intersection_colength(V):
@@ -466,21 +478,21 @@ def stratum_census(spec):
     of the quotient h^T X_k taken once per unit-group orbit, never by its coordinate
     label: q^2, q and 1 for Psi2, Psi3 and Psi4, partitioning all q^2 + q + 1 points."""
     counts = {PSI2: 0, PSI3: 0, PSI4: 0}
-    for _, col, _, _ in _plane_classes(spec.field):
-        counts[_COLENGTH_LABEL[col]] += 1
+    codes, known = _plane_classes(spec.field)
+    for k in range(1, len(known)):
+        counts[_COLENGTH_LABEL[known[k][0]]] += codes.count(k)
     return counts
 
 
 def _plane_classes(field, verify=False):
-    """(h, colength, claims, label) of each plane point h, in _plane_indices's order;
-    with ``verify`` the full-model oracle must agree on each.  Each tau^2 block's entry
-    at (i, j) depends on i + j >= 2 alone, so the quotient rows are D T(h) for a fixed D,
-    T(h) = h2 I + h1 N + h0 N^2 being multiplication by a = h2 + h1 s + h0 s^2 in k[s]/(s^3).
-    A unit u = 1 + u1 s + u2 s^2 gives D T(h) T(u) = D T(a u), of the same rank and zero
-    rows: the first point of each unit-group orbit that the walk reaches is classified and
-    its whole orbit marked in ``codes`` (the orbit's number from 1, by walk position), read
-    back by every point.  The orbits, the colength classes, have leaders [1:0:0],
-    [1:0:1] and [1:1:0]."""
+    """(codes, known): the unit-group orbit, numbered from 1, of each plane point in
+    _plane_indices's order, and orbit k's (colength, claims) at known[k]; with ``verify``
+    the full-model oracle must agree on every point.  Each tau^2 block's entry at (i, j)
+    depends on i + j >= 2 alone, so the quotient rows are D T(h) for a fixed D, T(h) =
+    h2 I + h1 N + h0 N^2 being multiplication by a = h2 + h1 s + h0 s^2 in k[s]/(s^3).  A
+    unit u = 1 + u1 s + u2 s^2 gives D T(h) T(u) = D T(a u), of the same rank and zero rows:
+    the first point of each orbit that the walk reaches is classified and its whole orbit
+    marked.  The orbits, the colength classes, have leaders [1:0:0], [1:0:1] and [1:1:0]."""
     _check_characteristic(field.p)
     for block in _block_entries(field.p):
         by_sum = {i + j: x for i, j, x in block}
@@ -489,7 +501,7 @@ def _plane_classes(field, verify=False):
             raise RuntimeError("a tau^2 block entry depends on more than i + j: "
                                "the unit-orbit walk's premise fails")
     q, add, mul, inv = field.q, field._add, field._mul, field._inv
-    codes, known = bytearray(q * q + q + 1), [None]  # orbit number -> (colength, claims)
+    codes, known = bytearray(q * q + q + 1), [None]
     for i, h in enumerate(_plane_indices(q)):
         if not codes[i]:
             code = len(known)
@@ -502,8 +514,10 @@ def _plane_classes(field, verify=False):
                     a = add[a1][mul[h2][u2]]
                     row = mul[inv[a or b or h2]]  # scales the first nonzero coordinate to one
                     codes[row[b] * q + row[h2] if a else q * q + (row[h2] if b else q)] = code
-        col, res = known[codes[i]]
-        if verify and (full := _full_model(field, h)) != (col, res):
-            raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "
-                               f"{(col, res)}, full model {full}")
-        yield h, col, res, _coordinate_label(h)
+    if verify:
+        plans = _oracle_plans(field)
+        for h, code in zip(_plane_indices(q), codes):
+            if (full := _full_model(field, h, plans)) != known[code]:
+                raise RuntimeError(f"point {_point_text(field.names, h)}: quotient gives "
+                                   f"{known[code]}, full model {full}")
+    return codes, known

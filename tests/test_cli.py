@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from frobstrat import cli, gfield, localmodel, polygon, slopecalc, strata
 from frobstrat.cli import _COMMANDS, _MAX_M, _json_text, build_parser, main
-from frobstrat.gfield import _MAX_P, ProjectivePoint, field_make, projective_plane
+from frobstrat.gfield import _MAX_P, ProjectivePoint, _plane_indices, field_make, projective_plane
 from frobstrat.polygon import (
     REGIME,
     CurveParams,
@@ -176,9 +177,10 @@ def test_localmodel_json_writes_what_the_generic_writer_writes(capsys, monkeypat
     assert (code, entered) == (0, [])
     monkeypatch.undo()
     field = field_make(3, m)
-    points = [{"point": [list(field.elements[i].coeffs) for i in h], "label": lab,
-               "colength": col}
-              for h, col, _, lab in localmodel._plane_classes(field)]
+    codes, known = localmodel._plane_classes(field)
+    points = [{"point": [list(field.elements[i].coeffs) for i in h],
+               "label": localmodel._coordinate_label(h), "colength": known[k][0]}
+              for h, k in zip(_plane_indices(q), codes)]
     census = {lab: [e["label"] for e in points].count(lab) for lab in ("Psi2", "Psi3", "Psi4")}
     payload = {"q": q, "M": M, "census": census, "claims_pass": True, "points": points}
     # as line lists, whose failure pytest reports by the first differing index
@@ -416,7 +418,7 @@ def test_broken_colength_exits_1(capsys, monkeypatch):
 
 
 def test_label_colength_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("frobstrat.localmodel._coordinate_label", lambda h: "Psi2")
+    monkeypatch.setattr("frobstrat.cli._coordinate_label", lambda h: "Psi2")
     code, out, err = run(capsys, "localmodel", "--q", "3")
     assert (code, out) == (1, "")
     assert err.startswith("error: point ")
@@ -428,7 +430,7 @@ def test_localmodel_verify_fails_on_a_wrong_census(capsys, monkeypatch, fmt):
     # every Psi3 point counted as Psi2, with label and colength agreeing, so
     # the census conjunct is the only check that can catch it
     classify = localmodel._coordinate_label
-    monkeypatch.setattr("frobstrat.localmodel._coordinate_label",
+    monkeypatch.setattr("frobstrat.cli._coordinate_label",
                         lambda h: "Psi2" if classify(h) == "Psi3" else classify(h))
     monkeypatch.setattr("frobstrat.cli._COLENGTH_LABEL", {1: "Psi4", 2: "Psi2", 3: "Psi2"})
     code, out, err = run(capsys, "localmodel", "--q", "3", "--format", fmt, "--verify")
@@ -927,3 +929,24 @@ def test_a_reader_that_closes_stdout_early_ends_the_run_with_141(unbuffered):
     proc.stderr.close()
     assert (proc.wait(timeout=60), first, err) == \
         (141, b"local pull-back model over GF(81), truncation M=3\n", b"")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("localmodel", "--q", "27", "--verify"), 6 + 757),
+    (("enumerate", "--p", "3", "--r", "5", "--d", "1"), 2 + 41),
+    (("strata", "--d", "0", "--verify"), 8),
+])
+def test_a_table_reaches_stdout_in_one_write(monkeypatch, argv, lines):
+    """A table, its --verify verdicts among its lines, is one text written once and
+    then its line end, however many lines it has."""
+    writes = []
+
+    class Recorded(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorded())
+    assert main(list(argv)) == 0
+    assert len(writes) == 2 and writes[1] == "\n", len(writes)
+    assert writes[0].count("\n") + 1 == lines

@@ -363,14 +363,14 @@ def test_the_frobenius_table_is_x_cubed(p, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_the_orbit_walk_is_the_per_point_walk(m):
-    """Classifying one point per unit-group orbit changes no yielded tuple: with and
-    without the oracle, the walk is _classify and the coordinate label taken at
-    every point, in _plane_indices's order."""
+    """Classifying one point per unit-group orbit changes no point's result: with and
+    without the oracle, the orbit the walk gives each point, in _plane_indices's
+    order, carries _classify's colength and claims of that point."""
     field = field_make(3, m)
-    want = [(h, *localmodel._classify(field, h), localmodel._coordinate_label(h))
-            for h in _plane_indices(field.q)]
+    want = [localmodel._classify(field, h) for h in _plane_indices(field.q)]
     for verify in (False, True):
-        assert list(localmodel._plane_classes(field, verify)) == want, verify
+        codes, known = localmodel._plane_classes(field, verify)
+        assert [known[k] for k in codes] == want, verify
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -412,7 +412,7 @@ def test_census_refuses_a_characteristic_other_than_3():
         with pytest.raises(ValueError, match="implemented for p = 3"):
             stratum_census(spec)
         with pytest.raises(ValueError, match="implemented for p = 3"):
-            next(localmodel._plane_classes(spec.field, True))
+            localmodel._plane_classes(spec.field, True)
 
 
 def test_strata_verify_ranks_each_point_once_and_builds_no_W(capsys):
@@ -451,8 +451,9 @@ def test_block_residues_are_the_full_residues(m, M):
     and with the full-model oracle."""
     field = field_make(3, m)
     spec = ModelSpec(field, M)
-    p2 = spec.p ** 2
+    p, p2 = spec.p, spec.p ** 2
     blocks = [e.dense()[:p2] for e in _tau_square_multiples(spec)]
+    plans = localmodel._oracle_plans(field)
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
         W = pullback_span(V)
@@ -461,13 +462,16 @@ def test_block_residues_are_the_full_residues(m, M):
         assert residues == [r[:p2] for r in full[:len(residues)]], point
         assert not any(any(b) for b in blocks[len(residues):]), point
         assert not any(any(r[p2:]) for r in full), point
+        # within the block, only the row c of the last nonzero coordinate is left
+        c = max(i for i in range(p) if V.h[i])
+        assert not any(x for r in full for k, x in enumerate(r[:p2]) if k // p != c), point
         assert intersection_colength(V) == len(_rref(field, full)[0]), point
         mem = [not any(r) for r in full[:4]]
         t1, t2 = (W.contains(TensorElement.monomial(spec, j, 0)) for j in (1, 2))
         assert claim_results(V) == {"a": not mem[0], "b": mem[1] == (t1 and t2),
                                     "c": mem[2] == t2, "d": mem[3]}, point
         # the quotient h^T X_k and the full model W give the same classification
-        assert localmodel._full_model(field, V.h) == \
+        assert localmodel._full_model(field, V.h, plans) == \
             (intersection_colength(V), claim_results(V)), point
 
 
@@ -484,22 +488,32 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     """At q = 9 the oracle of --verify reduces each tau^2 block by the kernel rows
     of W that act on it, one per nonzero block entry off the row c of the point's
     last nonzero coordinate: 3, 4 or 5 per point for c = 2, 1 or 0, so
-    81*3 + 9*4 + 1*5 = 284 row actions, and it writes no list of rows.  Each
-    colength, of the quotient (once per unit-group orbit) or of the oracle (once per
-    point), ranks at most p = 3 rows; the same at M = 3 and at the ceiling, since
+    81*3 + 9*4 + 1*5 = 284 row actions, and it writes no list of rows.  The acting
+    rows come from a plan built once per request, which asks _block_actions once
+    per c, three times, not once per point, and each residue is the block's row c.
+    Each colength, of the quotient (once per unit-group orbit) or of the oracle (once
+    per point), ranks at most p = 3 rows; the same at M = 3 and at the ceiling, since
     the oracle never looks past the block."""
-    actions_of, residues_of = localmodel._block_actions, localmodel._oracle_residues
-    rank = localmodel._rank
-    acted, reduced, ranked, written = [], [], [], []
+    actions_of, plans_of = localmodel._block_actions, localmodel._oracle_plans
+    residues_of, rank = localmodel._oracle_residues, localmodel._rank
+    planned, acted, reduced, ranked, written = [], [], [], [], []
+
+    class Acting(list):
+        """One block's acting rows in a plan, logging how many each reduction applies."""
+
+        def __iter__(self):
+            acted.append(len(self))
+            return super().__iter__()
 
     def actions_spy(p, c):
-        actions = actions_of(p, c)
-        if sys._getframe(1).f_code is residues_of.__code__:
-            acted.append([len(a) for a in actions])
-        return actions
+        planned.append(c)
+        return actions_of(p, c)
 
-    def residues_spy(field, h):
-        residues = residues_of(field, h)
+    def plans_spy(field):
+        return [[(row, Acting(actions)) for row, actions in plan] for plan in plans_of(field)]
+
+    def residues_spy(field, h, plans):
+        residues = residues_of(field, h, plans)
         reduced.extend(len(v) for v in residues)
         return residues
 
@@ -510,6 +524,7 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
         return rank(field, rows)
 
     monkeypatch.setattr(localmodel, "_block_actions", actions_spy)
+    monkeypatch.setattr(localmodel, "_oracle_plans", plans_spy)
     monkeypatch.setattr(localmodel, "_oracle_residues", residues_spy)
     monkeypatch.setattr(localmodel, "_kernel_rows", lambda *a: written.append(a))
     monkeypatch.setattr(localmodel, "_rank", rank_spy)
@@ -519,15 +534,17 @@ def test_localmodel_reduces_only_the_open_block(capsys, monkeypatch):
     want = sum(n * sum(i != c for i in entries) for c, n in last.items())
     assert want == 81 * 3 + 9 * 4 + 1 * 5 == 284
     for M in (3, _MAX_M):
-        for log in (acted, reduced, ranked):
+        for log in (planned, acted, reduced, ranked):
             log.clear()
         assert main(["localmodel", "--q", "9", "--M", str(M), "--verify"]) == 0
         capsys.readouterr()
-        # the oracle reduces the three nonzero blocks per point, at M only; the
-        # quotient is ranked once per unit-group orbit and the oracle once per point
-        assert len(acted) == 91 and len(reduced) == 3 * 91, M
-        assert sum(map(sum, acted)) == want and max(map(max, acted)) <= 6, M
-        assert max(reduced) <= 9 and written == [], M
+        # one plan per request; the oracle reduces the three nonzero blocks per point,
+        # at M only; the quotient is ranked once per unit-group orbit and the oracle
+        # once per point
+        assert sorted(planned) == [0, 1, 2], (M, planned)
+        assert len(acted) == len(reduced) == 3 * 91, M
+        assert sum(acted) == want and max(acted) <= 6, M
+        assert set(reduced) == {3} and written == [], M
         assert len(ranked) == ORBITS + 91 and max(ranked) <= 3, (M, max(ranked))
 
 
@@ -546,7 +563,8 @@ def test_localmodel_verify_builds_no_dense_W(capsys, monkeypatch):
 @pytest.mark.parametrize("M", [3, 4, 6])
 def test_oracle_residues_are_the_dense_W_residues(m, M):
     """Entry by entry, the oracle's residues of the tau^2 blocks are those of the
-    dense reduced form of W, and _kernel_rows written out densely are
+    dense reduced form of W on the row c of the point's last nonzero coordinate, where
+    W's are zero off that row, and _kernel_rows written out densely are
     pullback_span's first p(p-1) rows cut to the block, rows that
     test_pullback_span_is_the_reduced_form_of_its_spanning_rows pins to the
     spanning set.  A flipped sign in the elimination agrees with the quotient on
@@ -554,10 +572,16 @@ def test_oracle_residues_are_the_dense_W_residues(m, M):
     field = field_make(3, m)
     spec = ModelSpec(field, M)
     p, p2 = spec.p, spec.p ** 2
+    plans = localmodel._oracle_plans(field)
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
         W = pullback_span(V)
-        assert localmodel._oracle_residues(field, V.h) == tau_square_residues(W), point
+        residues = tau_square_residues(W)
+        c = max(i for i in range(p) if V.h[i])
+        assert [r[:c * p] + r[c * p + p:] for r in residues] == \
+            [[0] * (p2 - p)] * len(residues), point
+        assert localmodel._oracle_residues(field, V.h, plans) == \
+            [r[c * p:c * p + p] for r in residues], point
         dense = []
         for k, other, x in localmodel._kernel_rows(field, V.h):
             row = [0] * p2
@@ -655,12 +679,13 @@ def _disagreements(monkeypatch, mutate):
     spec = ModelSpec(field, 3)
     entries = localmodel._block_entries
     monkeypatch.setattr(localmodel, "_block_entries", lambda p: mutate(entries(p)))
+    plans = localmodel._oracle_plans(field)
     out = []
     for point in projective_plane(field):
         V = SubmoduleV(spec, point)
         images = localmodel._quotient(field, V.h)
         if (localmodel._colength_and_claims(field, V.h, images)
-                != localmodel._full_model(field, V.h)):
+                != localmodel._full_model(field, V.h, plans)):
             out.append(point)
     return out
 

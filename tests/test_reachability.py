@@ -109,7 +109,7 @@ UNRUN = {
      'raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")'):
         (PARITY, "test_json_text_refuses_what_no_payload_holds"),
     ("cli:cmd_localmodel",
-     'raise RuntimeError(f"point {_point_text(names, h)} has colength {col} "'):
+     'raise RuntimeError(f"point {_point_text(names, h)} has colength {known[k][0]} "'):
         (INVARIANT, "test_label_colength_mismatch_exits_1"),
     ("cli:main", "except RuntimeError as exc:"): (INVARIANT, "test_broken_colength_exits_1"),
     ("cli:main", "return _fail(exc, 1)"): (INVARIANT, "test_broken_colength_exits_1"),
@@ -348,6 +348,49 @@ def _code_lines(code):
     return lines
 
 
+def _run_traced(hook, argvs, run):
+    """``run`` each argv under the trace function ``hook``.  Python switches tracing off
+    for good when the hook raises, as a RecursionError inside it does, and every later
+    argv would then lose its lines silently: the argv after which ``hook`` is no longer
+    the trace function is named."""
+    outer = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        for argv in argvs:
+            run(argv)
+            assert sys.gettrace() is hook, f"tracing was switched off while running {argv}"
+    finally:
+        sys.settrace(outer)
+
+
+def test_a_trace_switched_off_names_its_argv():
+    """A hook that raises, as one past the recursion limit does, is switched off for
+    good, and main reports the RecursionError as a broken invariant: only the check
+    after each argv shows that the later argv ran untraced."""
+    def deep():
+        pass
+
+    def hook(frame, event, arg):
+        if frame.f_code is deep.__code__:
+            raise RecursionError("maximum recursion depth exceeded")
+
+    def run(argv):
+        try:
+            if argv[0] == "deep":
+                deep()
+        except RuntimeError:
+            pass
+
+    outer = sys.gettrace()
+    argvs = [["strata"], ["deep", "--d", "1"], ["dual"]]
+    with pytest.raises(AssertionError, match=r"while running \['deep', '--d', '1'\]"):
+        _run_traced(hook, argvs, run)
+    assert sys.gettrace() is outer
+    ran = []
+    _run_traced(hook, argvs[::2], ran.append)
+    assert ran == argvs[::2] and sys.gettrace() is outer
+
+
 @cache
 def _traced():
     """(file, first line, name) of every function entered, and (file, line) of every
@@ -373,13 +416,7 @@ def _traced():
         # only the LEDGERED files' frames report their lines, each event a Python call
         return on_line if frame.f_code.co_filename in ledgered else None
 
-    outer = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        for argv in argvs:
-            run_argv(argv)
-    finally:
-        sys.settrace(outer)
+    _run_traced(on_call, argvs, run_argv)
     entered = {(str(Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name)
                for code in codes}
     return entered, lines
