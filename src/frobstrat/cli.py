@@ -235,8 +235,8 @@ def _fmt_vertices(poly, texts):
 
 def _render(args, passed, payload, lines, checks, note=None):
     """Print a command's result as JSON or as a table with its --verify verdicts,
-    then ``note``, if given, on stderr; return 1 if ``passed`` is false or one of
-    the named ``checks`` failed, else 0."""
+    emptying ``lines``, then ``note``, if given, on stderr; return 1 if ``passed`` is
+    false or one of the named ``checks`` failed, else 0."""
     verdicts = [f"verify: {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
     # stdout is flushed here, so that a reader that has gone is found in main,
     # not in the interpreter's flush at exit
@@ -247,8 +247,12 @@ def _render(args, passed, payload, lines, checks, note=None):
             print(line, file=sys.stderr)
     else:
         at = lines.index(_VERDICTS) if _VERDICTS in lines else len(lines)
-        # one write of the whole table
-        print("\n".join([*lines[:at], *verdicts, *lines[at + 1:]]), flush=True)
+        lines[at:at + 1] = verdicts
+        # one write of the whole table; its lines are freed first, as the write
+        # copies the text once more
+        text = "\n".join(lines)
+        lines.clear()
+        print(text, flush=True)
     if note is not None:
         print(note, file=sys.stderr)
     return 0 if passed and all(ok for _, ok in checks) else 1
