@@ -423,8 +423,7 @@ def _oracle_plans(field):
 
 def _oracle_residues(field, h, plans):
     """Row c of each tau^2 block's residue modulo W for the point h, by the acting kernel
-    rows in ``plans``, the request's _oracle_plans: exact at every M, as U's unit rows
-    clear W past the block, where the kernel rows are zero."""
+    rows of the request's ``plans``; exact at every M, as U's unit rows clear W past the block."""
     add, neg = field._add, field._neg
     c, scale = _last_and_scale(field, h)
     residues = []
@@ -485,14 +484,13 @@ def stratum_census(spec):
 
 
 def _plane_classes(field, verify=False):
-    """(codes, known): the unit-group orbit, numbered from 1, of each plane point in
-    _plane_indices's order, and orbit k's (colength, claims) at known[k]; with ``verify``
-    the full-model oracle must agree on every point.  Each tau^2 block's entry at (i, j)
-    depends on i + j >= 2 alone, so the quotient rows are D T(h) for a fixed D, T(h) =
-    h2 I + h1 N + h0 N^2 being multiplication by a = h2 + h1 s + h0 s^2 in k[s]/(s^3).  A
-    unit u = 1 + u1 s + u2 s^2 gives D T(h) T(u) = D T(a u), of the same rank and zero rows:
-    the first point of each orbit that the walk reaches is classified and its whole orbit
-    marked.  The orbits, the colength classes, have leaders [1:0:0], [1:0:1] and [1:1:0]."""
+    """(codes, known): each plane point's unit-group orbit, from 1, in _plane_indices's order,
+    and orbit k's (colength, claims) at known[k]; with ``verify`` the full-model oracle must
+    agree on every point.  Each tau^2 block's entry at (i, j) depends on i + j >= 2 alone, so
+    the quotient rows are D T(h) for a fixed D, T(h) = h2 I + h1 N + h0 N^2 multiplying by
+    a = h2 + h1 s + h0 s^2 in k[s]/(s^3).  A unit u = 1 + u1 s + u2 s^2 gives D T(a u), of the
+    same rank and zero rows: the walk classifies the first point of each orbit it reaches and
+    marks the orbit.  The orbits, the colength classes, lead with [1:0:0], [1:0:1], [1:1:0]."""
     _check_characteristic(field.p)
     for block in _block_entries(field.p):
         by_sum = {i + j: x for i, j, x in block}
